@@ -218,7 +218,8 @@ func newShardedBenchEngine(b *testing.B, workers int) *des.Sharded {
 // BenchmarkShardedE31 reports time per event at K = 1, 4 and 8 drain
 // workers. The fired-event sequence is bit-identical at every K (pinned
 // in internal/des); this benchmark carries the 0 allocs/op pin on the
-// sharded hot path and is part of the benchgate set. The parallel
+// sharded hot path. It is left out of the benchgate set because it
+// times a synthetic engine no simulation runs. The parallel
 // speedup claim lives in BenchmarkShardedSpeedup, kept out of the gate
 // because its paired ratio is a host-load measurement, not a code
 // property.

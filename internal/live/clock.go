@@ -1,8 +1,9 @@
-// Package live is the concurrent execution backend: it runs the same
-// dispatch policies as the discrete-event simulator (internal/sim) on
-// real goroutines — one worker per simulated processor, real channels
-// and locks for the shared queue — with per-packet service times drawn
-// from the same compiled analytic cost model (core.Exec).
+// Package live is the concurrent execution backend: it drives the
+// discrete-event simulator's own host core (sim.Host — queues,
+// dispatch policies, cost-model charging, statistics) on real
+// goroutines — one worker per simulated processor, real channels for
+// work hand-off, a real mutex guarding the host. Only the clock
+// differs from the DES.
 //
 // Time is virtual. A run does not sleep wall-clock microseconds;
 // instead every goroutine that would wait (for a service time to
@@ -11,20 +12,20 @@
 // wake-up only when every goroutine in the run is blocked. That makes a
 // live run complete as fast as the hardware allows while preserving the
 // simulated timescale, exactly like a conservatively synchronized
-// parallel simulation. What the virtual clock does NOT serialize is the
-// goroutines themselves: workers woken at the same virtual instant run
-// concurrently on real OS threads, contend for the real dispatch lock
-// in hardware order, and interleave their scheduling decisions
-// nondeterministically — the concurrency artifacts (migration races,
-// dispatch reordering, lock convoys) that a sequential DES cannot
-// exhibit and that the differential harness (differ_test.go) checks the
-// DES against.
+// parallel simulation. Same-instant arrivals are released one at a
+// time in the DES's schedule order (keyed sleepers, below). What the
+// virtual clock does NOT serialize is workers woken at the same
+// virtual instant: they run concurrently on real OS threads and
+// contend for the dispatch lock in hardware order.
 //
-// The results are therefore NOT bit-reproducible across runs; they are
-// statistically reproducible, and structurally identical (same
-// sim.Results shape, same conservation ledger, same observability event
-// kinds). DESIGN.md §10 states what can and cannot be compared
-// bit-for-bit between the two backends.
+// Where no two events share an instant, a live run is therefore
+// bit-identical to the DES run of the same Params (every Results field
+// but EventsFired), run after run — the differential harness
+// (differ_test.go) asserts this on every tie-free point. Where an
+// arrival ties with a completion (same-rate CBR, batch arrivals), the
+// live clock releases the arrival first while the DES goes by
+// insertion order, and the backends agree statistically. DESIGN.md §10
+// states what is compared, and how tightly.
 package live
 
 import (

@@ -15,23 +15,23 @@ import (
 // The differential validation harness: the DES and the live goroutine
 // backend run the same configurations and must agree on everything the
 // model determines — packet conservation, affinity-hit accounting, and
-// which policy wins at every E29 operating point — and agree
-// statistically (within delayTolerance) on mean delay. This is what
-// turns the DES goldens into cross-validated results instead of
-// self-referential ones: a bug in either engine's queueing or affinity
-// logic breaks the agreement. See DESIGN.md §10.
+// which policy wins at every E29 operating point — and, wherever no two
+// events share an instant, on every Results field bit for bit. This is
+// what turns the DES goldens into cross-validated results instead of
+// self-referential ones: a bug in either engine's clock or service
+// hand-off breaks the agreement. See DESIGN.md §10.
 
 // delayTolerance is the documented DES↔live relative mean-delay bound
-// at unsaturated operating points. Keyed sleepers (clock.go) make the
-// live backend fire same-instant arrivals in the DES's deterministic
-// order, so the only residual divergence source is an arrival tying
-// exactly with a completion or fault event (live releases the keyed
-// arrival first; the DES goes by global insertion order). Measured
-// divergence across paradigms, seeds and tie-heavy arrival processes
-// peaks below 0.05% (batch bursts; CBR and Poisson agree to <0.01%),
-// so 0.5% is ~10x headroom. Saturated points are excluded: their means
-// are dominated by backlog growth over the measurement window, not
-// steady-state behavior.
+// for the tie-heavy rows of toleranceCases. Both backends run the same
+// host core (internal/sim), and keyed sleepers (clock.go) make the live
+// backend fire same-instant arrivals in the DES's deterministic order,
+// so wherever no two events share an instant the backends agree bit for
+// bit (differCase.exact). The one residual divergence is an arrival
+// tying exactly with a completion: the live clock releases the keyed
+// arrival first, while the DES goes by global insertion order. That
+// happens on every run of same-rate CBR under Locking/MRU and of batch
+// arrivals under Locking/FCFS, where measured divergence peaks below
+// 0.05%, so 0.5% is ~10x headroom.
 const delayTolerance = 0.005
 
 var differSeeds = []int64{1, 2, 3}
@@ -68,10 +68,22 @@ func runBoth(t *testing.T, p sim.Params) (des, lv sim.Results) {
 	return des, lv
 }
 
+// requireIdentical asserts the two backends produced the same Results
+// bit for bit. EventsFired is masked: the DES counts heap events, the
+// live backend counts clock releases.
+func requireIdentical(t *testing.T, des, lv sim.Results, seed int64) {
+	t.Helper()
+	lv.EventsFired = des.EventsFired
+	if !reflect.DeepEqual(des, lv) {
+		t.Errorf("%s/%s seed=%d: live Results differ from the DES on a tie-free point\n des:  %+v\n live: %+v",
+			des.Paradigm, des.Policy, seed, des, lv)
+	}
+}
+
 // TestDifferentialWinOrderE29 replays the E29 sweep across seeds: at
 // every operating point the two backends must name the same winning
-// policy. The sweep's margins are ≥5x, so a flipped verdict is an
-// engine bug, not noise.
+// policy. Every E29 point is tie-free (Poisson arrivals), so each run
+// must also agree bit for bit.
 func TestDifferentialWinOrderE29(t *testing.T) {
 	for _, cs := range exp.E29Cases() {
 		for _, seed := range differSeeds {
@@ -80,6 +92,8 @@ func TestDifferentialWinOrderE29(t *testing.T) {
 			a.MeasuredPackets, b.MeasuredPackets = 3000, 3000
 			desA, liveA := runBoth(t, a)
 			desB, liveB := runBoth(t, b)
+			requireIdentical(t, desA, liveA, seed)
+			requireIdentical(t, desB, liveB, seed)
 			desWin := desA.Policy
 			if desB.MeanDelay < desA.MeanDelay {
 				desWin = desB.Policy
@@ -97,37 +111,45 @@ func TestDifferentialWinOrderE29(t *testing.T) {
 	}
 }
 
+// differCase is one operating point of the quantitative comparison.
+// exact marks points where no two events share an instant: there the
+// backends must agree bit for bit, and only the tie-heavy rows fall
+// back to delayTolerance.
+type differCase struct {
+	p     sim.Params
+	exact bool
+}
+
 // toleranceCases are unsaturated operating points for the quantitative
 // comparison, including tie-heavy arrival processes (deterministic,
-// batch) where same-instant races actually exercise the nondeterminism
-// the tolerance exists for.
-func toleranceCases() []sim.Params {
-	return []sim.Params{
-		{Paradigm: sim.Locking, Policy: sched.FCFS, Streams: 8,
-			Arrival: traffic.Poisson{PacketsPerSec: 2500}},
-		{Paradigm: sim.Locking, Policy: sched.MRU, Streams: 8,
-			Arrival: traffic.Deterministic{PacketsPerSec: 2500}},
-		{Paradigm: sim.Locking, Policy: sched.ThreadPools, Streams: 16,
-			Arrival: traffic.Poisson{PacketsPerSec: 1500}},
-		{Paradigm: sim.Locking, Policy: sched.FCFS, Streams: 8,
-			Arrival: traffic.Batch{PacketsPerSec: 2500, MeanBurst: 16}},
-		{Paradigm: sim.IPS, Policy: sched.IPSWired, Streams: 16, Stacks: 16,
-			Arrival: traffic.Poisson{PacketsPerSec: 2500}},
-		{Paradigm: sim.IPS, Policy: sched.IPSWired, Streams: 16, Stacks: 16,
-			Arrival: traffic.Deterministic{PacketsPerSec: 2000}},
-		{Paradigm: sim.Hybrid, Policy: sched.IPSMRU, Streams: 8, Stacks: 4,
-			Arrival: traffic.Poisson{PacketsPerSec: 3000}},
+// batch) where an arrival can tie with a completion.
+func toleranceCases() []differCase {
+	return []differCase{
+		{sim.Params{Paradigm: sim.Locking, Policy: sched.FCFS, Streams: 8,
+			Arrival: traffic.Poisson{PacketsPerSec: 2500}}, true},
+		{sim.Params{Paradigm: sim.Locking, Policy: sched.MRU, Streams: 8,
+			Arrival: traffic.Deterministic{PacketsPerSec: 2500}}, false},
+		{sim.Params{Paradigm: sim.Locking, Policy: sched.ThreadPools, Streams: 16,
+			Arrival: traffic.Poisson{PacketsPerSec: 1500}}, true},
+		{sim.Params{Paradigm: sim.Locking, Policy: sched.FCFS, Streams: 8,
+			Arrival: traffic.Batch{PacketsPerSec: 2500, MeanBurst: 16}}, false},
+		{sim.Params{Paradigm: sim.IPS, Policy: sched.IPSWired, Streams: 16, Stacks: 16,
+			Arrival: traffic.Poisson{PacketsPerSec: 2500}}, true},
+		{sim.Params{Paradigm: sim.IPS, Policy: sched.IPSWired, Streams: 16, Stacks: 16,
+			Arrival: traffic.Deterministic{PacketsPerSec: 2000}}, true},
+		{sim.Params{Paradigm: sim.Hybrid, Policy: sched.IPSMRU, Streams: 8, Stacks: 4,
+			Arrival: traffic.Poisson{PacketsPerSec: 3000}}, true},
 	}
 }
 
-// TestDifferentialMeanDelayTolerance pins the statistical agreement:
-// mean delay within delayTolerance, warm fraction within 0.1, and
-// identical total throughput denominators, across every tolerance case
-// and seed.
+// TestDifferentialMeanDelayTolerance pins the cross-backend agreement
+// across every tolerance case and seed: bit-identical Results on the
+// exact rows; on the tie-heavy rows, mean delay within delayTolerance
+// and warm fraction within 0.1.
 func TestDifferentialMeanDelayTolerance(t *testing.T) {
-	for _, base := range toleranceCases() {
+	for _, cs := range toleranceCases() {
 		for _, seed := range differSeeds {
-			p := base
+			p := cs.p
 			p.Seed = seed
 			p.MeasuredPackets = 3000
 			des, lv := runBoth(t, p)
@@ -136,10 +158,14 @@ func TestDifferentialMeanDelayTolerance(t *testing.T) {
 					des.Paradigm, des.Policy, seed, des.Saturated, lv.Saturated)
 				continue
 			}
+			if cs.exact {
+				requireIdentical(t, des, lv, seed)
+				continue
+			}
 			rel := math.Abs(lv.MeanDelay-des.MeanDelay) / des.MeanDelay
 			if rel > delayTolerance {
 				t.Errorf("%s/%s %v seed=%d: mean delay DES %.2f vs live %.2f (rel %.4f > %.2f)",
-					des.Paradigm, des.Policy, base.Arrival, seed,
+					des.Paradigm, des.Policy, cs.p.Arrival, seed,
 					des.MeanDelay, lv.MeanDelay, rel, delayTolerance)
 			}
 			if diff := math.Abs(lv.WarmFraction - des.WarmFraction); diff > 0.1 {

@@ -69,7 +69,7 @@ func TestLiveRSSIdentityEqualsWiredStreams(t *testing.T) {
 	}
 	rss := base
 	rss.Policy = sched.RSS
-	rss.HashIdentity = true
+	rss = sim.WithHashIdentity(rss)
 	wired := base
 	wired.Policy = sched.WiredStreams
 	a, b := live.Run(rss), live.Run(wired)

@@ -177,7 +177,7 @@ func CacheKey(p Params) (string, bool) {
 	}
 	fmt.Fprintf(&b, "|cost:%g,%g,%g,%g", p.LockOverhead, p.LockCritFrac, p.CodeSharedFrac, p.DataTouch)
 	fmt.Fprintf(&b, "|q:%d,%d,%d", p.HybridOverflow, p.MRULookahead, p.MaxQueueDepth)
-	fmt.Fprintf(&b, "|hash:%d,%t", p.FDRebalance, p.HashIdentity)
+	fmt.Fprintf(&b, "|hash:%d,%t", p.FDRebalance, p.hashIdentity)
 	fmt.Fprintf(&b, "|steal:%g,%d,%g", p.Steal.Penalty, p.Steal.DepthThreshold, p.Steal.ColdBias)
 	if p.Topology != nil {
 		// Parse round-trips String, so the rendering carries every field

@@ -109,7 +109,7 @@ var cacheKeyMutations = map[string]func(*Params){
 			SameSocketTransient: 1, CrossSocketTransient: 2}
 	},
 	"FDRebalance":  func(p *Params) { p.FDRebalance = 16 },
-	"HashIdentity": func(p *Params) { p.HashIdentity = true },
+	"hashIdentity": func(p *Params) { p.hashIdentity = true },
 	"Steal":        func(p *Params) { p.Steal = sched.StealParams{Penalty: 25, DepthThreshold: 2, ColdBias: 0.5} },
 	"Arrival":      func(p *Params) { p.Arrival = traffic.Poisson{PacketsPerSec: 801} },
 	"ArrivalPerStream": func(p *Params) {

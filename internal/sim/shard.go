@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"affinity/internal/des"
-	"affinity/internal/traffic"
-)
+import "affinity/internal/des"
 
 // Sharded-runner integration (Params.Shards, DESIGN.md §12).
 //
@@ -41,14 +38,8 @@ func (r *runner) buildPrefetch() *des.Prefetcher {
 	if k <= 1 || r.p.Streams < 2 {
 		return nil
 	}
-	specOf := func(s int) traffic.Spec {
-		if r.p.ArrivalPerStream != nil {
-			return r.p.ArrivalPerStream[s]
-		}
-		return r.p.Arrival
-	}
 	for s := 0; s < r.p.Streams; s++ {
-		if specSideEffecting(specOf(s)) {
+		if specSideEffecting(r.arrivalSpec(s)) {
 			return nil
 		}
 	}
@@ -56,8 +47,7 @@ func (r *runner) buildPrefetch() *des.Prefetcher {
 	for s := 0; s < r.p.Streams; s++ {
 		// Identical construction to the sequential path: the same spec,
 		// the same named substream, so the same draw chain.
-		proc := specOf(s).Build(des.Stream(r.p.Seed, arrivalsName(s)))
-		sources[s] = proc.Next
+		sources[s] = r.ArrivalProcess(s).Next
 	}
 	ringCap := 256
 	if r.p.Streams > 1024 {

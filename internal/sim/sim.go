@@ -135,9 +135,10 @@ type Params struct {
 	// Ignored by every other policy.
 	FDRebalance int
 
-	// HashIdentity replaces the hash-dispatch policies' stream-hash mix
-	// with the identity function (diagnostic; see sched.HashConfig).
-	HashIdentity bool
+	// hashIdentity replaces the hash-dispatch policies' stream-hash mix
+	// with the identity function (see sched.HashConfig). Only tests set
+	// it, through WithHashIdentity.
+	hashIdentity bool
 
 	// Steal is the AffinitySteal policy family's parameter point
 	// (steal penalty µs, steal depth threshold, cold-start bias; see
@@ -575,16 +576,28 @@ func (p Params) entityOf(stream int) int {
 	return stream
 }
 
+// WithHashIdentity returns p with the hash-dispatch policies' stream
+// hash replaced by the identity map, which makes an RSS table's homes
+// predictable. It is a test hook for the RSS ≡ Wired-Streams anchors,
+// deliberately not a Params field: no CLI or facade user can reach it.
+func WithHashIdentity(p Params) Params {
+	p.hashIdentity = true
+	return p
+}
+
 // totalEventsFired accumulates DES events across every completed run in
 // the process; the experiment progress reporter derives events/sec
 // from it.
 var totalEventsFired atomic.Uint64
 
-// TotalEventsFired returns the cumulative DES events fired by all runs
-// completed so far in this process.
+// TotalEventsFired returns the cumulative DES events fired by all
+// sim.Run calls completed so far in this process. Live-backend runs
+// share the host core but not this counter: their clock releases are
+// not DES events.
 func TotalEventsFired() uint64 { return totalEventsFired.Load() }
 
-// Run executes one simulation and returns its metrics.
+// Run executes one simulation on the DES backend and returns its
+// metrics.
 func Run(p Params) Results {
 	p = p.WithDefaults()
 	if err := p.Validate(); err != nil {
@@ -593,7 +606,8 @@ func Run(p Params) Results {
 	r := newRunner(p)
 	r.start()
 	r.sim.RunUntil(p.MaxTime)
-	res := r.results()
+	res := r.Results()
 	r.close()
+	totalEventsFired.Add(res.EventsFired)
 	return res
 }

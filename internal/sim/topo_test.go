@@ -97,7 +97,7 @@ func TestRSSIdentityEqualsWiredStreams(t *testing.T) {
 	}
 	rss := base
 	rss.Policy = sched.RSS
-	rss.HashIdentity = true
+	rss = WithHashIdentity(rss)
 	wired := base
 	wired.Policy = sched.WiredStreams
 	a, b := Run(rss), Run(wired)
@@ -111,7 +111,7 @@ func TestRSSIdentityEqualsWiredStreams(t *testing.T) {
 	// Lever: with the real mixing hash the table assignment differs from
 	// first-seen round-robin, so the equivalence must break.
 	mixed := rss
-	mixed.HashIdentity = false
+	mixed.hashIdentity = false
 	if reflect.DeepEqual(normalizePolicy(Run(mixed)), normalizePolicy(b)) {
 		t.Error("mixed-hash RSS still equals Wired-Streams — the identity-hash condition is vacuous")
 	}
