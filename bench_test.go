@@ -7,10 +7,8 @@
 package affinity_test
 
 import (
-	"math"
 	"strconv"
 	"testing"
-	"time"
 
 	"affinity"
 	"affinity/internal/cachesim"
@@ -117,175 +115,6 @@ func BenchmarkCacheSimColdPacket(b *testing.B) {
 			h.Access(r.Addr, r.Kind)
 		}
 	}
-}
-
-// shardedBenchGroup is one stream group of the sharded-engine
-// benchmark: a self-rescheduling arrival chain whose per-packet service
-// is one analytic cost-model execution plus a data-touch pass over the
-// group's packet buffer (the simulator's per-packet hot path charges
-// exactly this pair: ExecTime and DataTouch references). Every 8th
-// packet is dispatched to a peer group at the cross-shard latency. All
-// state is group-local; the cross dispatch carries the PEER's state so
-// the handler only ever touches the shard it runs on.
-type shardedBenchGroup struct {
-	shard    *des.Shard
-	peer     *shardedBenchGroup
-	rng      *des.RNG
-	model    *core.Model
-	data     []uint64 // per-group packet footprint for the touch pass
-	gap      des.Time
-	crossLat des.Time
-	x        float64
-	sum      float64
-	acc      uint64
-	pos      int
-	n        int
-}
-
-// touchData walks words of the group's packet buffer with a strided
-// read-modify-write, the benchmark's stand-in for the per-packet
-// protocol data touch.
-func (g *shardedBenchGroup) touchData(words int) {
-	d := g.data
-	mask := len(d) - 1
-	pos, acc := g.pos, g.acc
-	for i := 0; i < words; i++ {
-		acc += d[pos]
-		d[pos] = acc
-		pos = (pos + 97) & mask
-	}
-	g.pos, g.acc = pos, acc
-}
-
-func shardedBenchLocal(a any) {
-	g := a.(*shardedBenchGroup)
-	// Roam the displacement domain and charge a model execution, like
-	// the simulator's per-packet hot path.
-	g.x += 977
-	if g.x > 2e6 {
-		g.x = 0
-	}
-	g.sum += g.model.ExecTime(g.x)
-	g.touchData(512)
-	g.n++
-	g.shard.ScheduleArg(g.rng.ExpTime(g.gap), shardedBenchLocal, g)
-	if g.n&7 == 0 {
-		g.shard.Send(g.peer.shard.ID(), g.crossLat, shardedBenchRemote, g.peer)
-	}
-}
-
-func shardedBenchRemote(a any) {
-	g := a.(*shardedBenchGroup)
-	g.sum += g.model.ExecTime(g.x)
-	g.touchData(128)
-}
-
-// newShardedBenchEngine builds the E31-class workload — 64 stream
-// groups with Zipf(0.9) arrival skew, cost-model service times,
-// cross-group dispatch at the minimum dispatch latency (T_warm, which
-// is also the engine lookahead) — and warms it to steady state (pools,
-// outboxes, workers) so the timed section never allocates.
-func newShardedBenchEngine(b *testing.B, workers int) *des.Sharded {
-	b.Helper()
-	const groups = 64
-	lookahead := des.Time(core.NewModel().Calib.TWarm)
-	eng := des.NewSharded(groups, lookahead, workers)
-	model := core.NewModel()
-	gs := make([]*shardedBenchGroup, groups)
-	for i := range gs {
-		w := math.Pow(float64(i+1), -0.9) // Zipf(0.9) popularity
-		gs[i] = &shardedBenchGroup{
-			shard:    eng.Shard(i),
-			rng:      des.Stream(1, "bench-group-"+strconv.Itoa(i)),
-			model:    model,
-			data:     make([]uint64, 1024), // 8 KiB packet footprint (L1-resident)
-			gap:      des.Time(2.0 / w),
-			crossLat: lookahead,
-		}
-	}
-	for i, g := range gs {
-		g.peer = gs[(i+groups/2)%groups]
-		g.shard.ScheduleArg(g.rng.ExpTime(g.gap), shardedBenchLocal, g)
-	}
-	for eng.Fired() < 100_000 {
-		if !eng.StepWindow() {
-			b.Fatal("engine ran dry during warmup")
-		}
-	}
-	return eng
-}
-
-// BenchmarkShardedE31 reports time per event at K = 1, 4 and 8 drain
-// workers. The fired-event sequence is bit-identical at every K (pinned
-// in internal/des); this benchmark carries the 0 allocs/op pin on the
-// sharded hot path. It is left out of the benchgate set because it
-// times a synthetic engine no simulation runs. The parallel
-// speedup claim lives in BenchmarkShardedSpeedup, kept out of the gate
-// because its paired ratio is a host-load measurement, not a code
-// property.
-func BenchmarkShardedE31(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run("K="+strconv.Itoa(workers), func(b *testing.B) {
-			eng := newShardedBenchEngine(b, workers)
-			defer eng.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			target := eng.Fired() + uint64(b.N)
-			for eng.Fired() < target {
-				if !eng.StepWindow() {
-					b.Fatal("engine ran dry")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkShardedSpeedup interleaves short segments of a K=1 and a K=4
-// engine over the same workload and reports their paired events/sec
-// ratio as the "speedup" metric: on a shared host, single-run ns/op
-// comparisons across benchmarks are polluted by minute-scale CPU-steal
-// drift, while paired segments sample the same host conditions
-// milliseconds apart.
-func BenchmarkShardedSpeedup(b *testing.B) {
-	eng1 := newShardedBenchEngine(b, 1)
-	defer eng1.Close()
-	eng4 := newShardedBenchEngine(b, 4)
-	defer eng4.Close()
-	b.ResetTimer()
-	var t1, t4 time.Duration
-	var n1, n4 uint64
-	const seg = 64 // timed windows per paired segment
-	const warm = 4 // untimed windows after each engine switch: they
-	// re-warm the caches (each engine's groups hold ~512 KiB) and
-	// re-release the other engine's parked workers off the clock.
-	step := func(eng *des.Sharded, k int) (uint64, time.Duration) {
-		for i := 0; i < warm; i++ {
-			if !eng.StepWindow() {
-				b.Fatalf("K=%d engine ran dry", k)
-			}
-		}
-		f0, w0 := eng.Fired(), time.Now()
-		for i := 0; i < seg; i++ {
-			if !eng.StepWindow() {
-				b.Fatalf("K=%d engine ran dry", k)
-			}
-		}
-		return eng.Fired() - f0, time.Since(w0)
-	}
-	for n1 < uint64(b.N) || n4 < uint64(b.N) {
-		if n1 < uint64(b.N) {
-			n, t := step(eng1, 1)
-			n1, t1 = n1+n, t1+t
-		}
-		if n4 < uint64(b.N) {
-			n, t := step(eng4, 4)
-			n4, t4 = n4+n, t4+t
-		}
-	}
-	b.StopTimer()
-	r1 := float64(n1) / t1.Seconds()
-	r4 := float64(n4) / t4.Seconds()
-	b.ReportMetric(r4/r1, "speedup")
 }
 
 func BenchmarkDESScheduleFire(b *testing.B) {

@@ -63,7 +63,6 @@ func main() {
 		faultSpec = flag.String("faults", "", "fault plan, e.g. \"down:0@500ms,up:0@1.5s,slow:2x0.5@1s,loss:0.01@0s,burst:*x200@2s\"")
 		maxQueue  = flag.Int("maxqueue", 0, "per-queue capacity bound; arrivals beyond it are dropped (0 = unbounded)")
 		dataTouch = flag.Float64("datatouch", 0, "per-packet data-touching cost (µs)")
-		shards    = flag.Int("shards", 1, "intra-run shard count K for the des backend (K>1 precomputes arrival draws on K pipeline workers; results are bit-identical at any K; the live backend ignores it)")
 		packets   = flag.Int("packets", 15000, "measured packet completions")
 		seed      = flag.Int64("seed", 1, "random seed")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run (view at https://ui.perfetto.dev)")
@@ -81,15 +80,11 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	if *shards < 1 {
-		fail("shard count %d must be ≥ 1", *shards)
-	}
 	p := affinity.Params{
 		Streams:         *streams,
 		Stacks:          *stacks,
 		Processors:      *procs,
 		DataTouch:       *dataTouch,
-		Shards:          *shards,
 		Seed:            *seed,
 		MeasuredPackets: *packets,
 		MaxQueueDepth:   *maxQueue,

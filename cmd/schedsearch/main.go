@@ -52,6 +52,9 @@ func main() {
 		topK      = flag.Int("counterfactuals", 0, "after the search, replay the winner's k highest-regret decisions with the cheapest alternative forced in")
 	)
 	flag.Parse()
+	if *parallel < 0 {
+		fail("-parallel %d must be ≥ 0 (0 = GOMAXPROCS)", *parallel)
+	}
 
 	base := affinity.Params{
 		Paradigm:        affinity.Locking,

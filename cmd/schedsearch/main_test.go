@@ -142,6 +142,7 @@ func TestSearchCLIBadFlagsExitOne(t *testing.T) {
 		{"-biases", "inf"}, // inf is a penalty spelling, never a bias
 		{"-spec", "/nonexistent/spec.json"},
 		{"-rate", "-100"},
+		{"-parallel", "-1"},
 	}
 	for _, args := range cases {
 		_, stderr, code := run(t, append(args, "-packets", "200")...)

@@ -100,8 +100,8 @@ func TestLiveFlowDirectorDisabledEqualsRSS(t *testing.T) {
 // TestDifferentialReorderingAgreement is the cross-backend half of the
 // E34 claim: on the same bursty workload both engines must report
 // in-flight reordering for Flow Director and none for RSS — and both
-// runs go through runBoth, so the usual arrival/ledger/shard
-// agreements hold on NUMA hash-dispatch points too.
+// runs go through runBoth, so the usual arrival and ledger agreements
+// hold on NUMA hash-dispatch points too.
 func TestDifferentialReorderingAgreement(t *testing.T) {
 	numa := &topo.Topology{Sockets: 2, CoresPerSocket: 4,
 		SameSocketTransient: 1.1, CrossSocketTransient: 1.8}

@@ -24,7 +24,7 @@ func TestKindParadigmRangeChecks(t *testing.T) {
 // AffinityStats decision — no double counts, no missed ones. An empty
 // dispatch is not a decision.
 func TestMRUAffinityStatsOneNotePerDecision(t *testing.T) {
-	d := NewPacketDispatcherLookahead(MRU, 4, des.NewRNG(1), 4)
+	d := NewPacketDispatcherFull(MRU, 4, des.NewRNG(1), 4, HashConfig{}, StealConfig{})
 	d.RanOn(1, 1)
 	d.RanOn(2, 2)
 	decisions, wantHits := 0, 0

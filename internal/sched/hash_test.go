@@ -32,7 +32,7 @@ func TestKindClassificationExhaustive(t *testing.T) {
 }
 
 func hashPD(k Kind, n int, hc HashConfig) PacketDispatcher {
-	return NewPacketDispatcherHash(k, n, des.NewRNG(1), 1, hc)
+	return NewPacketDispatcherFull(k, n, des.NewRNG(1), 1, hc, StealConfig{})
 }
 
 // identity hashing with entity < table size makes home = entity % n,
@@ -72,7 +72,7 @@ func TestRSSHomesAreStatic(t *testing.T) {
 func TestRSSIgnoresRebalanceConfig(t *testing.T) {
 	// Even with an aggressive trigger configured, the RSS constructor
 	// forces the static table: a backed-up home never re-homes.
-	d := NewPacketDispatcherHash(RSS, 2, des.NewRNG(1), 1, HashConfig{Identity: true, Rebalance: 1})
+	d := hashPD(RSS, 2, HashConfig{Identity: true, Rebalance: 1})
 	for i := 0; i < 4; i++ {
 		d.Enqueue(pkt(0)) // home 0 backs up
 	}

@@ -1,21 +1,16 @@
 package sched
 
-import (
-	"testing"
-
-	"affinity/internal/des"
-)
+import "testing"
 
 func TestPacketPreferredProc(t *testing.T) {
-	rng := des.NewRNG(1)
 	t.Run("fcfs", func(t *testing.T) {
-		d := NewPacketDispatcher(FCFS, 3, rng)
+		d := newPD(FCFS, 3)
 		if d.PreferredProc(0) != -1 {
 			t.Fatal("FCFS must have no affinity target")
 		}
 	})
 	t.Run("mru", func(t *testing.T) {
-		d := NewPacketDispatcher(MRU, 3, rng)
+		d := newPD(MRU, 3)
 		if d.PreferredProc(5) != -1 {
 			t.Fatal("unseen entity must have no target")
 		}
@@ -30,7 +25,7 @@ func TestPacketPreferredProc(t *testing.T) {
 	})
 	for _, k := range []Kind{ThreadPools, WiredStreams} {
 		t.Run(k.String(), func(t *testing.T) {
-			d := NewPacketDispatcher(k, 3, rng)
+			d := newPD(k, 3)
 			// A pure read: asking about an unseen entity must not assign a
 			// home (homeOf would advance the round-robin cursor).
 			if d.PreferredProc(7) != -1 {
@@ -51,9 +46,8 @@ func TestPacketPreferredProc(t *testing.T) {
 }
 
 func TestStackPreferredProc(t *testing.T) {
-	rng := des.NewRNG(1)
 	t.Run("wired", func(t *testing.T) {
-		d := NewStackDispatcher(IPSWired, 4, 2, rng)
+		d := newSD(IPSWired, 4, 2)
 		if d.PreferredProc(0) != 0 || d.PreferredProc(3) != 1 {
 			t.Fatal("wired target must be the static binding")
 		}
@@ -67,7 +61,7 @@ func TestStackPreferredProc(t *testing.T) {
 		}
 	})
 	t.Run("mru", func(t *testing.T) {
-		d := NewStackDispatcher(IPSMRU, 4, 2, rng)
+		d := newSD(IPSMRU, 4, 2)
 		if d.PreferredProc(1) != -1 {
 			t.Fatal("unseen stack must have no target")
 		}
@@ -77,7 +71,7 @@ func TestStackPreferredProc(t *testing.T) {
 		}
 	})
 	t.Run("random", func(t *testing.T) {
-		d := NewStackDispatcher(IPSRandom, 4, 2, rng)
+		d := newSD(IPSRandom, 4, 2)
 		d.RanOn(1, 1)
 		if d.PreferredProc(1) != -1 {
 			t.Fatal("random baseline must have no target")

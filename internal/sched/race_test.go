@@ -3,8 +3,6 @@ package sched
 import (
 	"sync"
 	"testing"
-
-	"affinity/internal/des"
 )
 
 // Dispatchers are single-threaded by contract — the DES calls them from
@@ -18,18 +16,18 @@ import (
 //  2. A single instance driven under an external mutex — the live
 //     backend's usage — is race-clean.
 
-func hammer(t *testing.T, kind Kind, build func(rng *des.RNG) func()) {
+func hammer(t *testing.T, build func() func()) {
 	t.Helper()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			work := build(des.Stream(int64(g+1), "race-"+kind.String()))
+			work := build()
 			for i := 0; i < 2000; i++ {
 				work()
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 }
@@ -37,8 +35,8 @@ func hammer(t *testing.T, kind Kind, build func(rng *des.RNG) func()) {
 func TestPacketDispatchersIndependentAcrossGoroutines(t *testing.T) {
 	for _, kind := range []Kind{FCFS, MRU, ThreadPools, WiredStreams} {
 		t.Run(kind.String(), func(t *testing.T) {
-			hammer(t, kind, func(rng *des.RNG) func() {
-				d := NewPacketDispatcher(kind, 4, rng)
+			hammer(t, func() func() {
+				d := newPD(kind, 4)
 				seq := uint64(0)
 				return func() {
 					seq++
@@ -60,8 +58,8 @@ func TestPacketDispatchersIndependentAcrossGoroutines(t *testing.T) {
 func TestStackDispatchersIndependentAcrossGoroutines(t *testing.T) {
 	for _, kind := range []Kind{IPSWired, IPSMRU, IPSRandom} {
 		t.Run(kind.String(), func(t *testing.T) {
-			hammer(t, kind, func(rng *des.RNG) func() {
-				d := NewStackDispatcher(kind, 4, 4, rng)
+			hammer(t, func() func() {
+				d := newSD(kind, 4, 4)
 				seq := 0
 				return func() {
 					seq++
@@ -84,7 +82,7 @@ func TestStackDispatchersIndependentAcrossGoroutines(t *testing.T) {
 // eight goroutines serialized by a mutex — the exact usage pattern of
 // the live backend's dispatch lock.
 func TestSharedDispatcherUnderExternalLock(t *testing.T) {
-	d := NewPacketDispatcher(MRU, 4, des.Stream(1, "shared"))
+	d := newPD(MRU, 4)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -196,42 +196,24 @@ func (c *affinityCount) AffinityStats() (hits, total uint64) {
 	return c.hits, c.decisions
 }
 
-// NewPacketDispatcher builds the Locking dispatcher for kind k on n
-// processors. Policies that place a no-affinity packet on "any idle
+// NewPacketDispatcherFull builds the Locking dispatcher for kind k on
+// n processors. Policies that place a no-affinity packet on "any idle
 // processor" pick uniformly at random among the idle set, so that the
 // FCFS baseline does not accidentally accrue affinity by always reusing
 // the lowest-numbered processor.
-func NewPacketDispatcher(k Kind, n int, rng *des.RNG) PacketDispatcher {
-	return NewPacketDispatcherLookahead(k, n, rng, 1)
-}
-
-// NewPacketDispatcherLookahead is NewPacketDispatcher with an explicit
-// dispatch lookahead for the MRU policy: a processor picking new work
-// examines only the first lookahead waiting packets for one with
-// affinity before falling back to the FIFO head. Real dispatchers scan a
-// bounded prefix (the scan happens under the queue lock); unbounded
-// lookahead would let MRU degenerate into Wired-Streams-with-stealing at
-// saturation and mask the policy crossover the paper reports.
-func NewPacketDispatcherLookahead(k Kind, n int, rng *des.RNG, lookahead int) PacketDispatcher {
-	if lookahead < 1 {
-		lookahead = 1
-	}
-	return NewPacketDispatcherHash(k, n, rng, lookahead, HashConfig{})
-}
-
-// NewPacketDispatcherHash is NewPacketDispatcherLookahead with an
-// explicit configuration for the hash-dispatch policies (RSS,
-// FlowDirector); the zero HashConfig selects their defaults and is
-// ignored by every other kind. AffinitySteal built through this
-// constructor gets the zero StealConfig — the FCFS corner.
-func NewPacketDispatcherHash(k Kind, n int, rng *des.RNG, lookahead int, hc HashConfig) PacketDispatcher {
-	return NewPacketDispatcherFull(k, n, rng, lookahead, hc, StealConfig{})
-}
-
-// NewPacketDispatcherFull is the fully explicit Locking-dispatcher
-// constructor: hash configuration for RSS/FlowDirector plus the
-// AffinitySteal family point and clock; each is ignored by the kinds it
-// does not apply to.
+//
+// lookahead bounds the MRU-style dispatch scan: a processor picking new
+// work examines only the first lookahead waiting packets for one with
+// affinity before falling back to the FIFO head (values below 1 mean
+// 1). Real dispatchers scan a bounded prefix (the scan happens under
+// the queue lock); unbounded lookahead would let MRU degenerate into
+// Wired-Streams-with-stealing at saturation and mask the policy
+// crossover the paper reports.
+//
+// hc configures the hash-dispatch policies (RSS, FlowDirector), whose
+// defaults the zero HashConfig selects; sc is the AffinitySteal family
+// point and clock, whose zero value is the FCFS corner. Each is ignored
+// by the kinds it does not apply to.
 func NewPacketDispatcherFull(k Kind, n int, rng *des.RNG, lookahead int, hc HashConfig, sc StealConfig) PacketDispatcher {
 	if lookahead < 1 {
 		lookahead = 1

@@ -9,11 +9,11 @@ import (
 func pkt(stream int) Packet { return Packet{Stream: stream, Entity: stream} }
 
 func newPD(k Kind, n int) PacketDispatcher {
-	return NewPacketDispatcher(k, n, des.NewRNG(1))
+	return NewPacketDispatcherFull(k, n, des.NewRNG(1), 1, HashConfig{}, StealConfig{})
 }
 
 func newSD(k Kind, stacks, procs int) StackDispatcher {
-	return NewStackDispatcher(k, stacks, procs, des.NewRNG(1))
+	return NewStackDispatcherLookahead(k, stacks, procs, des.NewRNG(1), 1)
 }
 
 func contains(set []int, v int) bool {
@@ -112,7 +112,7 @@ func TestMRUPrefersAffinityProcessor(t *testing.T) {
 }
 
 func TestMRUDispatchPrefersAffineQueuedPacket(t *testing.T) {
-	d := NewPacketDispatcherLookahead(MRU, 4, des.NewRNG(1), 4)
+	d := NewPacketDispatcherFull(MRU, 4, des.NewRNG(1), 4, HashConfig{}, StealConfig{})
 	d.RanOn(1, 1)
 	d.RanOn(2, 2)
 	d.Enqueue(pkt(1))

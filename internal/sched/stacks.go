@@ -40,16 +40,10 @@ type StackDispatcher interface {
 	PreferredProc(stack int) int
 }
 
-// NewStackDispatcher builds the IPS dispatcher for kind k with the given
-// number of stacks and processors. The MRU policy's no-affinity fallback
-// picks uniformly among idle processors (see NewPacketDispatcher).
-func NewStackDispatcher(k Kind, stacks, procs int, rng *des.RNG) StackDispatcher {
-	return NewStackDispatcherLookahead(k, stacks, procs, rng, 1)
-}
-
-// NewStackDispatcherLookahead is NewStackDispatcher with an explicit
-// dispatch lookahead for the MRU policy (see
-// NewPacketDispatcherLookahead for why the scan is bounded).
+// NewStackDispatcherLookahead builds the IPS dispatcher for kind k with
+// the given number of stacks and processors. The MRU policy's
+// no-affinity fallback picks uniformly among idle processors, and its
+// dispatch scan is bounded by lookahead (see NewPacketDispatcherFull).
 func NewStackDispatcherLookahead(k Kind, stacks, procs int, rng *des.RNG, lookahead int) StackDispatcher {
 	if lookahead < 1 {
 		lookahead = 1

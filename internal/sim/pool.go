@@ -27,10 +27,9 @@ import (
 // recorder observes the event stream as a side effect, so sharing one
 // run's Results would silently drop the second observer's events.
 type Pool struct {
-	slots  chan struct{}
-	shards int
-	mu     sync.Mutex
-	runs   map[string]*poolRun
+	slots chan struct{}
+	mu    sync.Mutex
+	runs  map[string]*poolRun
 
 	hits, misses atomic.Uint64
 }
@@ -102,20 +101,9 @@ func (pl *Pool) Stats() (hits, misses uint64) {
 	return pl.hits.Load(), pl.misses.Load()
 }
 
-// SetShards makes every run submitted to the pool use k arrival-
-// pipeline shards (Params.Shards), unless the Params set their own
-// non-zero count. Shard count never changes Results and never enters
-// CacheKey, so the override is semantics-preserving: a sweep at any k
-// produces — and caches — exactly the sequential results. Call before
-// the first Run.
-func (pl *Pool) SetShards(k int) { pl.shards = k }
-
 func (pl *Pool) runLimited(p Params) Results {
 	pl.slots <- struct{}{}
 	defer func() { <-pl.slots }()
-	if pl.shards > 0 && p.Shards == 0 {
-		p.Shards = pl.shards
-	}
 	return Run(p)
 }
 
@@ -135,12 +123,6 @@ func (pl *Pool) runLimited(p Params) Results {
 // never matches — if a pointer field is ever added to the model.
 // TestCacheKeyCoversAllParams pins the field list to the Params struct
 // so a new field cannot be forgotten here.
-//
-// Params.Shards is deliberately NOT part of the key: shard count only
-// changes how arrival draws are computed, never what they are, so runs
-// at different K produce bit-identical Results and must share one
-// cache entry (TestCacheKeyFieldSensitivity pins the exclusion, the
-// shard differential tests pin the equivalence it relies on).
 func CacheKey(p Params) (string, bool) {
 	// A DecisionOverride is opaque side state steering the run's
 	// decisions, so — like the recorders — it makes the run uncacheable.

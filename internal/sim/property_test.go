@@ -9,38 +9,68 @@ import (
 	"affinity/internal/des"
 	"affinity/internal/obs"
 	"affinity/internal/sched"
+	"affinity/internal/topo"
 	"affinity/internal/traffic"
+	"affinity/internal/workload"
 )
 
 // Property and metamorphic tests: invariants that must hold for every
 // configuration, not just the published experiment points.
 
-// conservationCases sweeps every paradigm with a representative policy
-// pair, light and heavy load — each point both healthy and degraded
+// conservationCases sweeps every paradigm/policy pair (the
+// AffinitySteal family at a middle and at its pinned point) over light
+// and heavy Poisson, batch and Zipf+CBR on/off spec arrivals, on a flat
+// and a 2×4 NUMA machine — each point both healthy and degraded
 // (failure window, injected loss, bounded queues), since the ledger must
 // balance under faults too.
 func conservationCases() []Params {
+	numa := &topo.Topology{Sockets: 2, CoresPerSocket: 4,
+		SameSocketTransient: 1.1, CrossSocketTransient: 1.8}
+	arrivals := []func(*Params){
+		func(p *Params) { p.Arrival = traffic.Poisson{PacketsPerSec: 800} },
+		func(p *Params) { p.Arrival = traffic.Poisson{PacketsPerSec: 3000} },
+		func(p *Params) { p.Arrival = traffic.Batch{PacketsPerSec: 1200, MeanBurst: 4} },
+		func(p *Params) {
+			p.Streams = 0
+			p.Workload = &workload.Spec{Classes: []workload.Class{
+				{Name: "web", Model: "poisson", Streams: 6, RatePPS: 4000, Zipf: 1.2},
+				{Name: "cbr", Model: "cbr", Streams: 2, RatePPS: 300, OnUS: 20000, OffUS: 40000},
+			}}
+		},
+	}
 	var ps []Params
 	for _, c := range []struct {
 		paradigm Paradigm
 		policy   sched.Kind
+		steal    sched.StealParams
 	}{
-		{Locking, sched.FCFS},
-		{Locking, sched.MRU},
-		{Locking, sched.ThreadPools},
-		{IPS, sched.IPSWired},
-		{IPS, sched.IPSMRU},
-		{Hybrid, sched.IPSMRU},
+		{Locking, sched.FCFS, sched.StealParams{}},
+		{Locking, sched.MRU, sched.StealParams{}},
+		{Locking, sched.ThreadPools, sched.StealParams{}},
+		{Locking, sched.WiredStreams, sched.StealParams{}},
+		{Locking, sched.RSS, sched.StealParams{}},
+		{Locking, sched.FlowDirector, sched.StealParams{}},
+		{Locking, sched.AffinitySteal, sched.StealParams{Penalty: 50, DepthThreshold: 2, ColdBias: 0.5}},
+		{Locking, sched.AffinitySteal, sched.StealParams{Penalty: math.Inf(1)}},
+		{IPS, sched.IPSWired, sched.StealParams{}},
+		{IPS, sched.IPSMRU, sched.StealParams{}},
+		{IPS, sched.IPSRandom, sched.StealParams{}},
+		{Hybrid, sched.IPSWired, sched.StealParams{}},
+		{Hybrid, sched.IPSMRU, sched.StealParams{}},
 	} {
-		for _, rate := range []float64{800, 3000} {
-			p := quick(c.paradigm, c.policy)
-			p.Arrival = traffic.Poisson{PacketsPerSec: rate}
-			p.MeasuredPackets = 2000
-			ps = append(ps, p)
-			f := p
-			f.Faults = downWindow().WithLoss(150*des.Millisecond, 0.02)
-			f.MaxQueueDepth = 48
-			ps = append(ps, f)
+		for _, arrive := range arrivals {
+			for _, tp := range []*topo.Topology{nil, numa} {
+				p := quick(c.paradigm, c.policy)
+				p.Steal = c.steal
+				p.Topology = tp
+				p.MeasuredPackets = 2000
+				arrive(&p)
+				ps = append(ps, p)
+				f := p
+				f.Faults = downWindow().WithLoss(150*des.Millisecond, 0.02)
+				f.MaxQueueDepth = 48
+				ps = append(ps, f)
+			}
 		}
 	}
 	return ps
@@ -53,9 +83,9 @@ func conservationCases() []Params {
 // backend's differential harness. (sim_test.go holds a white-box twin
 // inspecting runner state directly.)
 func TestPacketConservationResults(t *testing.T) {
-	for _, p := range conservationCases() {
+	for i, p := range conservationCases() {
 		if err := CheckInvariants(Run(p)); err != nil {
-			t.Error(err)
+			t.Errorf("case %d: %v", i, err)
 		}
 	}
 }

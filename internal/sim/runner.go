@@ -21,7 +21,6 @@ type runner struct {
 	lock *des.Resource // Locking & Hybrid: the shared-stack lock
 
 	sources  []arrivalSource // one per stream, scheduled by pointer
-	pipe     *des.Prefetcher // Shards>1: arrival draw pipeline (shard.go)
 	svcFree  []*svc          // recycled per-packet service records
 	faultEvs []faultEvent
 }
@@ -109,15 +108,10 @@ func (r *runner) start() {
 		r.sim.ScheduleArg(r.p.SamplePeriod, gaugeSample, r)
 	}
 	r.sources = make([]arrivalSource, r.p.Streams)
-	pipe := r.buildPrefetch() // nil unless Params.Shards asks for K > 1
 	for s := 0; s < r.p.Streams; s++ {
 		src := &r.sources[s]
 		src.r, src.stream = r, s
-		if pipe != nil {
-			src.proc = prefetchProc{p: pipe, src: s}
-		} else {
-			src.proc = r.ArrivalProcess(s)
-		}
+		src.proc = r.ArrivalProcess(s)
 		d, b := src.proc.Next()
 		src.pending = b
 		r.sim.ScheduleArg(d, arrivalFire, src)

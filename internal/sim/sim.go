@@ -149,22 +149,6 @@ type Params struct {
 
 	Seed int64
 
-	// Shards selects the sharded runner: with K > 1 the per-stream
-	// arrival draw chains are partitioned across K pipeline workers
-	// that precompute (delay, batch) draws into per-stream rings ahead
-	// of the event loop (see internal/des.Prefetcher and DESIGN.md
-	// §12). Each chain is an autonomous source with no in-edges from
-	// the rest of the simulation, so its draws are computed by exactly
-	// one worker in chain order and Results are bit-identical at any K
-	// — which is why shard count is deliberately excluded from
-	// CacheKey: same results, same cache entry. 0 and 1 run fully
-	// sequentially. Runs whose arrival specs have side effects (trace
-	// recording) fall back to sequential draws so the recorded trace
-	// captures exactly the draws the run consumed, never speculative
-	// read-ahead. The live backend executes on real goroutines already
-	// and ignores this knob.
-	Shards int
-
 	// Warmup discards packets that arrive before this time; measurement
 	// runs until MeasuredPackets have completed or MaxTime is reached.
 	Warmup          des.Time
@@ -417,9 +401,6 @@ func (p Params) Validate() error {
 			return fmt.Errorf("sim: steal cold-start bias %v outside [0, 1]", p.Steal.ColdBias)
 		}
 	}
-	if p.Shards < 0 {
-		return fmt.Errorf("sim: negative shard count %d", p.Shards)
-	}
 	if err := p.Faults.Validate(p.Processors, p.Streams); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
@@ -607,7 +588,6 @@ func Run(p Params) Results {
 	r.start()
 	r.sim.RunUntil(p.MaxTime)
 	res := r.Results()
-	r.close()
 	totalEventsFired.Add(res.EventsFired)
 	return res
 }
