@@ -117,13 +117,18 @@ func BenchmarkCacheSimColdPacket(b *testing.B) {
 	}
 }
 
+// BenchmarkDESScheduleFire times one schedule+fire pair through the
+// engine's only scheduling path: ScheduleArg with a non-capturing
+// handler, as the runner uses it.
 func BenchmarkDESScheduleFire(b *testing.B) {
 	s := des.NewSimulator()
 	for i := 0; i < b.N; i++ {
-		s.Schedule(des.Time(i%64), func() {})
+		s.ScheduleArg(des.Time(i%64), noopEvent, nil)
 		s.Step()
 	}
 }
+
+func noopEvent(any) {}
 
 func BenchmarkProtocolDemuxSmallPacket(b *testing.B) {
 	host := driver.NewStack(driver.Config{

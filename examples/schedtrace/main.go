@@ -20,9 +20,25 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 
 	"affinity"
 )
+
+// firstStarts keeps the first n exec_start events, one per scheduling
+// decision: the processor and stream, the displacing references the
+// stream's footprint suffered (Val, +Inf when cold) and the execution
+// time the model charged (Dur).
+type firstStarts struct {
+	n      int
+	events []affinity.ObsEvent
+}
+
+func (f *firstStarts) Record(e affinity.ObsEvent) {
+	if len(f.events) < f.n && e.Kind.String() == "exec_start" {
+		f.events = append(f.events, e)
+	}
+}
 
 func main() {
 	traceOut := flag.String("trace", "", "also write a Chrome trace-event JSON of the whole run (open it at https://ui.perfetto.dev: one track per processor, one per stream)")
@@ -48,8 +64,9 @@ func main() {
 		Arrival:         affinity.Poisson{PacketsPerSec: 2000},
 		Seed:            7,
 		MeasuredPackets: 500,
-		TraceN:          28,
 	}
+	starts := &firstStarts{n: 28}
+	p.Recorder = starts
 	var ct *affinity.ChromeTrace
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -59,7 +76,7 @@ func main() {
 		}
 		defer f.Close()
 		ct = affinity.NewChromeTrace(f)
-		p.Recorder = ct
+		p.Recorder = affinity.MultiRecorder(starts, ct)
 	}
 
 	res := affinity.Run(p)
@@ -74,19 +91,19 @@ func main() {
 	fmt.Println("first scheduling decisions (Locking / MRU, 4 streams × 2000 pkt/s):")
 	fmt.Printf("%-10s %-7s %-5s %-11s %-10s %s\n",
 		"t (µs)", "stream", "cpu", "x (refs)", "exec (µs)", "note")
-	for _, e := range res.Trace {
-		x := fmt.Sprintf("%.0f", e.XRefs)
+	for _, e := range starts.events {
+		x := fmt.Sprintf("%.0f", e.Val)
 		note := ""
-		if math.IsInf(e.XRefs, 1) {
+		if math.IsInf(e.Val, 1) {
 			x = "∞"
 			note = "cold start"
-		} else if e.Migrated {
+		} else if strings.Contains(e.Flags.String(), "migrated") {
 			note = "migrated"
-		} else if e.Exec < 160 {
+		} else if e.Dur < 160 {
 			note = "warm hit"
 		}
 		fmt.Printf("%-10.1f %-7d %-5d %-11s %-10.1f %s\n",
-			float64(e.Start), e.Stream, e.Processor, x, e.Exec, note)
+			e.T, e.Stream, e.Proc, x, e.Dur, note)
 	}
 	fmt.Printf("\nrun summary: mean delay %.1f µs, warm fraction %.2f, %d migrations, %d cold starts\n",
 		res.MeanDelay, res.WarmFraction, res.Migrations, res.ColdStarts)

@@ -8,12 +8,11 @@
 // they were scheduled, which keeps runs reproducible.
 //
 // The engine is allocation-free in steady state: event nodes are pooled
-// on a free list and recycled as soon as they fire or are cancelled, and
-// the pending-event list is an inlined 4-ary indexed heap (no interface
-// boxing, no container/heap round trips). Handlers that need per-event
-// context should use ScheduleArg with a non-capturing function and a
-// pooled argument; Schedule with a freshly captured closure still costs
-// one closure allocation in the caller.
+// on a free list and recycled as soon as they fire, and the
+// pending-event list is an inlined 4-ary heap (no interface boxing, no
+// container/heap round trips). An event is a non-capturing ArgHandler
+// plus a pointer-shaped argument, so scheduling one allocates nothing
+// once the pool covers the run's peak pending count.
 package des
 
 import (
@@ -53,43 +52,19 @@ func (t Time) String() string {
 	}
 }
 
-// Handler is the action run when an event fires.
-type Handler func()
-
-// ArgHandler is the action run when an event scheduled with ScheduleArg
-// fires. Using a non-capturing function (top-level function or method
-// expression) with a pooled argument keeps the schedule path free of
-// closure allocations.
+// ArgHandler is the action run when an event fires. Using a
+// non-capturing function (top-level function or method expression) with
+// a pooled argument keeps the schedule path free of closure allocations.
 type ArgHandler func(arg any)
 
 // event is a scheduled handler. seq breaks ties so that simultaneous
-// events fire in scheduling order; it also serves as the node's
-// generation: nodes are recycled through the simulator's free list, and
-// an EventRef only remains valid while its captured seq matches.
+// events fire in scheduling order.
 type event struct {
-	at    Time
-	seq   uint64
-	index int32 // heap index, -1 once popped or cancelled
-	fn    ArgHandler
-	arg   any
-}
-
-// EventRef identifies a scheduled event so it can be cancelled. The
-// zero EventRef is valid and reports Cancelled.
-type EventRef struct {
-	ev  *event
+	at  Time
 	seq uint64
+	fn  ArgHandler
+	arg any
 }
-
-// Cancelled reports whether the event was cancelled or has already fired.
-func (r EventRef) Cancelled() bool {
-	return r.ev == nil || r.ev.index < 0 || r.ev.seq != r.seq
-}
-
-// callHandler adapts a plain Handler to the ArgHandler calling
-// convention. Handler values are pointer-shaped, so boxing one into the
-// event's arg field does not allocate.
-func callHandler(arg any) { arg.(Handler)() }
 
 // Simulator is a single-threaded discrete-event simulator.
 // The zero value is not usable; call NewSimulator.
@@ -99,16 +74,15 @@ type Simulator struct {
 	stopped bool
 	fired   uint64
 
-	// events is a 4-ary min-heap ordered by (at, seq), index-tracked so
-	// Cancel can remove interior nodes. A 4-ary layout halves the tree
-	// depth of the binary heap and keeps children of a node on one cache
-	// line, which measurably speeds the sift in event-dense runs.
-	events     []*event
-	maxPending int
+	// events is a 4-ary min-heap ordered by (at, seq). A 4-ary layout
+	// halves the tree depth of the binary heap and keeps children of a
+	// node on one cache line, which measurably speeds the sift in
+	// event-dense runs.
+	events []*event
 
 	// free is the recycled-node pool. Nodes move heap→free on fire and
-	// cancel, free→heap on schedule, so a steady-state run stops
-	// allocating once the pool covers its peak pending count.
+	// free→heap on schedule, so a steady-state run stops allocating
+	// once the pool covers its peak pending count.
 	free []*event
 }
 
@@ -126,48 +100,18 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 // Pending returns the number of events currently scheduled.
 func (s *Simulator) Pending() int { return len(s.events) }
 
-// Scheduled returns the number of events ever scheduled (fired,
-// pending or cancelled).
-func (s *Simulator) Scheduled() uint64 { return s.seq }
-
-// MaxPending returns the event heap's high-water mark — the engine's
-// own contribution to the observability gauges.
-func (s *Simulator) MaxPending() int { return s.maxPending }
-
-// PoolFree returns the number of recycled event nodes currently waiting
-// on the free list (diagnostic; steady state holds it near MaxPending).
-func (s *Simulator) PoolFree() int { return len(s.free) }
-
-// Schedule runs h after delay. A negative delay is an error in the caller;
-// it panics to surface the bug immediately.
-func (s *Simulator) Schedule(delay Time, h Handler) EventRef {
+// ScheduleArg runs fn(arg) after delay. A negative delay is an error in
+// the caller; it panics to surface the bug immediately.
+func (s *Simulator) ScheduleArg(delay Time, fn ArgHandler, arg any) {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
 	}
-	return s.ScheduleAt(s.now+delay, h)
-}
-
-// ScheduleAt runs h at absolute time at, which must not precede the clock.
-func (s *Simulator) ScheduleAt(at Time, h Handler) EventRef {
-	if h == nil {
-		panic("des: nil handler")
-	}
-	return s.ScheduleArgAt(at, callHandler, h)
-}
-
-// ScheduleArg runs fn(arg) after delay. With a non-capturing fn and a
-// pointer-shaped arg the call performs no allocation in steady state —
-// this is the hot-path variant of Schedule.
-func (s *Simulator) ScheduleArg(delay Time, fn ArgHandler, arg any) EventRef {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
-	return s.ScheduleArgAt(s.now+delay, fn, arg)
+	s.ScheduleArgAt(s.now+delay, fn, arg)
 }
 
 // ScheduleArgAt runs fn(arg) at absolute time at, which must not precede
 // the clock.
-func (s *Simulator) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventRef {
+func (s *Simulator) ScheduleArgAt(at Time, fn ArgHandler, arg any) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, s.now))
 	}
@@ -184,34 +128,12 @@ func (s *Simulator) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventRef {
 	}
 	ev.at, ev.seq, ev.fn, ev.arg = at, s.seq, fn, arg
 	s.seq++
-	ev.index = int32(len(s.events))
 	s.events = append(s.events, ev)
-	s.siftUp(int(ev.index))
-	if len(s.events) > s.maxPending {
-		s.maxPending = len(s.events)
-	}
-	return EventRef{ev: ev, seq: ev.seq}
-}
-
-// Cancel removes a scheduled event. Cancelling an event that already fired
-// or was already cancelled is a no-op.
-func (s *Simulator) Cancel(r EventRef) {
-	if r.Cancelled() {
-		return
-	}
-	s.remove(int(r.ev.index))
-	s.release(r.ev)
-}
-
-// release recycles a node onto the free list.
-func (s *Simulator) release(ev *event) {
-	ev.index = -1
-	ev.fn, ev.arg = nil, nil
-	s.free = append(s.free, ev)
+	s.siftUp(len(s.events) - 1)
 }
 
 // less orders events by (time, sequence).
-func (s *Simulator) less(a, b *event) bool {
+func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -224,15 +146,13 @@ func (s *Simulator) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) >> 2
 		p := s.events[parent]
-		if !s.less(ev, p) {
+		if !less(ev, p) {
 			break
 		}
 		s.events[i] = p
-		p.index = int32(i)
 		i = parent
 	}
 	s.events[i] = ev
-	ev.index = int32(i)
 }
 
 // siftDown restores the heap property from node i toward the leaves.
@@ -251,35 +171,31 @@ func (s *Simulator) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if s.less(s.events[c], s.events[min]) {
+			if less(s.events[c], s.events[min]) {
 				min = c
 			}
 		}
 		child := s.events[min]
-		if !s.less(child, ev) {
+		if !less(child, ev) {
 			break
 		}
 		s.events[i] = child
-		child.index = int32(i)
 		i = min
 	}
 	s.events[i] = ev
-	ev.index = int32(i)
 }
 
-// remove deletes the node at heap index i.
-func (s *Simulator) remove(i int) {
+// pop removes and returns the earliest event.
+func (s *Simulator) pop() *event {
+	ev := s.events[0]
 	n := len(s.events) - 1
-	moved := s.events[n]
+	s.events[0] = s.events[n]
 	s.events[n] = nil
 	s.events = s.events[:n]
-	if i == n {
-		return
+	if n > 0 {
+		s.siftDown(0)
 	}
-	s.events[i] = moved
-	moved.index = int32(i)
-	s.siftDown(i)
-	s.siftUp(int(moved.index))
+	return ev
 }
 
 // Stop makes Run return after the currently executing handler.
@@ -291,16 +207,14 @@ func (s *Simulator) Step() bool {
 	if len(s.events) == 0 || s.stopped {
 		return false
 	}
-	ev := s.events[0]
-	s.remove(0)
+	ev := s.pop()
 	s.now = ev.at
 	s.fired++
 	fn, arg := ev.fn, ev.arg
 	// Recycle before calling: fn/arg are already extracted, and the
-	// handler may schedule (and thus reuse the node) immediately. Any
-	// outstanding EventRef keeps the old seq and correctly reports
-	// Cancelled.
-	s.release(ev)
+	// handler may schedule (and thus reuse the node) immediately.
+	ev.fn, ev.arg = nil, nil
+	s.free = append(s.free, ev)
 	fn(arg)
 	return true
 }

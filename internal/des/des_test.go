@@ -7,6 +7,19 @@ import (
 	"testing/quick"
 )
 
+// after schedules fn through ScheduleArg, the engine's one scheduling
+// path; the closure rides as the event's argument.
+func after(s *Simulator, delay Time, fn func()) {
+	s.ScheduleArg(delay, runFunc, fn)
+}
+
+func runFunc(arg any) { arg.(func())() }
+
+// acquire requests a unit of r through AcquireArg, like after.
+func acquire(r *Resource, grant func()) {
+	r.AcquireArg(runFunc, grant)
+}
+
 func TestClockStartsAtZero(t *testing.T) {
 	s := NewSimulator()
 	if s.Now() != 0 {
@@ -19,7 +32,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	var fired []Time
 	for _, d := range []Time{50, 10, 30, 20, 40} {
 		d := d
-		s.Schedule(d, func() { fired = append(fired, s.Now()) })
+		after(s, d, func() { fired = append(fired, s.Now()) })
 	}
 	s.Run()
 	want := []Time{10, 20, 30, 40, 50}
@@ -38,7 +51,7 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(5, func() { order = append(order, i) })
+		after(s, 5, func() { order = append(order, i) })
 	}
 	s.Run()
 	for i, got := range order {
@@ -51,45 +64,13 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 func TestScheduleFromHandler(t *testing.T) {
 	s := NewSimulator()
 	var times []Time
-	s.Schedule(10, func() {
+	after(s, 10, func() {
 		times = append(times, s.Now())
-		s.Schedule(5, func() { times = append(times, s.Now()) })
+		after(s, 5, func() { times = append(times, s.Now()) })
 	})
 	s.Run()
 	if len(times) != 2 || times[0] != 10 || times[1] != 15 {
 		t.Fatalf("times = %v, want [10 15]", times)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	s := NewSimulator()
-	fired := false
-	ref := s.Schedule(10, func() { fired = true })
-	s.Cancel(ref)
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ref.Cancelled() {
-		t.Fatal("ref.Cancelled() = false after cancel")
-	}
-	// Double-cancel and cancel-after-fire are no-ops.
-	s.Cancel(ref)
-	ref2 := s.Schedule(1, func() {})
-	s.Run()
-	s.Cancel(ref2)
-}
-
-func TestCancelMiddleEventKeepsOrder(t *testing.T) {
-	s := NewSimulator()
-	var fired []Time
-	s.Schedule(10, func() { fired = append(fired, s.Now()) })
-	mid := s.Schedule(20, func() { fired = append(fired, s.Now()) })
-	s.Schedule(30, func() { fired = append(fired, s.Now()) })
-	s.Cancel(mid)
-	s.Run()
-	if len(fired) != 2 || fired[0] != 10 || fired[1] != 30 {
-		t.Fatalf("fired = %v, want [10 30]", fired)
 	}
 }
 
@@ -99,9 +80,9 @@ func TestRunUntilHorizon(t *testing.T) {
 	var tick func()
 	tick = func() {
 		count++
-		s.Schedule(10, tick)
+		after(s, 10, tick)
 	}
-	s.Schedule(10, tick)
+	after(s, 10, tick)
 	s.RunUntil(95)
 	if count != 9 {
 		t.Fatalf("count = %d, want 9", count)
@@ -126,7 +107,7 @@ func TestStop(t *testing.T) {
 	s := NewSimulator()
 	count := 0
 	for i := 0; i < 10; i++ {
-		s.Schedule(Time(i), func() {
+		after(s, Time(i), func() {
 			count++
 			if count == 3 {
 				s.Stop()
@@ -145,25 +126,25 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("no panic on negative delay")
 		}
 	}()
-	NewSimulator().Schedule(-1, func() {})
+	after(NewSimulator(), -1, func() {})
 }
 
 func TestScheduleBeforeNowPanics(t *testing.T) {
 	s := NewSimulator()
-	s.Schedule(10, func() {})
+	after(s, 10, func() {})
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic scheduling in the past")
 		}
 	}()
-	s.ScheduleAt(5, func() {})
+	s.ScheduleArgAt(5, runFunc, func() {})
 }
 
 func TestFiredCounter(t *testing.T) {
 	s := NewSimulator()
 	for i := 0; i < 7; i++ {
-		s.Schedule(Time(i), func() {})
+		after(s, Time(i), func() {})
 	}
 	s.Run()
 	if s.Fired() != 7 {
@@ -177,7 +158,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 		s := NewSimulator()
 		var fired []Time
 		for _, d := range raw {
-			s.Schedule(Time(d), func() { fired = append(fired, s.Now()) })
+			after(s, Time(d), func() { fired = append(fired, s.Now()) })
 		}
 		s.Run()
 		if len(fired) != len(raw) {
@@ -308,30 +289,33 @@ func TestGeometricAlwaysPositive(t *testing.T) {
 }
 
 func TestResourceImmediateGrant(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 2)
+	r := NewResource(2)
 	granted := 0
-	r.Acquire(func() { granted++ })
-	r.Acquire(func() { granted++ })
+	acquire(r, func() { granted++ })
+	acquire(r, func() { granted++ })
 	if granted != 2 {
 		t.Fatalf("granted = %d, want 2", granted)
 	}
-	if r.InUse() != 2 {
-		t.Fatalf("InUse() = %d, want 2", r.InUse())
+	acquire(r, func() { granted++ })
+	if granted != 2 {
+		t.Fatal("third acquire granted while both units are held")
+	}
+	r.Release()
+	if granted != 3 {
+		t.Fatalf("granted = %d after release, want 3", granted)
 	}
 }
 
 func TestResourceFIFO(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
+	r := NewResource(1)
 	var order []int
-	r.Acquire(func() {}) // hold the unit
+	acquire(r, func() {}) // hold the unit
 	for i := 0; i < 5; i++ {
 		i := i
-		r.Acquire(func() { order = append(order, i) })
+		acquire(r, func() { order = append(order, i) })
 	}
-	if r.QueueLen() != 5 {
-		t.Fatalf("QueueLen() = %d, want 5", r.QueueLen())
+	if len(order) != 0 {
+		t.Fatalf("%d waiters granted while the unit is held", len(order))
 	}
 	for i := 0; i < 5; i++ {
 		r.Release()
@@ -343,71 +327,13 @@ func TestResourceFIFO(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on free resource failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on busy resource succeeded")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
 func TestResourceReleaseIdlePanics(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
+	r := NewResource(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on releasing idle resource")
 		}
 	}()
-	r.Release()
-}
-
-func TestResourceUtilization(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
-	// Busy from t=0 to t=50, idle 50..100.
-	r.Acquire(func() {})
-	s.Schedule(50, func() { r.Release() })
-	s.Schedule(100, func() {})
-	s.Run()
-	if u := r.Utilization(); math.Abs(u-0.5) > 1e-9 {
-		t.Fatalf("Utilization() = %v, want 0.5", u)
-	}
-}
-
-func TestResourceWaitedCount(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
-	r.Acquire(func() {})
-	r.Acquire(func() {})
-	r.Release()
-	if r.Waited() != 1 {
-		t.Fatalf("Waited() = %d, want 1", r.Waited())
-	}
-	if r.Grants() != 2 {
-		t.Fatalf("Grants() = %d, want 2", r.Grants())
-	}
-}
-
-func TestResourceMeanQueue(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
-	r.Acquire(func() {}) // holder
-	r.Acquire(func() {}) // waits from t=0
-	s.Schedule(100, func() { r.Release() })
-	s.Schedule(200, func() {})
-	s.Run()
-	// One waiter for the first 100 of 200 time units.
-	if mq := r.MeanQueue(); math.Abs(mq-0.5) > 1e-9 {
-		t.Fatalf("MeanQueue = %v, want 0.5", mq)
-	}
 	r.Release()
 }
 
@@ -417,7 +343,7 @@ func TestResourceInvalidCapacityPanics(t *testing.T) {
 			t.Fatal("no panic for zero capacity")
 		}
 	}()
-	NewResource(NewSimulator(), 0)
+	NewResource(0)
 }
 
 func TestRNGDrawHelpers(t *testing.T) {
@@ -427,57 +353,7 @@ func TestRNGDrawHelpers(t *testing.T) {
 			t.Fatalf("Intn out of range: %d", v)
 		}
 	}
-	p := g.Perm(8)
-	seen := map[int]bool{}
-	for _, v := range p {
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("Perm not a permutation: %v", p)
-	}
 	if d := g.ExpTime(100); d < 0 {
 		t.Fatalf("ExpTime negative: %v", d)
-	}
-	// Normal: check the empirical mean roughly.
-	sum := 0.0
-	for i := 0; i < 50000; i++ {
-		sum += g.Normal(10, 2)
-	}
-	if mean := sum / 50000; math.Abs(mean-10) > 0.1 {
-		t.Fatalf("Normal mean = %v, want ≈10", mean)
-	}
-	// Zipf: draws in range, skewed toward 0.
-	zeros := 0
-	for i := 0; i < 1000; i++ {
-		v := g.Zipf(1.5, 10)
-		if v < 0 || v >= 10 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < 300 {
-		t.Fatalf("Zipf(1.5) drew rank 0 only %d/1000 times; not skewed", zeros)
-	}
-}
-
-func TestSchedulingCounters(t *testing.T) {
-	s := NewSimulator()
-	if s.Scheduled() != 0 || s.MaxPending() != 0 {
-		t.Fatal("fresh simulator has nonzero counters")
-	}
-	for i := 0; i < 5; i++ {
-		s.Schedule(Time(i), func() {})
-	}
-	if s.Scheduled() != 5 || s.MaxPending() != 5 {
-		t.Fatalf("Scheduled=%d MaxPending=%d, want 5/5", s.Scheduled(), s.MaxPending())
-	}
-	s.Run()
-	// Draining the heap must not lower the high-water mark, and firing
-	// events counts toward Fired, not Scheduled.
-	if s.MaxPending() != 5 || s.Scheduled() != 5 || s.Fired() != 5 {
-		t.Fatalf("after run: Scheduled=%d MaxPending=%d Fired=%d",
-			s.Scheduled(), s.MaxPending(), s.Fired())
 	}
 }

@@ -5,16 +5,16 @@ import (
 )
 
 // FuzzEventOrdering drives the simulator through arbitrary
-// schedule/cancel/step/run interleavings decoded from the fuzz input
-// and checks the engine's core guarantees after every operation:
+// schedule/step/run interleavings decoded from the fuzz input and checks
+// the engine's core guarantees after every operation:
 //
 //   - events fire in nondecreasing time, ties broken by scheduling
 //     order (the (time, seq) total order the runs' determinism rests on)
-//   - a cancelled event never fires, and firing marks the ref Cancelled
 //   - no event fires twice, none is lost
-//   - the 4-ary heap keeps its ordering invariant and index tracking
-//   - pooled nodes stay consistent: heap size + free size covers every
-//     node ever allocated, recycled nodes carry index -1
+//   - the 4-ary heap keeps its ordering invariant
+//   - pooled nodes stay consistent: recycled nodes hold no handler
+//     state, and after the drain the free list covers every node the
+//     peak pending count needed
 func FuzzEventOrdering(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 20, 0, 5, 2, 2, 2})
@@ -29,31 +29,25 @@ func FuzzEventOrdering(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewSimulator()
 
+		// seq mirrors the engine's tie-break counter: the n-th event
+		// scheduled carries seq n-1.
 		type tracked struct {
-			ref       EventRef
-			at        Time
-			seq       uint64
-			cancelled bool
-			fired     bool
+			at    Time
+			seq   uint64
+			fired bool
 		}
 		var all []*tracked
-		live := func() []*tracked {
-			var l []*tracked
-			for _, tr := range all {
-				if !tr.fired && !tr.cancelled {
-					l = append(l, tr)
-				}
-			}
-			return l
+		track := func(at Time) *tracked {
+			tr := &tracked{at: at, seq: uint64(len(all))}
+			all = append(all, tr)
+			return tr
 		}
 
 		var lastAt Time
 		var lastSeq uint64
-		fired := 0
-		onFire := func(tr *tracked) {
-			if tr.cancelled {
-				t.Fatalf("cancelled event (at=%v seq=%d) fired", tr.at, tr.seq)
-			}
+		fired, peak := 0, 0
+		fire := func(arg any) {
+			tr := arg.(*tracked)
 			if tr.fired {
 				t.Fatalf("event (at=%v seq=%d) fired twice", tr.at, tr.seq)
 			}
@@ -71,9 +65,6 @@ func FuzzEventOrdering(f *testing.F) {
 
 		checkHeap := func() {
 			for i, ev := range s.events {
-				if int(ev.index) != i {
-					t.Fatalf("heap node %d carries index %d", i, ev.index)
-				}
 				if i > 0 {
 					p := s.events[(i-1)>>2]
 					if ev.at < p.at || (ev.at == p.at && ev.seq < p.seq) {
@@ -83,9 +74,6 @@ func FuzzEventOrdering(f *testing.F) {
 				}
 			}
 			for _, ev := range s.free {
-				if ev.index != -1 {
-					t.Fatalf("free node carries heap index %d", ev.index)
-				}
 				if ev.fn != nil || ev.arg != nil {
 					t.Fatal("free node retains handler state")
 				}
@@ -96,54 +84,37 @@ func FuzzEventOrdering(f *testing.F) {
 			op, p := data[i]%4, data[i+1]
 			switch op {
 			case 0: // schedule p time units out
-				tr := &tracked{}
-				tr.ref = s.ScheduleArg(Time(p), func(arg any) {
-					onFire(arg.(*tracked))
-				}, tr)
-				tr.at = s.Now() + Time(p)
-				tr.seq = s.Scheduled() - 1
-				all = append(all, tr)
-			case 1: // cancel the p-th live event
-				if l := live(); len(l) > 0 {
-					tr := l[int(p)%len(l)]
-					s.Cancel(tr.ref)
-					tr.cancelled = true
-					if !tr.ref.Cancelled() {
-						t.Fatal("ref not Cancelled after Cancel")
-					}
-				}
+				s.ScheduleArg(Time(p), fire, track(s.Now()+Time(p)))
+			case 1: // schedule at the current instant, behind any ties
+				s.ScheduleArgAt(s.Now(), fire, track(s.Now()))
 			case 2: // fire one event
 				s.Step()
 			case 3: // run out a horizon p units long
 				s.RunUntil(s.Now() + Time(p))
 			}
+			peak = max(peak, s.Pending())
 			checkHeap()
 			if got := fired; got != int(s.Fired()) {
 				t.Fatalf("Fired() = %d, observed %d handler calls", s.Fired(), got)
 			}
 		}
 
-		// Drain: everything still live must fire, in order.
-		pending := len(live())
-		if pending != s.Pending() {
-			t.Fatalf("Pending() = %d, model says %d", s.Pending(), pending)
+		// Drain: everything still pending must fire, in order.
+		if want := len(all) - fired; want != s.Pending() {
+			t.Fatalf("Pending() = %d, model says %d", s.Pending(), want)
 		}
 		s.Run()
 		for _, tr := range all {
-			if !tr.cancelled && !tr.fired {
+			if !tr.fired {
 				t.Fatalf("event (at=%v seq=%d) lost", tr.at, tr.seq)
-			}
-			if !tr.ref.Cancelled() {
-				t.Fatal("settled event's ref must report Cancelled")
 			}
 		}
 		if s.Pending() != 0 {
 			t.Fatalf("%d events pending after Run", s.Pending())
 		}
 		// Every node ever allocated is now on the free list.
-		if s.PoolFree() < s.MaxPending() {
-			t.Fatalf("pool holds %d nodes, high-water mark was %d",
-				s.PoolFree(), s.MaxPending())
+		if len(s.free) < peak {
+			t.Fatalf("pool holds %d nodes, high-water mark was %d", len(s.free), peak)
 		}
 	})
 }

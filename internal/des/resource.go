@@ -1,25 +1,17 @@
 package des
 
 // Resource is a FIFO-queued resource with a fixed number of units,
-// e.g. a lock (capacity 1). Acquire requests are granted in arrival
-// order; the grant callback runs inside the simulation, at the instant
-// the unit becomes available.
+// e.g. a lock (capacity 1). AcquireArg requests are granted in arrival
+// order; a grant runs synchronously, inside the handler whose
+// AcquireArg or Release made the unit available, so it happens at that
+// simulation instant.
 type Resource struct {
-	sim      *Simulator
 	capacity int
 	inUse    int
 	waiters  waiterQueue
-
-	// Occupancy statistics (time-weighted).
-	lastChange Time
-	busyArea   float64 // integral of inUse over time
-	queueArea  float64 // integral of queue length over time
-	grants     uint64
-	waited     uint64
 }
 
-// waiter is one queued acquire request in the (fn, arg) calling
-// convention; plain Acquire closures ride through callHandler.
+// waiter is one queued acquire request.
 type waiter struct {
 	fn  ArgHandler
 	arg any
@@ -53,102 +45,37 @@ func (q *waiterQueue) pop() waiter {
 	return w
 }
 
-// NewResource returns a resource with the given capacity attached to sim.
-func NewResource(sim *Simulator, capacity int) *Resource {
+// NewResource returns a resource with the given capacity.
+func NewResource(capacity int) *Resource {
 	if capacity < 1 {
 		panic("des: resource capacity must be >= 1")
 	}
-	return &Resource{sim: sim, capacity: capacity, lastChange: sim.Now()}
+	return &Resource{capacity: capacity}
 }
 
-func (r *Resource) account() {
-	now := r.sim.Now()
-	dt := float64(now - r.lastChange)
-	r.busyArea += dt * float64(r.inUse)
-	r.queueArea += dt * float64(r.waiters.len())
-	r.lastChange = now
-}
-
-// Acquire requests one unit and calls grant when it is allocated. If a
-// unit is free the grant runs immediately (same simulation instant).
-func (r *Resource) Acquire(grant func()) {
-	r.AcquireArg(callHandler, Handler(grant))
-}
-
-// AcquireArg is Acquire in the (fn, arg) calling convention: with a
+// AcquireArg requests one unit and calls fn(arg) when it is allocated —
+// at once if a unit is free, else when a Release hands one over. With a
 // non-capturing fn and a pooled arg it performs no allocation, queued or
-// not — the hot-path variant for per-packet lock traffic.
+// not, so per-packet lock traffic stays allocation-free.
 func (r *Resource) AcquireArg(fn ArgHandler, arg any) {
-	r.account()
 	if r.inUse < r.capacity {
 		r.inUse++
-		r.grants++
 		fn(arg)
 		return
 	}
-	r.waited++
 	r.waiters.push(waiter{fn: fn, arg: arg})
-}
-
-// TryAcquire takes a unit if one is free, reporting success. It never
-// queues.
-func (r *Resource) TryAcquire() bool {
-	r.account()
-	if r.inUse < r.capacity {
-		r.inUse++
-		r.grants++
-		return true
-	}
-	return false
 }
 
 // Release returns one unit, handing it to the longest-waiting acquirer
 // if any.
 func (r *Resource) Release() {
-	r.account()
 	if r.inUse == 0 {
 		panic("des: release of idle resource")
 	}
 	if r.waiters.len() > 0 {
 		w := r.waiters.pop()
-		r.grants++
 		w.fn(w.arg)
 		return
 	}
 	r.inUse--
 }
-
-// InUse returns the number of units currently allocated.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of pending acquire requests.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
-
-// Utilization returns the time-averaged fraction of capacity in use
-// since the resource was created.
-func (r *Resource) Utilization() float64 {
-	r.account()
-	elapsed := float64(r.sim.Now() - Time(0))
-	if r.lastChange == 0 || elapsed == 0 {
-		return 0
-	}
-	return r.busyArea / (elapsed * float64(r.capacity))
-}
-
-// MeanQueue returns the time-averaged queue length.
-func (r *Resource) MeanQueue() float64 {
-	r.account()
-	elapsed := float64(r.sim.Now())
-	if elapsed == 0 {
-		return 0
-	}
-	return r.queueArea / elapsed
-}
-
-// Grants returns the number of successful allocations, and WaitedGrants
-// the number that had to queue first.
-func (r *Resource) Grants() uint64 { return r.grants }
-
-// Waited returns the number of acquisitions that queued before being
-// granted.
-func (r *Resource) Waited() uint64 { return r.waited }

@@ -33,9 +33,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform draw in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // Exp returns an exponential draw with the given mean. A non-positive
 // mean returns 0, which lets callers express "immediate" cleanly.
 func (g *RNG) Exp(mean float64) float64 {
@@ -47,11 +44,6 @@ func (g *RNG) Exp(mean float64) float64 {
 
 // ExpTime returns an exponential Time with the given mean.
 func (g *RNG) ExpTime(mean Time) Time { return Time(g.Exp(float64(mean))) }
-
-// Normal returns a normal draw with the given mean and standard deviation.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return g.r.NormFloat64()*stddev + mean
-}
 
 // Geometric returns a draw from a geometric distribution with the given
 // mean (support 1, 2, 3, …). Used for packet-train lengths and burst
@@ -69,11 +61,4 @@ func (g *RNG) Geometric(mean float64) int {
 		k = 1
 	}
 	return k
-}
-
-// Zipf returns a draw in [0, n) with Zipf(s) popularity, used for skewed
-// stream selection. s must be > 1.
-func (g *RNG) Zipf(s float64, n int) int {
-	z := rand.NewZipf(g.r, s, 1, uint64(n-1))
-	return int(z.Uint64())
 }

@@ -6,6 +6,7 @@ import (
 
 	"affinity/internal/des"
 	"affinity/internal/faults"
+	"affinity/internal/obs"
 	"affinity/internal/sched"
 	"affinity/internal/sim"
 	"affinity/internal/traffic"
@@ -145,11 +146,23 @@ var e28Policies = []struct {
 	{"IPS/IPS-Wired", sim.IPS, sched.IPSWired},
 }
 
+// proc0Starts records processor 0's exec_start events: one per service
+// decision, with the start time (T), the charged execution time (Dur)
+// and the displacing references the entity suffered (Val, +Inf cold).
+type proc0Starts []obs.Event
+
+func (r *proc0Starts) Record(e obs.Event) {
+	if e.Kind == obs.KindExecStart && e.Proc == 0 {
+		*r = append(*r, e)
+	}
+}
+
 // FigE28 measures the recovery transient after failback: processor 0
-// returns at 400 ms with a cold cache, and the per-decision trace shows
-// how long its charged execution times stay inflated before the reload
-// transients die out. The baseline is the processor's pre-fault mean;
-// recovery is the first 8-decision window back within 10 % of it.
+// returns at 400 ms with a cold cache, and its per-decision exec_start
+// events show how long its charged execution times stay inflated before
+// the reload transients die out. The baseline is the processor's
+// pre-fault mean; recovery is the first 8-decision window back within
+// 10 % of it.
 func FigE28(c Config) *Table {
 	t := &Table{
 		ID:      "E28",
@@ -157,28 +170,24 @@ func FigE28(c Config) *Table {
 		Columns: []string{"paradigm/policy", "pre-fault exec (µs)", "first window back (µs)", "transient (µs)", "cold starts on proc 0"},
 	}
 	g := c.Grid("E28")
-	points := make([]*Point, len(e28Policies))
+	starts := make([]proc0Starts, len(e28Policies))
 	for i, pc := range e28Policies {
-		p := sim.Params{
+		g.Add(pc.name, sim.Params{
 			Paradigm: pc.paradigm, Policy: pc.policy, Streams: 8,
-			Arrival: traffic.Poisson{PacketsPerSec: 1000},
-			Faults:  E26Plan(),
-			TraceN:  20000, // covers every service decision at both budgets
-		}
-		p.Seed = c.Seed
-		p.MeasuredPackets = c.packets()
-		points[i] = g.AddExact(pc.name, p)
+			Arrival:  traffic.Poisson{PacketsPerSec: 1000},
+			Faults:   E26Plan(),
+			Recorder: &starts[i],
+		})
 	}
 	g.Run()
 	const window = 8
 	for i, pc := range e28Policies {
-		res := points[i].Results()
-		baseline, ok := preFaultExec(res.Trace)
+		baseline, ok := preFaultExec(starts[i])
 		if !ok {
 			t.AddRow(pc.name, "—", "—", "—", 0)
 			continue
 		}
-		first, transient, cold, recovered := failbackTransient(res.Trace, baseline, window)
+		first, transient, cold, recovered := failbackTransient(starts[i], baseline, window)
 		cell := fmt.Sprintf("%.0f", transient)
 		if !recovered {
 			cell = fmt.Sprintf(">%.0f", transient) // still inflated at end of trace
@@ -193,12 +202,12 @@ func FigE28(c Config) *Table {
 
 // preFaultExec returns the mean charged execution time of processor-0
 // decisions in the steady window before the outage (150–250 ms).
-func preFaultExec(trace []sim.TraceEntry) (float64, bool) {
+func preFaultExec(starts []obs.Event) (float64, bool) {
 	var sum float64
 	n := 0
-	for _, e := range trace {
-		if e.Processor == 0 && e.Start >= 150*des.Millisecond && e.Start < e26Down {
-			sum += e.Exec
+	for _, e := range starts {
+		if at := des.Time(e.T); at >= 150*des.Millisecond && at < e26Down {
+			sum += e.Dur
 			n++
 		}
 	}
@@ -213,16 +222,16 @@ func preFaultExec(trace []sim.TraceEntry) (float64, bool) {
 // recovery until a window-mean returns within 10 % of baseline (or the
 // last decision's offset when it never does, recovered = false), and
 // the number of cold starts paid on the recovered processor.
-func failbackTransient(trace []sim.TraceEntry, baseline float64, window int) (first, transient float64, cold int, recovered bool) {
+func failbackTransient(proc0 []obs.Event, baseline float64, window int) (first, transient float64, cold int, recovered bool) {
 	var execs []float64
 	var starts []des.Time
-	for _, e := range trace {
-		if e.Processor != 0 || e.Start < e26Up {
+	for _, e := range proc0 {
+		if des.Time(e.T) < e26Up {
 			continue
 		}
-		execs = append(execs, e.Exec)
-		starts = append(starts, e.Start)
-		if math.IsInf(e.XRefs, 1) {
+		execs = append(execs, e.Dur)
+		starts = append(starts, des.Time(e.T))
+		if math.IsInf(e.Val, 1) {
 			cold++
 		}
 	}

@@ -164,13 +164,13 @@ func (r *live) faultLoop(evs []faults.Event) {
 	}
 }
 
-// gaugeLoop publishes the periodic gauges; it runs only when a user
-// recorder is attached, like the DES sampler.
+// gaugeLoop publishes the periodic gauges every sim.GaugePeriod; it
+// runs only when a recorder is attached, like the DES sampler.
 func (r *live) gaugeLoop() {
 	defer r.wg.Done()
 	defer r.clk.exit()
 	for {
-		if !r.clk.sleep(r.p.SamplePeriod) {
+		if !r.clk.sleep(sim.GaugePeriod) {
 			return
 		}
 		r.mu.Lock()

@@ -116,23 +116,38 @@ func TestLiveLockWaitObserved(t *testing.T) {
 	}
 }
 
-// TestLiveTrace exercises the per-decision trace adapter.
+// execStarts keeps the first n exec_start events of a run: one per
+// scheduling decision.
+type execStarts struct {
+	n      int
+	events []obs.Event
+}
+
+func (r *execStarts) Record(e obs.Event) {
+	if e.Kind == obs.KindExecStart && len(r.events) < r.n {
+		r.events = append(r.events, e)
+	}
+}
+
+// TestLiveTrace checks the live backend's per-decision view: the first
+// exec_start events, read through a Recorder.
 func TestLiveTrace(t *testing.T) {
 	p := quick(sim.Locking, sched.MRU)
-	p.TraceN = 64
-	res := Run(p)
-	if len(res.Trace) != 64 {
-		t.Fatalf("len(Trace) = %d, want 64", len(res.Trace))
+	rec := &execStarts{n: 64}
+	p.Recorder = rec
+	Run(p)
+	if len(rec.events) != 64 {
+		t.Fatalf("exec_start events = %d, want 64", len(rec.events))
 	}
-	for i, e := range res.Trace {
-		if e.Processor < 0 || e.Processor >= 8 {
-			t.Errorf("trace[%d]: processor %d out of range", i, e.Processor)
+	for i, e := range rec.events {
+		if e.Proc < 0 || e.Proc >= 8 {
+			t.Errorf("event %d: processor %d out of range", i, e.Proc)
 		}
-		if e.Exec <= 0 {
-			t.Errorf("trace[%d]: non-positive exec %v", i, e.Exec)
+		if e.Dur <= 0 {
+			t.Errorf("event %d: non-positive exec %v", i, e.Dur)
 		}
-		if i > 0 && e.Start < res.Trace[i-1].Start {
-			t.Errorf("trace[%d]: start %v before previous %v", i, e.Start, res.Trace[i-1].Start)
+		if i > 0 && e.T < rec.events[i-1].T {
+			t.Errorf("event %d: start %v before previous %v", i, e.T, rec.events[i-1].T)
 		}
 	}
 }

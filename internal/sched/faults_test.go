@@ -198,7 +198,7 @@ func TestWiredStacksProcDownRewiresAndRestores(t *testing.T) {
 
 	d.EnqueueStack(2) // ready again, queued on the survivor
 	d.ProcUp(0)
-	if d.Wire(0) != 0 || d.Wire(2) != 0 || d.Wire(1) != 1 || d.Wire(3) != 1 {
+	if d.PreferredProc(0) != 0 || d.PreferredProc(2) != 0 || d.PreferredProc(1) != 1 || d.PreferredProc(3) != 1 {
 		t.Fatalf("post-recovery wiring = %v, want original", d.wire)
 	}
 	// Stack 2's queued entry followed the failback.

@@ -66,7 +66,6 @@ const DefaultRebalance = 8
 // hashed implements PacketDispatcher for RSS and FlowDirector.
 type hashed struct {
 	affinityCount
-	kind     Kind
 	queues   []fifo
 	table    []int       // bucket → processor, mutated by faults and rebalancing
 	canon    []int       // bucket → original processor, the failback target
@@ -78,7 +77,7 @@ type hashed struct {
 	identity  bool
 }
 
-func newHashed(kind Kind, n int, hc HashConfig) *hashed {
+func newHashed(n int, hc HashConfig) *hashed {
 	if hc.Rebalance == 0 {
 		hc.Rebalance = DefaultRebalance
 	}
@@ -94,13 +93,11 @@ func newHashed(kind Kind, n int, hc HashConfig) *hashed {
 		avail[i] = true
 	}
 	return &hashed{
-		kind: kind, queues: make([]fifo, n), table: table, canon: canon,
+		queues: make([]fifo, n), table: table, canon: canon,
 		override: map[int]int{}, avail: avail,
 		rebalance: hc.Rebalance, identity: hc.Identity,
 	}
 }
-
-func (h *hashed) Name() string { return h.kind.String() }
 
 // mix64 is the splitmix64 finalizer — the stand-in for the NIC's
 // Toeplitz hash. Distinct small integers spread across the table.

@@ -221,14 +221,6 @@ func TestFlowDirectorOverrideSurvivesFaultCycle(t *testing.T) {
 	}
 }
 
-func TestHashedDispatcherNames(t *testing.T) {
-	for _, k := range []Kind{RSS, FlowDirector} {
-		if got := newPD(k, 2).Name(); got != k.String() {
-			t.Errorf("Name = %q, want %q", got, k.String())
-		}
-	}
-}
-
 // The indirection table must scale with the machine: the historical
 // 128-entry constant is the floor (so every pre-existing golden at ≤ 64
 // cores is byte-identical), and beyond 64 cores the table doubles until

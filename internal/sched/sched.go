@@ -74,8 +74,9 @@ const (
 	FlowDirector
 	// AffinitySteal is the parameterized work-stealing family (see
 	// steal.go): steal penalty, depth threshold and cold-start bias span
-	// a space whose corners reduce bit-for-bit to WiredStreams, FCFS and
-	// MRU, searched by internal/policysearch.
+	// a space whose corners reproduce FCFS and MRU bit for bit and, at
+	// Penalty = +Inf, are the WiredStreams dispatcher itself; searched by
+	// internal/policysearch.
 	AffinitySteal
 
 	// kindCount sentinel: keep last.
@@ -135,7 +136,6 @@ func (k Kind) ForIPS() bool {
 
 // PacketDispatcher is the Locking-paradigm scheduling interface.
 type PacketDispatcher interface {
-	Name() string
 	// PickProcessor chooses an idle processor for an arriving packet,
 	// or -1 to enqueue it instead. idle is the set of processors
 	// currently free of protocol work (never empty when called).
@@ -229,11 +229,14 @@ func NewPacketDispatcherFull(k Kind, n int, rng *des.RNG, lookahead int, hc Hash
 		return newPools(n, false, rng)
 	case RSS:
 		hc.Rebalance = -1 // static by definition
-		return newHashed(RSS, n, hc)
+		return newHashed(n, hc)
 	case FlowDirector:
-		return newHashed(FlowDirector, n, hc)
+		return newHashed(n, hc)
 	case AffinitySteal:
-		return newSteal(n, rng, lookahead, sc)
+		if sc.Pinned() {
+			return newPools(n, false, rng)
+		}
+		return newSteal(rng, lookahead, sc)
 	default:
 		panic(fmt.Sprintf("sched: %v is not a Locking policy", k))
 	}
@@ -246,7 +249,6 @@ type fcfs struct {
 	rng *des.RNG
 }
 
-func (*fcfs) Name() string { return FCFS.String() }
 func (f *fcfs) PickProcessor(_ Packet, idle []int) int {
 	f.note(false)
 	return idle[f.rng.Intn(len(idle))]
@@ -279,8 +281,6 @@ type mru struct {
 	rng       *des.RNG
 	lookahead int
 }
-
-func (*mru) Name() string { return MRU.String() }
 
 func (m *mru) PickProcessor(p Packet, idle []int) int {
 	if proc, ok := m.mru[p.Entity]; ok {
@@ -365,13 +365,6 @@ func newPools(n int, stealing bool, rng *des.RNG) *pools {
 		queues: make([]fifo, n), home: map[int]int{}, pref: map[int]int{},
 		avail: avail, stealing: stealing, rng: rng,
 	}
-}
-
-func (p *pools) Name() string {
-	if p.stealing {
-		return ThreadPools.String()
-	}
-	return WiredStreams.String()
 }
 
 func (p *pools) homeOf(entity int) int {

@@ -16,6 +16,23 @@ func newSD(k Kind, stacks, procs int) StackDispatcher {
 	return NewStackDispatcherLookahead(k, stacks, procs, des.NewRNG(1), 1)
 }
 
+// queuedStacks counts the ready stacks d holds, read from its queues.
+func queuedStacks(d StackDispatcher) int {
+	switch d := d.(type) {
+	case *wiredStacks:
+		n := 0
+		for _, q := range d.runq {
+			n += len(q)
+		}
+		return n
+	case *mruStacks:
+		return len(d.ready)
+	case *randomStacks:
+		return len(d.ready)
+	}
+	panic("unknown stack dispatcher")
+}
+
 func contains(set []int, v int) bool {
 	for _, x := range set {
 		if x == v {
@@ -201,25 +218,12 @@ func TestThreadPoolsPlaceOnAnyIdleWhenHomeBusy(t *testing.T) {
 	}
 }
 
-func TestPacketDispatcherNames(t *testing.T) {
-	for _, k := range []Kind{FCFS, MRU, ThreadPools, WiredStreams} {
-		if got := newPD(k, 2).Name(); got != k.String() {
-			t.Errorf("Name = %q, want %q", got, k.String())
-		}
-	}
-	for _, k := range []Kind{IPSWired, IPSMRU} {
-		if got := newSD(k, 4, 2).Name(); got != k.String() {
-			t.Errorf("Name = %q, want %q", got, k.String())
-		}
-	}
-}
-
 func TestWiredStacksRoundRobinWiring(t *testing.T) {
 	d := newSD(IPSWired, 5, 2).(*wiredStacks)
 	want := []int{0, 1, 0, 1, 0}
 	for s, w := range want {
-		if d.Wire(s) != w {
-			t.Fatalf("Wire(%d) = %d, want %d", s, d.Wire(s), w)
+		if d.PreferredProc(s) != w {
+			t.Fatalf("stack %d wired to %d, want %d", s, d.PreferredProc(s), w)
 		}
 	}
 }
@@ -234,8 +238,8 @@ func TestWiredStacksPlacement(t *testing.T) {
 	}
 	d.EnqueueStack(1)
 	d.EnqueueStack(3)
-	if d.QueuedStacks() != 2 {
-		t.Fatalf("QueuedStacks = %d", d.QueuedStacks())
+	if n := queuedStacks(d); n != 2 {
+		t.Fatalf("%d queued stacks, want 2", n)
 	}
 	if got := d.DispatchStack(0); got != -1 {
 		t.Fatalf("processor 0 got foreign stack %d", got)
@@ -283,9 +287,6 @@ func TestMRUStacksLookaheadFindsAffineStack(t *testing.T) {
 
 func TestRandomStacksBaseline(t *testing.T) {
 	d := newSD(IPSRandom, 4, 2)
-	if d.Name() != IPSRandom.String() {
-		t.Fatalf("Name = %q", d.Name())
-	}
 	// Placement is uniform over the idle set — never outside it.
 	idle := []int{0, 1}
 	seen := map[int]bool{}
@@ -303,8 +304,8 @@ func TestRandomStacksBaseline(t *testing.T) {
 	d.RanOn(3, 1) // must be a no-op
 	d.EnqueueStack(3)
 	d.EnqueueStack(1)
-	if d.QueuedStacks() != 2 {
-		t.Fatalf("QueuedStacks = %d", d.QueuedStacks())
+	if n := queuedStacks(d); n != 2 {
+		t.Fatalf("%d queued stacks, want 2", n)
 	}
 	if got := d.DispatchStack(0); got != 3 {
 		t.Fatalf("DispatchStack = %d, want FIFO head 3", got)
@@ -330,8 +331,8 @@ func TestDispatcherCountersAndNoOps(t *testing.T) {
 	}
 	w := newSD(IPSMRU, 4, 2)
 	w.EnqueueStack(1)
-	if w.QueuedStacks() != 1 {
-		t.Fatalf("IPSMRU QueuedStacks = %d", w.QueuedStacks())
+	if n := queuedStacks(w); n != 1 {
+		t.Fatalf("IPSMRU holds %d queued stacks, want 1", n)
 	}
 	lw := NewStackDispatcherLookahead(IPSWired, 2, 2, des.NewRNG(1), 0) // lookahead clamps to 1
 	if lw == nil {

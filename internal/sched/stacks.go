@@ -10,7 +10,6 @@ import (
 // schedulable unit is a ready stack (one with queued packets that is not
 // currently running).
 type StackDispatcher interface {
-	Name() string
 	// PickProcessor chooses an idle processor for a stack that just
 	// became ready, or -1 to queue the stack instead.
 	PickProcessor(stack int, idle []int) int
@@ -21,8 +20,6 @@ type StackDispatcher interface {
 	DispatchStack(proc int) int
 	// RanOn informs the dispatcher that a stack ran on proc.
 	RanOn(stack, proc int)
-	// QueuedStacks returns the number of ready stacks waiting.
-	QueuedStacks() int
 	// ProcDown removes proc from service (fault injection): IPS-Wired
 	// re-wires its stacks onto live processors and moves their queued
 	// entries; IPS-MRU forgets affinities pointing at it.
@@ -89,11 +86,6 @@ func newWiredStacks(stacks, procs int) *wiredStacks {
 	}
 	return w
 }
-
-func (*wiredStacks) Name() string { return IPSWired.String() }
-
-// Wire returns the processor stack s is bound to.
-func (w *wiredStacks) Wire(s int) int { return w.wire[s] }
 
 func (w *wiredStacks) PickProcessor(stack int, idle []int) int {
 	home := w.wire[stack]
@@ -188,14 +180,6 @@ func (w *wiredStacks) ProcUp(proc int) {
 
 func (w *wiredStacks) PreferredProc(stack int) int { return w.wire[stack] }
 
-func (w *wiredStacks) QueuedStacks() int {
-	n := 0
-	for _, q := range w.runq {
-		n += len(q)
-	}
-	return n
-}
-
 // mruStacks: a central FIFO of ready stacks; placement prefers a stack's
 // most-recently-used processor, and an idle processor prefers a stack
 // with affinity for it.
@@ -206,8 +190,6 @@ type mruStacks struct {
 	rng       *des.RNG
 	lookahead int
 }
-
-func (*mruStacks) Name() string { return IPSMRU.String() }
 
 func (m *mruStacks) PickProcessor(stack int, idle []int) int {
 	if proc, ok := m.mru[stack]; ok {
@@ -247,8 +229,6 @@ func (m *mruStacks) DispatchStack(proc int) int {
 
 func (m *mruStacks) RanOn(stack, proc int) { m.mru[stack] = proc }
 
-func (m *mruStacks) QueuedStacks() int { return len(m.ready) }
-
 // ProcDown forgets affinities pointing at the failed processor (see
 // mru.ProcDown).
 func (m *mruStacks) ProcDown(proc int) {
@@ -278,8 +258,6 @@ type randomStacks struct {
 	rng   *des.RNG
 }
 
-func (*randomStacks) Name() string { return IPSRandom.String() }
-
 func (r *randomStacks) PickProcessor(_ int, idle []int) int {
 	r.note(false)
 	return idle[r.rng.Intn(len(idle))]
@@ -298,8 +276,6 @@ func (r *randomStacks) DispatchStack(int) int {
 }
 
 func (*randomStacks) RanOn(int, int) {}
-
-func (r *randomStacks) QueuedStacks() int { return len(r.ready) }
 
 // IPS-Random has no placement state to degrade.
 func (*randomStacks) ProcDown(int) {}

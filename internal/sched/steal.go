@@ -2,17 +2,18 @@ package sched
 
 import (
 	"math"
-	"sort"
 
 	"affinity/internal/des"
 )
 
 // This file implements the AffinitySteal policy family: a work-stealing
 // packet dispatcher parameterized by (Penalty, DepthThreshold, ColdBias)
-// whose corner points reduce — bit for bit, RNG draw for RNG draw — to
-// the paper's fixed policies:
+// whose corner points are — bit for bit, RNG draw for RNG draw — the
+// paper's fixed policies:
 //
-//	Penalty = +Inf                        ≡ WiredStreams (static pinning)
+//	Penalty = +Inf                        ≡ WiredStreams (static pinning;
+//	                                        NewPacketDispatcherFull builds
+//	                                        the Wired-Streams dispatcher)
 //	Penalty = 0, DepthThreshold = 0,
 //	ColdBias = 0                          ≡ FCFS (blind work conservation)
 //	Penalty = 0, DepthThreshold = 0,
@@ -32,9 +33,8 @@ import (
 type StealParams struct {
 	// Penalty is the time (µs) a queued packet must have waited before a
 	// processor it is not warm on may steal it at dispatch. 0 allows
-	// immediate stealing; +Inf switches the dispatcher into pinned mode
-	// (per-processor queues with first-touch round-robin homes — the
-	// Wired-Streams structure — where stealing never happens at all).
+	// immediate stealing; +Inf never steals at all, which is
+	// Wired-Streams: NewPacketDispatcherFull returns that dispatcher.
 	Penalty float64
 	// DepthThreshold is the backlog the queue must hold before a cold
 	// steal is allowed; 0 never blocks on depth.
@@ -47,7 +47,7 @@ type StealParams struct {
 }
 
 // Pinned reports whether the parameters select the statically pinned
-// (Wired-Streams-structured) mode.
+// corner, the Wired-Streams dispatcher.
 func (s StealParams) Pinned() bool { return math.IsInf(s.Penalty, 1) }
 
 // StealConfig is StealParams plus the runtime hookup: Now supplies the
@@ -59,94 +59,28 @@ type StealConfig struct {
 	Now func() des.Time
 }
 
-// steal implements PacketDispatcher for the AffinitySteal family. It
-// runs in one of two structural modes fixed at construction:
-//
-//   - pinned (Penalty = +Inf): per-processor queues, first-touch
-//     round-robin homes with fault re-homing and failback — an
-//     independent implementation of the Wired-Streams discipline (the
-//     corner-equivalence tests compare it against pools, so the two
-//     code bodies check each other);
-//   - work-conserving (finite Penalty): one central arrival-ordered
-//     queue plus a last-ran warm map, with the steal gate applied when
-//     a processor pulls queued work it is not warm on.
+// steal implements PacketDispatcher for the AffinitySteal family at a
+// finite Penalty: one central arrival-ordered queue plus a last-ran warm
+// map, with the steal gate applied when a processor pulls queued work
+// it is not warm on.
 type steal struct {
 	affinityCount
 	p         StealParams
 	now       func() des.Time
 	lookahead int
 	rng       *des.RNG
-
-	// Work-conserving mode.
-	q    fifo
-	warm map[int]int // entity → processor it last ran on
-
-	// Pinned mode.
-	queues   []fifo
-	home     map[int]int
-	pref     map[int]int // entity → original home, the failback target
-	avail    []bool
-	nextHome int
+	q         fifo
+	warm      map[int]int // entity → processor it last ran on
 }
 
-func newSteal(n int, rng *des.RNG, lookahead int, sc StealConfig) *steal {
-	s := &steal{p: sc.StealParams, now: sc.Now, lookahead: lookahead, rng: rng}
-	if s.p.Pinned() {
-		s.queues = make([]fifo, n)
-		s.home = map[int]int{}
-		s.pref = map[int]int{}
-		s.avail = make([]bool, n)
-		for i := range s.avail {
-			s.avail[i] = true
-		}
-		return s
-	}
-	s.warm = map[int]int{}
-	if s.p.Penalty > 0 && s.now == nil {
+func newSteal(rng *des.RNG, lookahead int, sc StealConfig) *steal {
+	if sc.Penalty > 0 && sc.Now == nil {
 		panic("sched: AffinitySteal with a finite non-zero Penalty needs StealConfig.Now")
 	}
-	return s
-}
-
-func (*steal) Name() string { return AffinitySteal.String() }
-
-// homeOf assigns first-touch round-robin homes in pinned mode, exactly
-// like pools.homeOf.
-func (s *steal) homeOf(entity int) int {
-	h, ok := s.home[entity]
-	if !ok {
-		h = s.nextAvailHome()
-		s.home[entity] = h
-		s.pref[entity] = h
-	}
-	return h
-}
-
-func (s *steal) nextAvailHome() int {
-	n := len(s.queues)
-	for range s.queues {
-		h := s.nextHome % n
-		s.nextHome++
-		if s.avail[h] {
-			return h
-		}
-	}
-	h := s.nextHome % n
-	s.nextHome++
-	return h
+	return &steal{p: sc.StealParams, now: sc.Now, lookahead: lookahead, rng: rng, warm: map[int]int{}}
 }
 
 func (s *steal) PickProcessor(pk Packet, idle []int) int {
-	if s.p.Pinned() {
-		h := s.homeOf(pk.Entity)
-		for _, i := range idle {
-			if i == h {
-				s.note(true)
-				return h
-			}
-		}
-		return -1 // wait for the home processor (no decision)
-	}
 	if s.p.ColdBias > 0 {
 		if proc, ok := s.warm[pk.Entity]; ok {
 			for _, i := range idle {
@@ -167,13 +101,7 @@ func (s *steal) PickProcessor(pk Packet, idle []int) int {
 	return idle[s.rng.Intn(len(idle))]
 }
 
-func (s *steal) Enqueue(pk Packet) {
-	if s.p.Pinned() {
-		s.queues[s.homeOf(pk.Entity)].push(pk)
-		return
-	}
-	s.q.push(pk)
-}
+func (s *steal) Enqueue(pk Packet) { s.q.push(pk) }
 
 // stealAllowed is the family's gate: a processor the packet is not warm
 // on may take it only when the backlog has reached DepthThreshold and
@@ -190,13 +118,6 @@ func (s *steal) stealAllowed(pk Packet) bool {
 }
 
 func (s *steal) Dispatch(proc int) (Packet, bool) {
-	if s.p.Pinned() {
-		if pk, ok := s.queues[proc].pop(); ok {
-			s.note(s.home[pk.Entity] == proc)
-			return pk, true
-		}
-		return Packet{}, false
-	}
 	// Warm preference first: the oldest packet within the bounded
 	// lookahead that is warm on this processor — MRU's exact scan.
 	if s.p.ColdBias > 0 {
@@ -237,107 +158,27 @@ func (s *steal) Dispatch(proc int) (Packet, bool) {
 	return Packet{}, false
 }
 
-func (s *steal) RanOn(entity, proc int) {
-	if s.p.Pinned() {
-		return // the home map, not execution history, owns placement
-	}
-	s.warm[entity] = proc
-}
+func (s *steal) RanOn(entity, proc int) { s.warm[entity] = proc }
+func (s *steal) Queued() int            { return s.q.len() }
+func (s *steal) DepthFor(Packet) int    { return s.q.len() }
 
-func (s *steal) Queued() int {
-	if s.p.Pinned() {
-		n := 0
-		for i := range s.queues {
-			n += s.queues[i].len()
-		}
-		return n
-	}
-	return s.q.len()
-}
-
-func (s *steal) DepthFor(pk Packet) int {
-	if s.p.Pinned() {
-		return s.queues[s.homeOf(pk.Entity)].len()
-	}
-	return s.q.len()
-}
-
-// ProcDown: pinned mode re-homes entities bound to the failed processor
-// and migrates their queued packets (the Wired-Streams discipline);
-// work-conserving mode forgets warm state pointing at it (the MRU
-// discipline — its cache contents are lost).
+// ProcDown forgets warm state pointing at the failed processor (the MRU
+// discipline — its cache contents are lost); nothing else is bound to a
+// processor, so ProcUp has nothing to restore.
 func (s *steal) ProcDown(proc int) {
-	if !s.p.Pinned() {
-		for e, h := range s.warm {
-			if h == proc {
-				delete(s.warm, e)
-			}
-		}
-		return
-	}
-	s.avail[proc] = false
-	var ids []int
-	for e, h := range s.home {
+	for e, h := range s.warm {
 		if h == proc {
-			ids = append(ids, e)
-		}
-	}
-	sort.Ints(ids)
-	for _, e := range ids {
-		s.home[e] = s.nextAvailHome()
-	}
-	for {
-		pk, ok := s.queues[proc].pop()
-		if !ok {
-			break
-		}
-		s.queues[s.homeOf(pk.Entity)].push(pk)
-	}
-}
-
-// ProcUp: pinned mode fails entities originally homed here back (with
-// their queued packets, preserving per-stream FIFO order); work-
-// conserving mode needs nothing — warm state rebuilds as packets run.
-func (s *steal) ProcUp(proc int) {
-	if !s.p.Pinned() {
-		return
-	}
-	s.avail[proc] = true
-	var ids []int
-	for e, h := range s.pref {
-		if h == proc && s.home[e] != proc {
-			ids = append(ids, e)
-		}
-	}
-	if len(ids) == 0 {
-		return
-	}
-	sort.Ints(ids)
-	for _, e := range ids {
-		s.home[e] = proc
-	}
-	for q := range s.queues {
-		if q == proc {
-			continue
-		}
-		for _, pk := range s.queues[q].drainMatching(func(pk Packet) bool {
-			return s.home[pk.Entity] == proc
-		}) {
-			s.queues[proc].push(pk)
+			delete(s.warm, e)
 		}
 	}
 }
 
-// PreferredProc mirrors the corner policy's ledger view: the home map in
-// pinned mode, the warm map when the bias prefers warmth, and none at
-// all for the blind ColdBias = 0 family members (FCFS parity).
+func (*steal) ProcUp(int) {}
+
+// PreferredProc mirrors the corner policy's ledger view: the warm map
+// when the bias prefers warmth, and none at all for the blind
+// ColdBias = 0 family members (FCFS parity).
 func (s *steal) PreferredProc(entity int) int {
-	if s.p.Pinned() {
-		if h, ok := s.home[entity]; ok {
-			return h
-		}
-		return -1
-	}
 	if s.p.ColdBias == 0 {
 		return -1
 	}

@@ -2,13 +2,14 @@ package sched
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"affinity/internal/des"
 )
 
-func stealPD(n int, sp StealParams, now func() des.Time) *steal {
-	return newSteal(n, des.NewRNG(1), 4, StealConfig{StealParams: sp, Now: now})
+func stealPD(sp StealParams, now func() des.Time) *steal {
+	return newSteal(des.NewRNG(1), 4, StealConfig{StealParams: sp, Now: now})
 }
 
 func agedPkt(stream int, arrive des.Time) Packet {
@@ -25,7 +26,7 @@ func TestStealGateDepthAndAge(t *testing.T) {
 
 	// Depth gate: one well-aged packet is still below threshold 2, so
 	// the cold processor must not steal it no matter how old it is.
-	d := stealPD(2, sp, now)
+	d := stealPD(sp, now)
 	d.RanOn(0, 0) // stream 0 warm on processor 0
 	d.Enqueue(agedPkt(0, 0))
 	if _, ok := d.Dispatch(1); ok {
@@ -33,7 +34,7 @@ func TestStealGateDepthAndAge(t *testing.T) {
 	}
 
 	// Age gate: backlog deep enough, but the head is too young.
-	d = stealPD(2, sp, now)
+	d = stealPD(sp, now)
 	d.RanOn(0, 0)
 	d.Enqueue(agedPkt(0, 990))
 	d.Enqueue(agedPkt(0, 995))
@@ -56,7 +57,7 @@ func TestStealGateDepthAndAge(t *testing.T) {
 // processor skips it and serves the oldest packet that is warm here or
 // warm nowhere.
 func TestStealRefusalServesAroundHead(t *testing.T) {
-	d := stealPD(2, StealParams{Penalty: math.MaxFloat64, DepthThreshold: 0, ColdBias: 1},
+	d := stealPD(StealParams{Penalty: math.MaxFloat64, DepthThreshold: 0, ColdBias: 1},
 		func() des.Time { return 0 })
 	d.RanOn(0, 0) // head's stream warm on 0
 	d.RanOn(1, 1) // second packet warm on 1
@@ -85,7 +86,7 @@ func TestStealRefusalServesAroundHead(t *testing.T) {
 	}
 }
 
-// Pinned() selects the Wired-Streams structure exactly at +Inf.
+// Pinned() selects the Wired-Streams dispatcher exactly at +Inf.
 func TestStealPinnedPredicate(t *testing.T) {
 	if (StealParams{Penalty: math.MaxFloat64}).Pinned() {
 		t.Error("MaxFloat64 must stay work-conserving — only +Inf pins")
@@ -98,19 +99,36 @@ func TestStealPinnedPredicate(t *testing.T) {
 	}
 }
 
+// The +Inf corner is not a copy of Wired-Streams but the same
+// dispatcher: one implementation, so the corner cannot drift from it.
+func TestStealPinnedIsWiredStreams(t *testing.T) {
+	pinned := NewPacketDispatcherFull(AffinitySteal, 4, des.NewRNG(1), 4, HashConfig{},
+		StealConfig{StealParams: StealParams{Penalty: math.Inf(1), DepthThreshold: 3, ColdBias: 0.5}})
+	wired := newPD(WiredStreams, 4)
+	if reflect.TypeOf(pinned) != reflect.TypeOf(wired) {
+		t.Fatalf("pinned AffinitySteal is %T, WiredStreams is %T", pinned, wired)
+	}
+	if pinned.(*pools).stealing {
+		t.Fatal("pinned AffinitySteal steals like ThreadPools")
+	}
+}
+
 // A finite non-zero penalty needs a clock; corners do not. The
 // constructor enforces this instead of letting stealAllowed nil-panic
 // mid-run.
 func TestStealNeedsClockOnlyForFinitePenalty(t *testing.T) {
+	build := func(sp StealParams) {
+		NewPacketDispatcherFull(AffinitySteal, 2, des.NewRNG(1), 4, HashConfig{}, StealConfig{StealParams: sp})
+	}
 	for _, sp := range []StealParams{{}, {ColdBias: 1}, {Penalty: math.Inf(1)}} {
-		newSteal(2, des.NewRNG(1), 4, StealConfig{StealParams: sp}) // must not panic
+		build(sp) // must not panic
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("finite non-zero Penalty without a clock did not panic")
 		}
 	}()
-	newSteal(2, des.NewRNG(1), 4, StealConfig{StealParams: StealParams{Penalty: 1}})
+	build(StealParams{Penalty: 1})
 }
 
 // Fractional ColdBias prefers the warm processor with that probability
@@ -119,7 +137,7 @@ func TestStealNeedsClockOnlyForFinitePenalty(t *testing.T) {
 // parity depends on it).
 func TestStealColdBiasIsProbabilistic(t *testing.T) {
 	count := func(bias float64) int {
-		d := stealPD(2, StealParams{ColdBias: bias}, nil)
+		d := stealPD(StealParams{ColdBias: bias}, nil)
 		d.RanOn(0, 1)
 		hits := 0
 		for i := 0; i < 500; i++ {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"affinity/internal/obs"
 	"affinity/internal/sched"
 	"affinity/internal/traffic"
 )
@@ -20,9 +21,9 @@ func TestResultsJSONSanitizesNonFinite(t *testing.T) {
 		MeanDelay: 120.5,
 		DelayCI:   math.Inf(1),
 		P95Delay:  math.NaN(),
-		Trace: []TraceEntry{
-			{Stream: 1, XRefs: math.Inf(1), Exec: 284.3},
-			{Stream: 2, XRefs: 17, Exec: 51.5},
+		Obs: &obs.Snapshot{
+			ExecTime:    obs.Summary{N: 2, Mean: 167.9, Max: math.Inf(1)},
+			PerProcBusy: []float64{math.NaN(), 12.5},
 		},
 		PerStreamDelay: []float64{100, math.Inf(1)},
 	}
@@ -46,12 +47,14 @@ func TestResultsJSONSanitizesNonFinite(t *testing.T) {
 	if dec["MeanDelay"] != 120.5 {
 		t.Errorf("MeanDelay = %v, want 120.5", dec["MeanDelay"])
 	}
-	trace := dec["Trace"].([]any)
-	if cold := trace[0].(map[string]any); cold["XRefs"] != nil {
-		t.Errorf("cold-start XRefs = %v, want null", cold["XRefs"])
+	// Results.Obs is a pointer to a struct: the sanitizer must follow
+	// it into nested structs and slices.
+	snap := dec["Obs"].(map[string]any)
+	if exec := snap["ExecTime"].(map[string]any); exec["Max"] != nil || exec["Mean"] != 167.9 {
+		t.Errorf("Obs.ExecTime = %v, want Max null and Mean 167.9", exec)
 	}
-	if warm := trace[1].(map[string]any); warm["XRefs"] != 17.0 {
-		t.Errorf("warm XRefs = %v, want 17", warm["XRefs"])
+	if busy := snap["PerProcBusy"].([]any); busy[0] != nil || busy[1] != 12.5 {
+		t.Errorf("Obs.PerProcBusy = %v, want [null 12.5]", busy)
 	}
 	if perStream := dec["PerStreamDelay"].([]any); perStream[1] != nil {
 		t.Errorf("PerStreamDelay[1] = %v, want null", perStream[1])

@@ -82,13 +82,11 @@ type Host struct {
 	lossRNG  *des.RNG
 	dropped  uint64
 
-	// rec is the effective recorder chain — the user's Params.Recorder
-	// plus the TraceN adapter — or nil when both are disabled. Every
-	// emission site is guarded by `h.rec != nil`, which keeps the
-	// disabled path free of event construction (the zero-overhead
-	// contract). emitted counts events published through it.
+	// rec is Params.Recorder. Every emission site is guarded by
+	// `h.rec != nil`, which keeps the disabled path free of event
+	// construction (the zero-overhead contract). emitted counts events
+	// published through it.
 	rec     obs.Recorder
-	tsink   *traceSink
 	emitted uint64
 
 	// Decision-ledger state: drec is Params.DecisionRecorder (every
@@ -230,42 +228,6 @@ func (q *pktQueue) pop() sched.Packet {
 	return p
 }
 
-// traceSink adapts the recorder event stream back into the legacy
-// Results.Trace format: it captures the first n ExecStart events,
-// pairing each with the Dispatch event beginService emits immediately
-// before it (same packet, same instant) for the queueing delay.
-type traceSink struct {
-	n       int
-	wait    float64
-	waitSeq uint64
-	entries []TraceEntry
-}
-
-func (t *traceSink) Record(e obs.Event) {
-	switch e.Kind {
-	case obs.KindDispatch:
-		t.wait, t.waitSeq = e.Dur, e.Seq
-	case obs.KindExecStart:
-		if len(t.entries) >= t.n {
-			return
-		}
-		var queued des.Time
-		if t.waitSeq == e.Seq {
-			queued = des.Time(t.wait)
-		}
-		t.entries = append(t.entries, TraceEntry{
-			Start:     des.Time(e.T),
-			Stream:    e.Stream,
-			Entity:    e.Entity,
-			Processor: e.Proc,
-			Queued:    queued,
-			XRefs:     e.Val,
-			Exec:      e.Dur,
-			Migrated:  e.Flags&obs.FlagMigrated != 0,
-		})
-	}
-}
-
 // NewHost builds the host core for p, which must already have been
 // through WithDefaults and Validate, on the backend clk. This is the
 // one place dispatchers are constructed.
@@ -278,10 +240,11 @@ func NewHost(p Params, clk Clock) *Host {
 		rate:       p.Model.Platform.RefsPerMicrosecond(),
 		procs:      make([]procState, p.Processors),
 		lastProcOf: make([]int, entities),
-		delays:     stats.NewBatchMeans(p.BatchSize),
+		delays:     stats.NewBatchMeans(uint64(max(p.MeasuredPackets/30, 1))),
 		delayHist:  stats.NewHistogram(0, 100_000, 10_000), // 10 µs bins to 100 ms
 		perStream:  make([]stats.Accumulator, p.Streams),
 
+		rec:           p.Recorder,
 		drec:          p.DecisionRecorder,
 		over:          p.DecisionOverride,
 		streamSeq:     make([]uint64, p.Streams),
@@ -319,11 +282,6 @@ func NewHost(p Params, clk Clock) *Host {
 		if p.Paradigm == Hybrid {
 			h.rng = des.Stream(p.Seed, "hybrid-overflow")
 		}
-	}
-	h.rec = p.Recorder
-	if p.TraceN > 0 {
-		h.tsink = &traceSink{n: p.TraceN}
-		h.rec = obs.Multi(p.Recorder, h.tsink)
 	}
 	return h
 }
@@ -452,10 +410,14 @@ func (h *Host) choseDispatch(pkt sched.Packet, proc int) {
 	h.chose(obs.PointDispatch, pkt, h.oneProc[:], proc)
 }
 
+// GaugePeriod is the simulated-time interval between the periodic gauge
+// samples (queue depth, event-heap size, displacement counters) that
+// both backends publish to an attached Recorder.
+const GaugePeriod = des.Millisecond
+
 // SampleGauges publishes the periodic gauges. Backends call it every
-// Params.SamplePeriod, and only when a user recorder is attached (a
-// TraceN-only run should not burn events on samples nobody sees); it
-// reads state without mutating it, so it cannot perturb the run.
+// GaugePeriod, and only when a recorder is attached; it reads state
+// without mutating it, so it cannot perturb the run.
 func (h *Host) SampleGauges() {
 	t := float64(h.clk.Now())
 	h.emit(obs.Event{T: t, Kind: obs.KindGaugeQueue, Proc: -1, Stream: -1, Entity: -1,
@@ -929,10 +891,7 @@ func (h *Host) settleCompletion(pkt sched.Packet, proc int, protoExec float64) {
 		h.perStream[pkt.Stream].Add(delay)
 		h.measured++
 		if h.measured >= h.p.MeasuredPackets {
-			if h.p.TargetRelCI <= 0 ||
-				h.delays.RelativeHalfWidth() <= h.p.TargetRelCI {
-				h.clk.Stop()
-			}
+			h.clk.Stop()
 		}
 	}
 }
@@ -1180,9 +1139,6 @@ func (h *Host) Results() Results {
 		res.PerStreamDelay[i] = h.perStream[i].Mean()
 	}
 	res.DelayFairness = JainIndex(res.PerStreamDelay)
-	if h.tsink != nil {
-		res.Trace = h.tsink.entries
-	}
 	if m := obs.FindMetrics(h.p.Recorder); m != nil {
 		snap := m.Snapshot()
 		res.Obs = &snap

@@ -8,19 +8,12 @@ import (
 )
 
 // MarshalJSON encodes Results with non-finite floats sanitized to null.
-// Several fields are legitimately non-finite in degenerate runs —
-// DelayCI is +Inf when fewer than two batch-means batches complete, and
-// a TraceEntry.XRefs of +Inf marks a cold start — and encoding/json
-// rejects ±Inf/NaN outright, so the raw struct would fail to encode at
-// all. Field names and order match the default encoding.
+// Some fields are legitimately non-finite in degenerate runs — DelayCI
+// is +Inf when fewer than two batch-means batches complete — and
+// encoding/json rejects ±Inf/NaN outright, so the raw struct would fail
+// to encode at all. Field names and order match the default encoding.
 func (r Results) MarshalJSON() ([]byte, error) {
 	return marshalSanitized(reflect.ValueOf(r))
-}
-
-// MarshalJSON encodes a TraceEntry with non-finite floats (a cold
-// start's +Inf XRefs) sanitized to null.
-func (t TraceEntry) MarshalJSON() ([]byte, error) {
-	return marshalSanitized(reflect.ValueOf(t))
 }
 
 // marshalSanitized walks structs, slices and pointers, replacing every

@@ -169,32 +169,6 @@ func TestAffinityStatsInResults(t *testing.T) {
 	}
 }
 
-func TestTraceAdapterMatchesRecorderView(t *testing.T) {
-	p := quick(Locking, sched.MRU)
-	p.TraceN = 40
-	plain := Run(p)
-
-	// The same run with a user recorder attached must produce the same
-	// trace (the adapter tees off the identical event stream), and the
-	// recorder's first ExecStart events must mirror the trace entries.
-	p2 := quick(Locking, sched.MRU)
-	p2.TraceN = 40
-	m := obs.NewMetrics()
-	p2.Recorder = m
-	withRec := Run(p2)
-	if !reflect.DeepEqual(plain.Trace, withRec.Trace) {
-		t.Fatal("trace differs when a recorder is attached")
-	}
-	if len(plain.Trace) != 40 {
-		t.Fatalf("trace length %d, want 40", len(plain.Trace))
-	}
-	for i, e := range plain.Trace {
-		if e.Queued < 0 || e.Exec <= 0 {
-			t.Fatalf("entry %d malformed: %+v", i, e)
-		}
-	}
-}
-
 func TestChromeTraceEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	ct := obs.NewChromeTrace(&buf)
@@ -252,13 +226,5 @@ func TestTotalEventsFiredAccumulates(t *testing.T) {
 	after := TotalEventsFired()
 	if after-before < res.EventsFired {
 		t.Fatalf("global counter advanced %d, run fired %d", after-before, res.EventsFired)
-	}
-}
-
-func TestSamplePeriodValidation(t *testing.T) {
-	p := quick(Locking, sched.MRU).WithDefaults()
-	p.SamplePeriod = -1
-	if err := p.Validate(); err == nil {
-		t.Fatal("negative sample period accepted")
 	}
 }

@@ -20,8 +20,8 @@ import (
 //
 // Because every run is deterministic given its Params, memoization is
 // observationally equivalent to re-running; callers must only treat the
-// slices inside a shared Results (PerProcBusyTime, PerStreamDelay,
-// Trace) as read-only.
+// slices and maps inside a shared Results (PerProcBusyTime,
+// PerStreamDelay, PerStreamReordered) as read-only.
 //
 // Runs with an attached Recorder are executed but never cached: a
 // recorder observes the event stream as a side effect, so sharing one
@@ -175,9 +175,7 @@ func CacheKey(p Params) (string, bool) {
 	}
 	fmt.Fprintf(&b, "|faults:%s", p.Faults.String())
 	fmt.Fprintf(&b, "|seed:%d", p.Seed)
-	fmt.Fprintf(&b, "|stop:%g,%d,%g,%g,%d", float64(p.Warmup), p.MeasuredPackets,
-		float64(p.MaxTime), p.TargetRelCI, p.BatchSize)
-	fmt.Fprintf(&b, "|obs:%d,%g", p.TraceN, float64(p.SamplePeriod))
+	fmt.Fprintf(&b, "|stop:%g,%d,%g", float64(p.Warmup), p.MeasuredPackets, float64(p.MaxTime))
 	return b.String(), true
 }
 

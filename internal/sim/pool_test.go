@@ -136,9 +136,6 @@ var cacheKeyMutations = map[string]func(*Params){
 	"Warmup":           func(p *Params) { p.Warmup = 5 * des.Millisecond },
 	"MeasuredPackets":  func(p *Params) { p.MeasuredPackets = 301 },
 	"MaxTime":          func(p *Params) { p.MaxTime = des.Second },
-	"TargetRelCI":      func(p *Params) { p.TargetRelCI = 0.05 },
-	"TraceN":           func(p *Params) { p.TraceN = 10 },
-	"BatchSize":        func(p *Params) { p.BatchSize = 99 },
 	"Faults":           func(p *Params) { p.Faults = (&faults.Plan{}).Down(des.Second, 0) },
 	"MaxQueueDepth":    func(p *Params) { p.MaxQueueDepth = 16 },
 	"Recorder":         func(p *Params) { p.Recorder = obs.NewMetrics() },
@@ -146,7 +143,6 @@ var cacheKeyMutations = map[string]func(*Params){
 	"DecisionOverride": func(p *Params) {
 		p.DecisionOverride = func(n uint64, pt obs.DecisionPoint, cands []int, chosen int) int { return chosen }
 	},
-	"SamplePeriod": func(p *Params) { p.SamplePeriod = 2 * des.Millisecond },
 }
 
 // CacheKey spells Params out field by field (no %#v), so a field added

@@ -29,7 +29,7 @@ func newRunner(p Params) *runner {
 	r := &runner{sim: des.NewSimulator()}
 	r.Host = NewHost(p, r)
 	if p.Paradigm != IPS {
-		r.lock = des.NewResource(r.sim, 1)
+		r.lock = des.NewResource(1)
 	}
 	return r
 }
@@ -77,7 +77,7 @@ func arrivalFire(a any) {
 func gaugeSample(a any) {
 	r := a.(*runner)
 	r.SampleGauges()
-	r.sim.ScheduleArg(r.p.SamplePeriod, gaugeSample, r)
+	r.sim.ScheduleArg(GaugePeriod, gaugeSample, r)
 }
 
 // faultEvent binds one plan event to its runner so the DES can fire it
@@ -105,7 +105,7 @@ func (r *runner) start() {
 		}
 	}
 	if r.p.Recorder != nil {
-		r.sim.ScheduleArg(r.p.SamplePeriod, gaugeSample, r)
+		r.sim.ScheduleArg(GaugePeriod, gaugeSample, r)
 	}
 	r.sources = make([]arrivalSource, r.p.Streams)
 	for s := 0; s < r.p.Streams; s++ {

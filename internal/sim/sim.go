@@ -143,7 +143,7 @@ type Params struct {
 	// Steal is the AffinitySteal policy family's parameter point
 	// (steal penalty µs, steal depth threshold, cold-start bias; see
 	// sched.StealParams). The zero value is the FCFS corner;
-	// Penalty = +Inf selects the statically pinned Wired-Streams mode.
+	// Penalty = +Inf runs the Wired-Streams dispatcher itself.
 	// Ignored by every other policy.
 	Steal sched.StealParams
 
@@ -151,25 +151,11 @@ type Params struct {
 
 	// Warmup discards packets that arrive before this time; measurement
 	// runs until MeasuredPackets have completed or MaxTime is reached.
+	// The batch-means confidence interval groups the measured delays
+	// into batches of max(MeasuredPackets/30, 1).
 	Warmup          des.Time
 	MeasuredPackets int
 	MaxTime         des.Time
-
-	// TargetRelCI, when positive, enables sequential stopping: after
-	// MeasuredPackets completions the run keeps measuring until the
-	// batch-means 95% confidence half-width falls below this fraction
-	// of the mean delay (or MaxTime intervenes). Classic CI-driven
-	// run-length control.
-	TargetRelCI float64
-
-	// TraceN, when positive, records the first TraceN service decisions
-	// in Results.Trace — the scheduling dynamics, packet by packet.
-	// Internally this rides the Recorder event stream through a small
-	// adapter, so it sees exactly what an attached Recorder sees.
-	TraceN int
-	// BatchSize for the batch-means confidence interval; 0 derives one
-	// from MeasuredPackets.
-	BatchSize uint64
 
 	// Faults, when non-nil and non-empty, is the deterministic
 	// fault-injection plan: timed processor failures/recoveries,
@@ -192,12 +178,8 @@ type Params struct {
 	// busy/idle transitions, and periodic gauges (see internal/obs).
 	// Recorders only observe — a run produces identical Results with
 	// and without one — and a nil Recorder costs a single predictable
-	// branch per emission site.
+	// branch per emission site. Gauges are sampled every GaugePeriod.
 	Recorder obs.Recorder
-	// SamplePeriod is the simulated-time interval between periodic
-	// gauge samples (queue depth, event-heap size, displacement
-	// counters) published to Recorder; 0 selects 1 ms.
-	SamplePeriod des.Time
 
 	// DecisionRecorder, when non-nil, receives the decision ledger:
 	// every dispatch decision with the candidate processors it
@@ -298,12 +280,6 @@ func (p Params) WithDefaults() Params {
 	if p.MaxTime == 0 {
 		p.MaxTime = 120 * des.Second
 	}
-	if p.BatchSize == 0 {
-		p.BatchSize = uint64(max(p.MeasuredPackets/30, 1))
-	}
-	if p.SamplePeriod == 0 {
-		p.SamplePeriod = des.Millisecond
-	}
 	return p
 }
 
@@ -375,17 +351,6 @@ func (p Params) Validate() error {
 	}
 	if p.DataTouch < 0 || p.LockOverhead < 0 {
 		return fmt.Errorf("sim: negative per-packet overheads")
-	}
-	if p.TargetRelCI < 0 || p.TargetRelCI >= 1 {
-		if p.TargetRelCI != 0 {
-			return fmt.Errorf("sim: target relative CI %v outside (0, 1)", p.TargetRelCI)
-		}
-	}
-	if p.TraceN < 0 {
-		return fmt.Errorf("sim: negative trace length %d", p.TraceN)
-	}
-	if p.SamplePeriod < 0 {
-		return fmt.Errorf("sim: negative gauge sample period %v", p.SamplePeriod)
 	}
 	if p.MaxQueueDepth < 0 {
 		return fmt.Errorf("sim: negative max queue depth %d", p.MaxQueueDepth)
@@ -493,7 +458,7 @@ type Results struct {
 
 	// EventsFired is the number of DES events the run executed;
 	// RecorderEvents the number of observability events published to
-	// Params.Recorder and the trace adapter (0 when both are disabled).
+	// Params.Recorder (0 when none is attached).
 	EventsFired    uint64
 	RecorderEvents uint64
 	// DecisionsRecorded is the number of decisions published to
@@ -508,23 +473,6 @@ type Results struct {
 	// Jain's fairness index over them (1 = perfectly even).
 	PerStreamDelay []float64
 	DelayFairness  float64
-
-	// Trace holds the first Params.TraceN service decisions.
-	Trace []TraceEntry
-}
-
-// TraceEntry records one scheduling decision: which packet started
-// service where, how displaced its footprint was, and what the model
-// charged for it.
-type TraceEntry struct {
-	Start     des.Time
-	Stream    int
-	Entity    int
-	Processor int
-	Queued    des.Time // time spent waiting before service
-	XRefs     float64  // displacing references since the entity last ran here (+Inf = cold)
-	Exec      float64  // charged execution time (µs)
-	Migrated  bool
 }
 
 func min(a, b int) int {

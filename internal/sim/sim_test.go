@@ -7,6 +7,7 @@ import (
 
 	"affinity/internal/core"
 	"affinity/internal/des"
+	"affinity/internal/obs"
 	"affinity/internal/sched"
 	"affinity/internal/traffic"
 	"affinity/internal/workload"
@@ -362,7 +363,7 @@ func TestWithDefaultsFillsEverything(t *testing.T) {
 	if p.Background == nil || p.Background.Intensity != 1 {
 		t.Fatal("default background missing")
 	}
-	if p.Arrival == nil || p.BatchSize == 0 || p.MeasuredPackets == 0 {
+	if p.Arrival == nil || p.MeasuredPackets == 0 {
 		t.Fatal("measurement defaults missing")
 	}
 	// Locking defaults must not leak into IPS.
@@ -501,60 +502,44 @@ func TestJainIndexProperties(t *testing.T) {
 	}
 }
 
-func TestSequentialStoppingTightensCI(t *testing.T) {
-	base := quick(Locking, sched.MRU)
-	base.MeasuredPackets = 2000
-	loose := Run(base)
-	tight := base
-	tight.TargetRelCI = 0.005
-	tightRes := Run(tight)
-	if tightRes.Completed <= loose.Completed {
-		t.Fatalf("CI-driven run measured %d packets, no more than fixed run's %d",
-			tightRes.Completed, loose.Completed)
-	}
-	if tightRes.DelayCI/tightRes.MeanDelay > 0.005*1.01 {
-		t.Fatalf("relative CI %v above the 0.005 target",
-			tightRes.DelayCI/tightRes.MeanDelay)
+// execStarts keeps the first n exec_start events of a run: one per
+// scheduling decision.
+type execStarts struct {
+	n      int
+	events []obs.Event
+}
+
+func (r *execStarts) Record(e obs.Event) {
+	if e.Kind == obs.KindExecStart && len(r.events) < r.n {
+		r.events = append(r.events, e)
 	}
 }
 
 func TestTraceRecordsDecisions(t *testing.T) {
 	p := quick(Locking, sched.MRU)
-	p.TraceN = 50
-	res := Run(p)
-	if len(res.Trace) != 50 {
-		t.Fatalf("trace entries = %d, want 50", len(res.Trace))
+	rec := &execStarts{n: 50}
+	p.Recorder = rec
+	Run(p)
+	if len(rec.events) != 50 {
+		t.Fatalf("exec_start events = %d, want 50", len(rec.events))
 	}
 	coldSeen := false
-	for i, e := range res.Trace {
-		if e.Processor < 0 || e.Processor >= 8 || e.Stream < 0 || e.Stream >= 8 {
-			t.Fatalf("entry %d out of range: %+v", i, e)
+	for i, e := range rec.events {
+		if e.Proc < 0 || e.Proc >= 8 || e.Stream < 0 || e.Stream >= 8 {
+			t.Fatalf("event %d out of range: %+v", i, e)
 		}
-		if e.Exec < core.PaperCalibration().TWarm-1 {
-			t.Fatalf("entry %d exec %v below warm floor", i, e.Exec)
+		if e.Dur < core.PaperCalibration().TWarm-1 {
+			t.Fatalf("event %d exec %v below warm floor", i, e.Dur)
 		}
-		if i > 0 && e.Start < res.Trace[i-1].Start {
-			t.Fatalf("trace not time-ordered at %d", i)
+		if i > 0 && e.T < rec.events[i-1].T {
+			t.Fatalf("exec_start events not time-ordered at %d", i)
 		}
-		if math.IsInf(e.XRefs, 1) {
+		if math.IsInf(e.Val, 1) {
 			coldSeen = true
 		}
 	}
 	if !coldSeen {
-		t.Fatal("early trace should contain cold starts")
-	}
-}
-
-func TestTraceValidation(t *testing.T) {
-	p := quick(Locking, sched.MRU).WithDefaults()
-	p.TraceN = -1
-	if err := p.Validate(); err == nil {
-		t.Fatal("negative TraceN accepted")
-	}
-	p = quick(Locking, sched.MRU).WithDefaults()
-	p.TargetRelCI = 1.5
-	if err := p.Validate(); err == nil {
-		t.Fatal("TargetRelCI ≥ 1 accepted")
+		t.Fatal("early exec_start events should contain cold starts")
 	}
 }
 

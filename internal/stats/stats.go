@@ -63,29 +63,6 @@ func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 func (a *Accumulator) Min() float64 { return a.min }
 func (a *Accumulator) Max() float64 { return a.max }
 
-// Merge folds b into a (parallel reduction of two accumulators).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	d := b.mean - a.mean
-	mean := a.mean + d*float64(b.n)/float64(n)
-	m2 := a.m2 + b.m2 + d*d*float64(a.n)*float64(b.n)/float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n, a.mean, a.m2 = n, mean, m2
-	a.sum += b.sum
-}
-
 // TimeWeighted integrates a piecewise-constant process (queue length,
 // busy servers) over simulation time.
 type TimeWeighted struct {
@@ -167,15 +144,6 @@ func (b *BatchMeans) HalfWidth() float64 {
 	return tQuantile975(int(k-1)) * b.batches.StdDev() / math.Sqrt(float64(k))
 }
 
-// RelativeHalfWidth returns HalfWidth/|Mean| (∞ when the mean is 0).
-func (b *BatchMeans) RelativeHalfWidth() float64 {
-	m := b.Mean()
-	if m == 0 {
-		return math.Inf(1)
-	}
-	return b.HalfWidth() / math.Abs(m)
-}
-
 // tQuantile975 returns the 0.975 quantile of Student's t with df degrees
 // of freedom (two-sided 95% interval), from a small table with normal
 // tail beyond it.
@@ -204,13 +172,12 @@ func tQuantile975(df int) float64 {
 // Histogram is a fixed-bin histogram over [lo, hi) with overflow and
 // underflow counters, used for packet-delay distributions.
 type Histogram struct {
-	lo, hi    float64
-	bins      []uint64
-	width     float64
-	under     uint64
-	over      uint64
-	total     uint64
-	sampleAcc Accumulator
+	lo, hi float64
+	bins   []uint64
+	width  float64
+	under  uint64
+	over   uint64
+	total  uint64
 }
 
 // NewHistogram covers [lo, hi) with n equal bins.
@@ -224,7 +191,6 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
 	h.total++
-	h.sampleAcc.Add(x)
 	switch {
 	case x < h.lo:
 		h.under++
@@ -237,9 +203,6 @@ func (h *Histogram) Add(x float64) {
 
 // N returns the total number of observations.
 func (h *Histogram) N() uint64 { return h.total }
-
-// Mean returns the exact sample mean (not binned).
-func (h *Histogram) Mean() float64 { return h.sampleAcc.Mean() }
 
 // Quantile returns an estimate of the q-quantile (0 < q < 1) by linear
 // interpolation within the containing bin. Underflow mass is treated as
