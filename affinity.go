@@ -274,8 +274,11 @@ func Run(p Params) Results { return sim.Run(p) }
 // RunLive executes one run on the live goroutine backend: the same
 // dispatch policies and cost model as the DES, but with one worker
 // goroutine per simulated processor contending on real channels and
-// locks under a virtual clock. Results are statistically — not bit —
-// reproducible; see internal/live and DESIGN.md §10.
+// locks under a virtual clock. Where no two events share an instant
+// (Poisson arrivals, for example) its Results equal the DES's bit for
+// bit, EventsFired aside; where events tie, the two backends may order
+// the tie differently and agree statistically. See internal/live and
+// DESIGN.md §10.
 func RunLive(p Params) Results { return live.Run(p) }
 
 // Backend selects an execution engine for RunBackend.
@@ -285,8 +288,8 @@ const (
 	// BackendDES is the sequential discrete-event simulator
 	// (deterministic: same Params+Seed, same Results).
 	BackendDES Backend = iota
-	// BackendLive is the concurrent goroutine backend (statistically
-	// reproducible only).
+	// BackendLive is the concurrent goroutine backend: bit-identical
+	// to the DES on tie-free runs, EventsFired aside (see RunLive).
 	BackendLive
 )
 

@@ -1,7 +1,8 @@
-// Benchmarks: one per reproduced table/figure (regenerating the
-// experiment's rows in quick mode), plus micro-benchmarks for the hot
-// components — the analytic model, the cache simulator, the DES engine,
-// the protocol receive path, and the simulation itself.
+// Benchmarks: one whole experiment (E5, regenerating its rows in quick
+// mode) plus micro-benchmarks for the hot components — the analytic
+// model, the cache simulator, the DES engine, the protocol receive path,
+// and the simulation itself. scripts/benchgate.sh gates a subset; the
+// bench/ module (affinitybench) times the whole suite end to end.
 //
 // Run with: go test -bench=. -benchmem
 package affinity_test
@@ -22,57 +23,21 @@ import (
 	"affinity/internal/xkernel/ip"
 )
 
-// benchExperiment regenerates one experiment's table per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := affinity.ExperimentByID(id)
+// BenchmarkFigE5LockingDelay regenerates E5's table (the paper's Fig 6
+// scenario) per iteration.
+func BenchmarkFigE5LockingDelay(b *testing.B) {
+	e, ok := affinity.ExperimentByID("E5")
 	if !ok {
-		b.Fatalf("unknown experiment %q", id)
+		b.Fatal("unknown experiment E5")
 	}
 	cfg := affinity.ExperimentConfig{Quick: true, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if tbl := e.Run(cfg); len(tbl.Rows) == 0 {
-			b.Fatalf("%s produced no rows", id)
+			b.Fatal("E5 produced no rows")
 		}
 	}
 }
-
-// One benchmark per paper table/figure (see DESIGN.md §4).
-func BenchmarkTableT1Params(b *testing.B)             { benchExperiment(b, "T1") }
-func BenchmarkTableT2Calibration(b *testing.B)        { benchExperiment(b, "T2") }
-func BenchmarkFigE1Footprint(b *testing.B)            { benchExperiment(b, "E1") }
-func BenchmarkFigE2Displacement(b *testing.B)         { benchExperiment(b, "E2") }
-func BenchmarkFigE3ExecTime(b *testing.B)             { benchExperiment(b, "E3") }
-func BenchmarkFigE4Validation(b *testing.B)           { benchExperiment(b, "E4") }
-func BenchmarkFigE5LockingDelay(b *testing.B)         { benchExperiment(b, "E5") }
-func BenchmarkFigE6LockingPolicies(b *testing.B)      { benchExperiment(b, "E6") }
-func BenchmarkFigE7IPSPolicies(b *testing.B)          { benchExperiment(b, "E7") }
-func BenchmarkFigE8LockingReduction(b *testing.B)     { benchExperiment(b, "E8") }
-func BenchmarkFigE9IPSReduction(b *testing.B)         { benchExperiment(b, "E9") }
-func BenchmarkFigE10ParadigmCompare(b *testing.B)     { benchExperiment(b, "E10") }
-func BenchmarkFigE11StreamCapacity(b *testing.B)      { benchExperiment(b, "E11") }
-func BenchmarkFigE12Scalability(b *testing.B)         { benchExperiment(b, "E12") }
-func BenchmarkFigE13Burstiness(b *testing.B)          { benchExperiment(b, "E13") }
-func BenchmarkFigE14StackCount(b *testing.B)          { benchExperiment(b, "E14") }
-func BenchmarkFigE15PacketTrains(b *testing.B)        { benchExperiment(b, "E15") }
-func BenchmarkFigE16DataTouch(b *testing.B)           { benchExperiment(b, "E16") }
-func BenchmarkFigE17SendSide(b *testing.B)            { benchExperiment(b, "E17") }
-func BenchmarkFigE18Hybrid(b *testing.B)              { benchExperiment(b, "E18") }
-func BenchmarkFigE19Ablations(b *testing.B)           { benchExperiment(b, "E19") }
-func BenchmarkFigE20QueueingValidation(b *testing.B)  { benchExperiment(b, "E20") }
-func BenchmarkFigE21TCP(b *testing.B)                 { benchExperiment(b, "E21") }
-func BenchmarkFigE22Heterogeneous(b *testing.B)       { benchExperiment(b, "E22") }
-func BenchmarkFigE23SeedRobustness(b *testing.B)      { benchExperiment(b, "E23") }
-func BenchmarkFigE24PlatformSensitivity(b *testing.B) { benchExperiment(b, "E24") }
-func BenchmarkFigE25DataTouchRate(b *testing.B)       { benchExperiment(b, "E25") }
-func BenchmarkFigE26FaultResilience(b *testing.B)     { benchExperiment(b, "E26") }
-func BenchmarkFigE27BoundedQueues(b *testing.B)       { benchExperiment(b, "E27") }
-func BenchmarkFigE28RecoveryTransient(b *testing.B)   { benchExperiment(b, "E28") }
-func BenchmarkFigE29LiveCrossCheck(b *testing.B)      { benchExperiment(b, "E29") }
-func BenchmarkFigE30Reordering(b *testing.B)          { benchExperiment(b, "E30") }
-func BenchmarkFigE31ZipfSkew(b *testing.B)            { benchExperiment(b, "E31") }
-func BenchmarkFigE32BurstReplay(b *testing.B)         { benchExperiment(b, "E32") }
 
 // --- micro-benchmarks ---
 
@@ -81,6 +46,17 @@ func BenchmarkModelExecTime(b *testing.B) {
 	sum := 0.0
 	for i := 0; i < b.N; i++ {
 		sum += m.ExecTime(float64(i%200000) * 10)
+	}
+	_ = sum
+}
+
+// BenchmarkExecTimeCompiled times the compiled model, the evaluator
+// the simulator calls once per packet.
+func BenchmarkExecTimeCompiled(b *testing.B) {
+	e := core.NewModel().Compile()
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		sum += e.ExecTime(float64(i%200000) * 10)
 	}
 	_ = sum
 }

@@ -45,7 +45,7 @@ var ipsPolicies = map[string]affinity.Policy{
 func main() {
 	var (
 		jsonOut   = flag.Bool("json", false, "emit results as JSON instead of text")
-		backend   = flag.String("backend", "des", "execution backend: des (deterministic discrete-event simulation) | live (real goroutines, statistically reproducible)")
+		backend   = flag.String("backend", "des", "execution backend: des (deterministic discrete-event simulation) | live (real goroutines under a virtual clock; same results as des when no two events share an instant)")
 		paradigm  = flag.String("paradigm", "locking", "parallelization: locking | ips | hybrid")
 		policy    = flag.String("policy", "mru", "locking: fcfs|mru|pools|wired|rss|flowdir|steal[:penalty,depth,bias]; ips: wired|mru|random")
 		streams   = flag.Int("streams", 8, "number of packet streams")

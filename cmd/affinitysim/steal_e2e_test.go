@@ -78,15 +78,15 @@ func TestCLIStealInterior(t *testing.T) {
 func TestCLIStealBadSpecsExitOne(t *testing.T) {
 	cases := [][]string{
 		{"-policy", "steal:bad"},
-		{"-policy", "steal:1,2"},       // two fields
-		{"-policy", "steal:1,2,3,4"},   // four fields
-		{"-policy", "steal:x,0,0"},     // unparseable penalty
-		{"-policy", "steal:0,x,0"},     // unparseable depth
-		{"-policy", "steal:0,0,x"},     // unparseable bias
-		{"-policy", "steal:0,1.5,0"},   // non-integer depth
-		{"-policy", "steal:-5,0,0"},    // negative penalty (Validate)
-		{"-policy", "steal:0,-1,0"},    // negative depth (Validate)
-		{"-policy", "steal:0,0,2"},     // bias outside [0,1] (Validate)
+		{"-policy", "steal:1,2"},                        // two fields
+		{"-policy", "steal:1,2,3,4"},                    // four fields
+		{"-policy", "steal:x,0,0"},                      // unparseable penalty
+		{"-policy", "steal:0,x,0"},                      // unparseable depth
+		{"-policy", "steal:0,0,x"},                      // unparseable bias
+		{"-policy", "steal:0,1.5,0"},                    // non-integer depth
+		{"-policy", "steal:-5,0,0"},                     // negative penalty (Validate)
+		{"-policy", "steal:0,-1,0"},                     // negative depth (Validate)
+		{"-policy", "steal:0,0,2"},                      // bias outside [0,1] (Validate)
 		{"-paradigm", "ips", "-policy", "steal"},        // Locking-only
 		{"-paradigm", "ips", "-policy", "steal:25,2,1"}, // Locking-only
 	}

@@ -8,10 +8,12 @@ import "math"
 // UniqueLines spends most of its time in math.Pow/math.Log10 calls whose
 // arguments depend only on the workload constants and the cache line
 // size — W·L^a and log10(d)·log10(L) are the same numbers every packet.
-// Compile evaluates them once per cache level; what remains per call is
-// exactly the tail of the original expression, evaluated in the same
-// order, so the compiled evaluator is bit-for-bit identical to the
-// interpreted one (TestCompileBitIdentical locks this in). When the L1I
+// Compile evaluates them once per cache level. Per call, each level
+// takes ln(refs) once and feeds it to log10(refs) and to both powers,
+// which otherwise recompute ln(refs) and ln(10) (see powLn). What
+// remains is exactly the tail of the original expression, evaluated in
+// the same order, so the compiled evaluator is bit-for-bit identical to
+// the interpreted one (TestCompileBitIdentical locks this in). When the L1I
 // and L1D configurations coincide — as on the paper's R4400 — the two
 // split-cache halves of F1 are the same computation, so Compile
 // evaluates one and reuses it ((x+x)/2 ≡ x in IEEE arithmetic).
@@ -51,9 +53,15 @@ func compileLevel(w WorkloadParams, cfg CacheConfig) levelExec {
 	}
 }
 
+// ln10 is math.Log(10), the logarithm math.Pow(10, y) recomputes on
+// every call.
+var ln10 = math.Log(10)
+
 // displaced is UniqueLines followed by DisplacedFraction, with the
-// constant factors folded. The remaining operations and their order
-// match the originals exactly.
+// constant factors folded and ln(refs) taken once. The remaining
+// operations and their order match the originals exactly: Log10(refs)
+// is Log(refs)·(1/Ln10), and the two powers are math.Pow given the
+// logarithm of their base (see powLn).
 func (le *levelExec) displaced(refs float64) float64 {
 	if refs <= 0 {
 		return 0
@@ -61,8 +69,9 @@ func (le *levelExec) displaced(refs float64) float64 {
 	if refs < 1 {
 		refs = 1
 	}
-	logR := math.Log10(refs)
-	u := le.c0 * math.Pow(refs, le.b) * math.Pow(10, le.kl*logR)
+	lnR := math.Log(refs)
+	logR := lnR * (1 / math.Ln10)
+	u := le.c0 * powLn(refs, lnR, le.b) * powLn(10, ln10, le.kl*logR)
 	if u > refs {
 		u = refs
 	}
@@ -70,6 +79,64 @@ func (le *levelExec) displaced(refs float64) float64 {
 		return 0
 	}
 	return poissonTail(u/le.sets, le.assoc)
+}
+
+// powLn returns math.Pow(x, y) given lnx = math.Log(x). It runs the
+// steps of Go's pure-Go pow (src/math/pow.go) — Modf(|y|), the
+// yf > 0.5 fold, Exp(yf·ln x), the Frexp square-and-multiply loop for
+// the integer part, the reciprocal for y < 0, Ldexp — with ln x
+// supplied instead of recomputed. Every input pow special-cases (x = 1,
+// x not positive and finite, y ∈ {0, ±0.5, 1, NaN, ±Inf}, |y| ≥ 2⁶³)
+// goes to math.Pow itself.
+//
+// The result is bit-identical to math.Pow wherever math.Pow is that
+// pure-Go pow and math.Log10(x) is math.Log(x)·(1/Ln10): every GOARCH
+// except s390x, which has assembly versions of both.
+// TestPowLnMatchesPow and TestCompileBitIdentical fail on any platform
+// where this does not hold.
+func powLn(x, lnx, y float64) float64 {
+	if x == 1 || !(x > 0) || math.IsInf(x, 1) ||
+		y == 0 || y == 1 || y == 0.5 || y == -0.5 || math.IsNaN(y) || math.IsInf(y, 0) {
+		return math.Pow(x, y)
+	}
+	yi, yf := math.Modf(math.Abs(y))
+	if yi >= 1<<63 {
+		return math.Pow(x, y)
+	}
+
+	// ans = a1 · 2^ae
+	a1 := 1.0
+	ae := 0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = math.Exp(yf * lnx)
+	}
+	x1, xe := math.Frexp(x)
+	for i := int64(yi); i != 0; i >>= 1 {
+		if xe < -1<<12 || 1<<12 < xe {
+			// xe would overflow the shift; Ldexp under/overflows anyway.
+			ae += xe
+			break
+		}
+		if i&1 == 1 {
+			a1 *= x1
+			ae += xe
+		}
+		x1 *= x1
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+	if y < 0 {
+		a1 = 1 / a1
+		ae = -ae
+	}
+	return math.Ldexp(a1, ae)
 }
 
 // Compile returns the compiled evaluator for the model's current

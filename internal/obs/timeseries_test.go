@@ -116,7 +116,7 @@ func TestTimeSeriesEmptyClose(t *testing.T) {
 
 func TestTimeSeriesDefaultsAndGrowth(t *testing.T) {
 	var buf bytes.Buffer
-	ts := NewTimeSeries(&buf, 0, 0) // defaults: 1000 µs, no preallocated procs
+	ts := NewTimeSeries(&buf, 0, 0)                      // defaults: 1000 µs, no preallocated procs
 	ts.Record(Event{T: 10, Kind: KindProcBusy, Proc: 1}) // grows to 2 procs
 	ts.Record(Event{T: 500, Kind: KindProcIdle, Proc: 1, Dur: 490})
 	ts.Record(Event{T: 1500, Kind: KindArrival, Stream: 0, Seq: 1})

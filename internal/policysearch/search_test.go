@@ -154,8 +154,8 @@ func TestMidToward(t *testing.T) {
 	}{
 		{25, -1, 12.5},
 		{25, +1, 62.5},
-		{0, -1, 0},                 // no finite neighbor below
-		{100, +1, 100},             // +Inf neighbor: no midpoint
+		{0, -1, 0},                     // no finite neighbor below
+		{100, +1, 100},                 // +Inf neighbor: no midpoint
 		{math.Inf(1), -1, math.Inf(1)}, // pinned point never moves
 	}
 	for _, c := range cases {

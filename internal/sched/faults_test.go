@@ -148,29 +148,29 @@ func TestThreadPoolsProcDownRehomesWithoutFailback(t *testing.T) {
 }
 
 func TestMRUProcDownForgetsAffinity(t *testing.T) {
-	m := newPD(MRU, 4).(*mru)
+	m := newPD(MRU, 4)
 	m.RanOn(1, 1)
 	m.RanOn(2, 1)
 	m.RanOn(3, 2)
 	m.ProcDown(1)
-	if _, ok := m.mru[1]; ok {
+	if m.PreferredProc(1) != -1 {
 		t.Error("entity 1 affinity to the dead processor survived")
 	}
-	if _, ok := m.mru[2]; ok {
+	if m.PreferredProc(2) != -1 {
 		t.Error("entity 2 affinity to the dead processor survived")
 	}
-	if h, ok := m.mru[3]; !ok || h != 2 {
+	if m.PreferredProc(3) != 2 {
 		t.Error("unrelated affinity was forgotten")
 	}
 
-	s := newSD(IPSMRU, 4, 4).(*mruStacks)
+	s := newSD(IPSMRU, 4, 4)
 	s.RanOn(1, 1)
 	s.RanOn(3, 2)
 	s.ProcDown(1)
-	if _, ok := s.mru[1]; ok {
+	if s.PreferredProc(1) != -1 {
 		t.Error("stack 1 affinity to the dead processor survived")
 	}
-	if h, ok := s.mru[3]; !ok || h != 2 {
+	if s.PreferredProc(3) != 2 {
 		t.Error("unrelated stack affinity was forgotten")
 	}
 }

@@ -222,7 +222,7 @@ func NewPacketDispatcherFull(k Kind, n int, rng *des.RNG, lookahead int, hc Hash
 	case FCFS:
 		return &fcfs{rng: rng}
 	case MRU:
-		return &mru{mru: map[int]int{}, rng: rng, lookahead: lookahead}
+		return &mru{rng: rng, lookahead: lookahead}
 	case ThreadPools:
 		return newPools(n, true, rng)
 	case WiredStreams:
@@ -273,17 +273,49 @@ func (*fcfs) ProcUp(int)   {}
 
 func (*fcfs) PreferredProc(int) int { return -1 }
 
+// lastRan maps each entity to the processor it last ran on, −1 while
+// none is known. Entities are dense indices (streams under Locking,
+// stacks under IPS), so a slice stands in for a map on the per-packet
+// path. It grows on set: the constructors are not told the entity
+// count.
+type lastRan []int
+
+func (t lastRan) get(entity int) int {
+	if uint(entity) < uint(len(t)) {
+		return t[entity]
+	}
+	return -1
+}
+
+func (t *lastRan) set(entity, proc int) {
+	for len(*t) <= entity {
+		*t = append(*t, -1)
+	}
+	(*t)[entity] = proc
+}
+
+// forget drops every entity's memory of proc: a failed processor's
+// cache contents are lost, so steering work back there on recovery
+// would pay the cold-start cost for no benefit.
+func (t lastRan) forget(proc int) {
+	for e, h := range t {
+		if h == proc {
+			t[e] = -1
+		}
+	}
+}
+
 // mru: central FIFO with affinity preference at both decision points.
 type mru struct {
 	affinityCount
 	q         fifo
-	mru       map[int]int // entity → processor it last ran on
+	last      lastRan
 	rng       *des.RNG
 	lookahead int
 }
 
 func (m *mru) PickProcessor(p Packet, idle []int) int {
-	if proc, ok := m.mru[p.Entity]; ok {
+	if proc := m.last.get(p.Entity); proc >= 0 {
 		for _, i := range idle {
 			if i == proc {
 				m.note(true)
@@ -303,8 +335,7 @@ func (m *mru) Dispatch(proc int) (Packet, bool) {
 	// Prefer the oldest packet (within the bounded lookahead) whose
 	// stream has affinity for this processor; fall back to the head.
 	if i := m.q.indexWhereN(m.lookahead, func(p Packet) bool {
-		h, ok := m.mru[p.Entity]
-		return ok && h == proc
+		return m.last.get(p.Entity) == proc
 	}); i >= 0 {
 		m.note(true)
 		return m.q.removeAt(i), true
@@ -312,36 +343,22 @@ func (m *mru) Dispatch(proc int) (Packet, bool) {
 	p, ok := m.q.pop()
 	if ok {
 		// The FIFO head may still happen to be affine.
-		h, known := m.mru[p.Entity]
-		m.note(known && h == proc)
+		m.note(m.last.get(p.Entity) == proc)
 	}
 	return p, ok
 }
 
-func (m *mru) RanOn(entity, proc int) { m.mru[entity] = proc }
+func (m *mru) RanOn(entity, proc int) { m.last.set(entity, proc) }
 func (m *mru) Queued() int            { return m.q.len() }
 
 func (m *mru) DepthFor(Packet) int { return m.q.len() }
 
-// ProcDown forgets every affinity pointing at the failed processor: its
-// cache contents are lost, so steering work back there on recovery
-// would pay the cold-start cost for no benefit.
-func (m *mru) ProcDown(proc int) {
-	for e, h := range m.mru {
-		if h == proc {
-			delete(m.mru, e)
-		}
-	}
-}
+// ProcDown forgets every affinity pointing at the failed processor.
+func (m *mru) ProcDown(proc int) { m.last.forget(proc) }
 
 func (*mru) ProcUp(int) {}
 
-func (m *mru) PreferredProc(entity int) int {
-	if h, ok := m.mru[entity]; ok {
-		return h
-	}
-	return -1
-}
+func (m *mru) PreferredProc(entity int) int { return m.last.get(entity) }
 
 // pools: per-processor queues with a per-stream home. With stealing it
 // is the ThreadPools policy, without it Wired-Streams.

@@ -49,7 +49,7 @@ func NewStackDispatcherLookahead(k Kind, stacks, procs int, rng *des.RNG, lookah
 	case IPSWired:
 		return newWiredStacks(stacks, procs)
 	case IPSMRU:
-		return &mruStacks{mru: map[int]int{}, rng: rng, lookahead: lookahead}
+		return &mruStacks{rng: rng, lookahead: lookahead}
 	case IPSRandom:
 		return &randomStacks{rng: rng}
 	default:
@@ -186,13 +186,13 @@ func (w *wiredStacks) PreferredProc(stack int) int { return w.wire[stack] }
 type mruStacks struct {
 	affinityCount
 	ready     []int
-	mru       map[int]int
+	last      lastRan
 	rng       *des.RNG
 	lookahead int
 }
 
 func (m *mruStacks) PickProcessor(stack int, idle []int) int {
-	if proc, ok := m.mru[stack]; ok {
+	if proc := m.last.get(stack); proc >= 0 {
 		for _, i := range idle {
 			if i == proc {
 				m.note(true)
@@ -215,38 +215,25 @@ func (m *mruStacks) DispatchStack(proc int) int {
 		if i >= m.lookahead {
 			break
 		}
-		if h, ok := m.mru[s]; ok && h == proc {
+		if m.last.get(s) == proc {
 			pick = i
 			break
 		}
 	}
 	s := m.ready[pick]
 	m.ready = append(m.ready[:pick], m.ready[pick+1:]...)
-	h, known := m.mru[s]
-	m.note(known && h == proc)
+	m.note(m.last.get(s) == proc)
 	return s
 }
 
-func (m *mruStacks) RanOn(stack, proc int) { m.mru[stack] = proc }
+func (m *mruStacks) RanOn(stack, proc int) { m.last.set(stack, proc) }
 
-// ProcDown forgets affinities pointing at the failed processor (see
-// mru.ProcDown).
-func (m *mruStacks) ProcDown(proc int) {
-	for s, h := range m.mru {
-		if h == proc {
-			delete(m.mru, s)
-		}
-	}
-}
+// ProcDown forgets affinities pointing at the failed processor.
+func (m *mruStacks) ProcDown(proc int) { m.last.forget(proc) }
 
 func (*mruStacks) ProcUp(int) {}
 
-func (m *mruStacks) PreferredProc(stack int) int {
-	if h, ok := m.mru[stack]; ok {
-		return h
-	}
-	return -1
-}
+func (m *mruStacks) PreferredProc(stack int) int { return m.last.get(stack) }
 
 // randomStacks is the no-affinity IPS baseline: a ready stack is placed
 // on a uniformly random idle processor and dispatched FIFO, with no

@@ -61,7 +61,7 @@ type StealConfig struct {
 
 // steal implements PacketDispatcher for the AffinitySteal family at a
 // finite Penalty: one central arrival-ordered queue plus a last-ran warm
-// map, with the steal gate applied when a processor pulls queued work
+// table, with the steal gate applied when a processor pulls queued work
 // it is not warm on.
 type steal struct {
 	affinityCount
@@ -70,19 +70,19 @@ type steal struct {
 	lookahead int
 	rng       *des.RNG
 	q         fifo
-	warm      map[int]int // entity → processor it last ran on
+	warm      lastRan
 }
 
 func newSteal(rng *des.RNG, lookahead int, sc StealConfig) *steal {
 	if sc.Penalty > 0 && sc.Now == nil {
 		panic("sched: AffinitySteal with a finite non-zero Penalty needs StealConfig.Now")
 	}
-	return &steal{p: sc.StealParams, now: sc.Now, lookahead: lookahead, rng: rng, warm: map[int]int{}}
+	return &steal{p: sc.StealParams, now: sc.Now, lookahead: lookahead, rng: rng}
 }
 
 func (s *steal) PickProcessor(pk Packet, idle []int) int {
 	if s.p.ColdBias > 0 {
-		if proc, ok := s.warm[pk.Entity]; ok {
+		if proc := s.warm.get(pk.Entity); proc >= 0 {
 			for _, i := range idle {
 				if i == proc {
 					// ColdBias = 1 takes the warm processor outright
@@ -122,8 +122,7 @@ func (s *steal) Dispatch(proc int) (Packet, bool) {
 	// lookahead that is warm on this processor — MRU's exact scan.
 	if s.p.ColdBias > 0 {
 		if i := s.q.indexWhereN(s.lookahead, func(pk Packet) bool {
-			h, ok := s.warm[pk.Entity]
-			return ok && h == proc
+			return s.warm.get(pk.Entity) == proc
 		}); i >= 0 {
 			s.note(true)
 			return s.q.removeAt(i), true
@@ -133,10 +132,10 @@ func (s *steal) Dispatch(proc int) (Packet, bool) {
 	// different processor; packets with no warm state anywhere have
 	// nothing to lose by running here.
 	if pk, ok := s.q.peek(); ok {
-		h, known := s.warm[pk.Entity]
-		if !known || h == proc || s.stealAllowed(pk) {
+		h := s.warm.get(pk.Entity)
+		if h < 0 || h == proc || s.stealAllowed(pk) {
 			s.q.pop()
-			s.note(s.p.ColdBias > 0 && known && h == proc)
+			s.note(s.p.ColdBias > 0 && h == proc)
 			return pk, true
 		}
 	}
@@ -147,43 +146,33 @@ func (s *steal) Dispatch(proc int) (Packet, bool) {
 	// always take the head), and removeAt's prefix shift is the price
 	// of preserving arrival order among the packets left behind.
 	if i := s.q.indexWhereN(s.q.len(), func(pk Packet) bool {
-		h, known := s.warm[pk.Entity]
-		return !known || h == proc
+		h := s.warm.get(pk.Entity)
+		return h < 0 || h == proc
 	}); i >= 0 {
 		pk := s.q.removeAt(i)
-		h, known := s.warm[pk.Entity]
-		s.note(s.p.ColdBias > 0 && known && h == proc)
+		s.note(s.p.ColdBias > 0 && s.warm.get(pk.Entity) == proc)
 		return pk, true
 	}
 	return Packet{}, false
 }
 
-func (s *steal) RanOn(entity, proc int) { s.warm[entity] = proc }
+func (s *steal) RanOn(entity, proc int) { s.warm.set(entity, proc) }
 func (s *steal) Queued() int            { return s.q.len() }
 func (s *steal) DepthFor(Packet) int    { return s.q.len() }
 
 // ProcDown forgets warm state pointing at the failed processor (the MRU
 // discipline — its cache contents are lost); nothing else is bound to a
 // processor, so ProcUp has nothing to restore.
-func (s *steal) ProcDown(proc int) {
-	for e, h := range s.warm {
-		if h == proc {
-			delete(s.warm, e)
-		}
-	}
-}
+func (s *steal) ProcDown(proc int) { s.warm.forget(proc) }
 
 func (*steal) ProcUp(int) {}
 
-// PreferredProc mirrors the corner policy's ledger view: the warm map
+// PreferredProc mirrors the corner policy's ledger view: the warm table
 // when the bias prefers warmth, and none at all for the blind
 // ColdBias = 0 family members (FCFS parity).
 func (s *steal) PreferredProc(entity int) int {
 	if s.p.ColdBias == 0 {
 		return -1
 	}
-	if h, ok := s.warm[entity]; ok {
-		return h
-	}
-	return -1
+	return s.warm.get(entity)
 }
