@@ -8,6 +8,7 @@
 package affinity_test
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"affinity/internal/des"
 	"affinity/internal/driver"
 	"affinity/internal/memtrace"
+	"affinity/internal/sched"
 	"affinity/internal/traffic"
 	"affinity/internal/xkernel"
 	"affinity/internal/xkernel/fddi"
@@ -220,5 +222,160 @@ func BenchmarkDecisionLedgerPerPacket(b *testing.B) {
 	b.StopTimer()
 	if res.DecisionsRecorded == 0 {
 		b.Fatal("no decisions recorded")
+	}
+}
+
+// BenchmarkDispatch times one dispatcher event, an arrival or a
+// completion, for every scheduling policy, through the constructors the
+// simulator uses. Each iteration replays the next step of a fixed cycle
+// on 8 processors and 16 streams (16 stacks under IPS): its first half
+// brings three arrivals per completion and builds a backlog about 2000
+// packets deep, its second half drains it. AffinitySteal runs a middle
+// point of its family (Penalty 20 µs, DepthThreshold 8, ColdBias 0.5).
+// One untimed cycle first grows every queue to its working set, so the
+// timed cycles allocate nothing.
+func BenchmarkDispatch(b *testing.B) {
+	const procs, streams = 8, 16
+	steps := dispatchCycle(streams)
+	for k := sched.FCFS; k <= sched.AffinitySteal; k++ {
+		b.Run(k.String(), func(b *testing.B) {
+			r := newDispatchReplay(k, procs, streams)
+			for _, s := range steps {
+				r.step(s)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.step(steps[i%len(steps)])
+			}
+		})
+	}
+}
+
+// dispatchCycle returns the replayed cycle: a stream index is an
+// arrival on that stream, -1 a completion. Arrivals outnumber
+// completions three to one in the first half and one to three in the
+// second, so the cycle ends with the system as it began.
+func dispatchCycle(streams int) []int {
+	rng := des.NewRNG(1)
+	steps := make([]int, 0, 8192)
+	for _, pattern := range [2]string{"aaac", "accc"} {
+		for range 8192 / 2 / len(pattern) {
+			for _, c := range pattern {
+				if c == 'c' {
+					steps = append(steps, -1)
+				} else {
+					steps = append(steps, rng.Intn(streams))
+				}
+			}
+		}
+	}
+	return steps
+}
+
+// dispatchReplay is a minimal host around one dispatcher: it tracks
+// which entity each processor runs and, under IPS, how many packets each
+// stack holds.
+type dispatchReplay struct {
+	pd      sched.PacketDispatcher // Locking kinds
+	sd      sched.StackDispatcher  // IPS kinds
+	on      []int                  // processor → running entity, -1 when idle
+	idle    []int                  // idle processors, ascending
+	pending []int                  // IPS: stack → packets not yet completed
+	cursor  int                    // round-robin choice of the completing processor
+	now     des.Time
+}
+
+func newDispatchReplay(k sched.Kind, procs, streams int) *dispatchReplay {
+	r := &dispatchReplay{on: make([]int, procs), idle: make([]int, 0, procs)}
+	for p := range r.on {
+		r.on[p] = -1
+		r.idle = append(r.idle, p)
+	}
+	if k.ForIPS() {
+		r.sd = sched.NewStackDispatcherLookahead(k, streams, procs, des.NewRNG(1), 4)
+		r.pending = make([]int, streams)
+		return r
+	}
+	steal := sched.StealConfig{
+		StealParams: sched.StealParams{Penalty: 20, DepthThreshold: 8, ColdBias: 0.5},
+		Now:         func() des.Time { return r.now },
+	}
+	r.pd = sched.NewPacketDispatcherFull(k, procs, des.NewRNG(1), 4, sched.HashConfig{}, steal)
+	return r
+}
+
+func (r *dispatchReplay) start(proc, entity int) {
+	r.on[proc] = entity
+	r.idle = slices.DeleteFunc(r.idle, func(q int) bool { return q == proc })
+}
+
+func (r *dispatchReplay) stop(proc int) {
+	r.on[proc] = -1
+	i, _ := slices.BinarySearch(r.idle, proc)
+	r.idle = slices.Insert(r.idle, i, proc)
+}
+
+func (r *dispatchReplay) step(s int) {
+	r.now += 10
+	if s >= 0 {
+		r.arrive(s)
+		return
+	}
+	// Some processor is busy: the cycle never completes more packets
+	// than have arrived, and no policy here leaves every processor idle
+	// while packets wait.
+	for range r.on {
+		r.cursor = (r.cursor + 1) % len(r.on)
+		if r.on[r.cursor] >= 0 {
+			r.complete(r.cursor)
+			return
+		}
+	}
+}
+
+func (r *dispatchReplay) arrive(s int) {
+	if r.sd != nil {
+		if r.pending[s]++; r.pending[s] > 1 {
+			return // already running or ready
+		}
+		if len(r.idle) > 0 {
+			if proc := r.sd.PickProcessor(s, r.idle); proc >= 0 {
+				r.start(proc, s)
+				return
+			}
+		}
+		r.sd.EnqueueStack(s)
+		return
+	}
+	pk := sched.Packet{Stream: s, Entity: s, Arrive: r.now}
+	if len(r.idle) > 0 {
+		if proc := r.pd.PickProcessor(pk, r.idle); proc >= 0 {
+			r.start(proc, s)
+			return
+		}
+	}
+	r.pd.Enqueue(pk)
+}
+
+func (r *dispatchReplay) complete(proc int) {
+	e := r.on[proc]
+	if r.sd != nil {
+		r.sd.RanOn(e, proc)
+		if r.pending[e]--; r.pending[e] > 0 {
+			r.sd.EnqueueStack(e)
+		}
+		if next := r.sd.DispatchStack(proc); next >= 0 {
+			r.on[proc] = next
+		} else {
+			r.stop(proc)
+		}
+		return
+	}
+	r.pd.RanOn(e, proc)
+	if pk, ok := r.pd.Dispatch(proc); ok {
+		r.on[proc] = pk.Entity
+	} else {
+		r.stop(proc)
 	}
 }

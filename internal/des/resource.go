@@ -1,5 +1,7 @@
 package des
 
+import "affinity/internal/fifo"
+
 // Resource is a FIFO-queued resource with a fixed number of units,
 // e.g. a lock (capacity 1). AcquireArg requests are granted in arrival
 // order; a grant runs synchronously, inside the handler whose
@@ -8,41 +10,13 @@ package des
 type Resource struct {
 	capacity int
 	inUse    int
-	waiters  waiterQueue
+	waiters  fifo.Queue[waiter]
 }
 
 // waiter is one queued acquire request.
 type waiter struct {
 	fn  ArgHandler
 	arg any
-}
-
-// waiterQueue is a slice-backed FIFO that recycles its backing array:
-// popped slots are cleared and the head index advances, and the array
-// resets to the front whenever the queue drains, so steady-state
-// acquire/release traffic stops allocating.
-type waiterQueue struct {
-	buf  []waiter
-	head int
-}
-
-func (q *waiterQueue) len() int { return len(q.buf) - q.head }
-
-func (q *waiterQueue) push(w waiter) { q.buf = append(q.buf, w) }
-
-func (q *waiterQueue) pop() waiter {
-	w := q.buf[q.head]
-	q.buf[q.head] = waiter{}
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head > 32 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	return w
 }
 
 // NewResource returns a resource with the given capacity.
@@ -63,7 +37,7 @@ func (r *Resource) AcquireArg(fn ArgHandler, arg any) {
 		fn(arg)
 		return
 	}
-	r.waiters.push(waiter{fn: fn, arg: arg})
+	r.waiters.Push(waiter{fn: fn, arg: arg})
 }
 
 // Release returns one unit, handing it to the longest-waiting acquirer
@@ -72,8 +46,7 @@ func (r *Resource) Release() {
 	if r.inUse == 0 {
 		panic("des: release of idle resource")
 	}
-	if r.waiters.len() > 0 {
-		w := r.waiters.pop()
+	if w, ok := r.waiters.Pop(); ok {
 		w.fn(w.arg)
 		return
 	}

@@ -238,23 +238,38 @@ func TestAllProcessorsDownThenRecovery(t *testing.T) {
 	}
 }
 
-func TestFifoDrainMatching(t *testing.T) {
-	var f fifo
-	for i := 0; i < 6; i++ {
-		f.push(pkt(i))
+// When the last live processor fails, the round-robin or hash can home
+// queued work right back on it. That work must stay queued there and be
+// served on recovery, not spin between queues or be dropped.
+func TestLastProcessorDownKeepsQueuedWork(t *testing.T) {
+	for _, k := range []Kind{WiredStreams, ThreadPools, RSS, FlowDirector} {
+		d := newPD(k, 1)
+		d.PickProcessor(pkt(10), []int{0})
+		for _, s := range []int{10, 11, 10} {
+			d.Enqueue(pkt(s))
+		}
+		d.ProcDown(0)
+		if d.Queued() != 3 {
+			t.Fatalf("%v: Queued = %d after the last processor failed, want 3", k, d.Queued())
+		}
+		d.ProcUp(0)
+		for i, want := range []int{10, 11, 10} {
+			if p, ok := d.Dispatch(0); !ok || p.Stream != want {
+				t.Fatalf("%v: dispatch %d = %+v, %v; want stream %d", k, i, p, ok, want)
+			}
+		}
 	}
-	f.pop() // exercise a non-zero head
-	out := f.drainMatching(func(p Packet) bool { return p.Stream%2 == 0 })
-	if len(out) != 2 || out[0].Stream != 2 || out[1].Stream != 4 {
-		t.Fatalf("drained %+v, want streams 2, 4 in order", out)
+	d := newSD(IPSWired, 2, 1)
+	d.EnqueueStack(1)
+	d.EnqueueStack(0)
+	d.ProcDown(0)
+	if n := queuedStacks(d); n != 2 {
+		t.Fatalf("IPS-Wired: %d ready stacks after the last processor failed, want 2", n)
 	}
-	if f.len() != 3 {
-		t.Fatalf("remaining len = %d, want 3", f.len())
-	}
-	for _, want := range []int{1, 3, 5} {
-		p, ok := f.pop()
-		if !ok || p.Stream != want {
-			t.Fatalf("pop = %+v, %v, want stream %d", p, ok, want)
+	d.ProcUp(0)
+	for _, want := range []int{1, 0} {
+		if got := d.DispatchStack(0); got != want {
+			t.Fatalf("IPS-Wired: DispatchStack = %d, want %d", got, want)
 		}
 	}
 }

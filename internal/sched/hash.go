@@ -1,6 +1,10 @@
 package sched
 
-import "sort"
+import (
+	"sort"
+
+	"affinity/internal/fifo"
+)
 
 // This file implements the NIC-hash dispatch policies. Both model the
 // hardware flow-steering path of a multi-queue NIC: the packet's stream
@@ -66,7 +70,7 @@ const DefaultRebalance = 8
 // hashed implements PacketDispatcher for RSS and FlowDirector.
 type hashed struct {
 	affinityCount
-	queues   []fifo
+	queues   []fifo.Queue[Packet]
 	table    []int       // bucket → processor, mutated by faults and rebalancing
 	canon    []int       // bucket → original processor, the failback target
 	override map[int]int // entity → re-homed processor (FlowDirector only)
@@ -93,7 +97,7 @@ func newHashed(n int, hc HashConfig) *hashed {
 		avail[i] = true
 	}
 	return &hashed{
-		queues: make([]fifo, n), table: table, canon: canon,
+		queues: make([]fifo.Queue[Packet], n), table: table, canon: canon,
 		override: map[int]int{}, avail: avail,
 		rebalance: hc.Rebalance, identity: hc.Identity,
 	}
@@ -140,7 +144,7 @@ func (h *hashed) PickProcessor(pk Packet, idle []int) int {
 	// has backed up past the trigger the flow is re-homed to the
 	// lowest-numbered idle processor. Packets already queued at the old
 	// home stay there — that is the reordering window.
-	if h.rebalance >= 0 && h.queues[home].len() >= h.rebalance {
+	if h.rebalance >= 0 && h.queues[home].Len() >= h.rebalance {
 		target := idle[0]
 		for _, i := range idle[1:] {
 			if i < target {
@@ -159,14 +163,14 @@ func (h *hashed) Enqueue(pk Packet) {
 	// No idle processor anywhere: FlowDirector still samples the queue
 	// depths and re-homes to the least-loaded live core when the gap
 	// has grown past the trigger.
-	if h.rebalance >= 0 && h.queues[home].len() >= h.rebalance {
+	if h.rebalance >= 0 && h.queues[home].Len() >= h.rebalance {
 		if t := h.leastLoaded(home); t >= 0 &&
-			h.queues[home].len()-h.queues[t].len() >= h.rebalance {
+			h.queues[home].Len()-h.queues[t].Len() >= h.rebalance {
 			h.override[pk.Entity] = t
 			home = t
 		}
 	}
-	h.queues[home].push(pk)
+	h.queues[home].Push(pk)
 }
 
 // leastLoaded returns the live processor with the shortest queue
@@ -178,7 +182,7 @@ func (h *hashed) leastLoaded(home int) int {
 		if i == home || !h.avail[i] {
 			continue
 		}
-		if d := h.queues[i].len(); best < 0 || d < depth {
+		if d := h.queues[i].Len(); best < 0 || d < depth {
 			best, depth = i, d
 		}
 	}
@@ -186,7 +190,7 @@ func (h *hashed) leastLoaded(home int) int {
 }
 
 func (h *hashed) Dispatch(proc int) (Packet, bool) {
-	pk, ok := h.queues[proc].pop()
+	pk, ok := h.queues[proc].Pop()
 	if !ok {
 		return Packet{}, false
 	}
@@ -203,18 +207,19 @@ func (*hashed) RanOn(int, int) {}
 func (h *hashed) Queued() int {
 	n := 0
 	for i := range h.queues {
-		n += h.queues[i].len()
+		n += h.queues[i].Len()
 	}
 	return n
 }
 
-func (h *hashed) DepthFor(pk Packet) int { return h.queues[h.homeOf(pk.Entity)].len() }
+func (h *hashed) DepthFor(pk Packet) int { return h.queues[h.homeOf(pk.Entity)].Len() }
 
 // ProcDown rewrites every indirection-table entry (and FlowDirector
 // override) naming the failed processor onto the remaining live ones —
 // round-robin across buckets in ascending order, like a driver
 // rewriting the RSS redirection table — and migrates its queued packets
-// to their new homes in arrival order.
+// to their new homes in arrival order. With no processor left live the
+// table keeps naming proc, and its packets stay where they are.
 func (h *hashed) ProcDown(proc int) {
 	h.avail[proc] = false
 	live := h.liveProcs()
@@ -238,13 +243,14 @@ func (h *hashed) ProcDown(proc int) {
 			next++
 		}
 	}
-	for {
-		pk, ok := h.queues[proc].pop()
-		if !ok {
-			break
+	h.queues[proc].Filter(func(pk Packet) bool {
+		home := h.homeOf(pk.Entity)
+		if home == proc {
+			return true
 		}
-		h.queues[h.homeOf(pk.Entity)].push(pk)
-	}
+		h.queues[home].Push(pk)
+		return false
+	})
 }
 
 // ProcUp restores the processor and fails the table back to its
@@ -268,11 +274,13 @@ func (h *hashed) ProcUp(proc int) {
 		if q == proc {
 			continue
 		}
-		for _, pk := range h.queues[q].drainMatching(func(pk Packet) bool {
-			return h.homeOf(pk.Entity) == proc
-		}) {
-			h.queues[proc].push(pk)
-		}
+		h.queues[q].Filter(func(pk Packet) bool {
+			if h.homeOf(pk.Entity) == proc {
+				h.queues[proc].Push(pk)
+				return false
+			}
+			return true
+		})
 	}
 }
 

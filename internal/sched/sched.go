@@ -28,6 +28,7 @@ import (
 	"sort"
 
 	"affinity/internal/des"
+	"affinity/internal/fifo"
 )
 
 // Packet is the scheduling view of a packet: its stream, its footprint
@@ -245,7 +246,7 @@ func NewPacketDispatcherFull(k Kind, n int, rng *des.RNG, lookahead int, hc Hash
 // fcfs: one central FIFO, no affinity.
 type fcfs struct {
 	affinityCount
-	q   fifo
+	q   fifo.Queue[Packet]
 	rng *des.RNG
 }
 
@@ -253,18 +254,18 @@ func (f *fcfs) PickProcessor(_ Packet, idle []int) int {
 	f.note(false)
 	return idle[f.rng.Intn(len(idle))]
 }
-func (f *fcfs) Enqueue(p Packet) { f.q.push(p) }
+func (f *fcfs) Enqueue(p Packet) { f.q.Push(p) }
 func (f *fcfs) Dispatch(int) (Packet, bool) {
-	p, ok := f.q.pop()
+	p, ok := f.q.Pop()
 	if ok {
 		f.note(false)
 	}
 	return p, ok
 }
 func (*fcfs) RanOn(int, int) {}
-func (f *fcfs) Queued() int  { return f.q.len() }
+func (f *fcfs) Queued() int  { return f.q.Len() }
 
-func (f *fcfs) DepthFor(Packet) int { return f.q.len() }
+func (f *fcfs) DepthFor(Packet) int { return f.q.Len() }
 
 // FCFS has no placement state to degrade: the central queue serves
 // whichever processors remain.
@@ -308,7 +309,7 @@ func (t lastRan) forget(proc int) {
 // mru: central FIFO with affinity preference at both decision points.
 type mru struct {
 	affinityCount
-	q         fifo
+	q         fifo.Queue[Packet]
 	last      lastRan
 	rng       *des.RNG
 	lookahead int
@@ -329,18 +330,18 @@ func (m *mru) PickProcessor(p Packet, idle []int) int {
 	return idle[m.rng.Intn(len(idle))]
 }
 
-func (m *mru) Enqueue(p Packet) { m.q.push(p) }
+func (m *mru) Enqueue(p Packet) { m.q.Push(p) }
 
 func (m *mru) Dispatch(proc int) (Packet, bool) {
 	// Prefer the oldest packet (within the bounded lookahead) whose
 	// stream has affinity for this processor; fall back to the head.
-	if i := m.q.indexWhereN(m.lookahead, func(p Packet) bool {
+	if i := m.q.IndexFunc(m.lookahead, func(p Packet) bool {
 		return m.last.get(p.Entity) == proc
 	}); i >= 0 {
 		m.note(true)
-		return m.q.removeAt(i), true
+		return m.q.RemoveAt(i), true
 	}
-	p, ok := m.q.pop()
+	p, ok := m.q.Pop()
 	if ok {
 		// The FIFO head may still happen to be affine.
 		m.note(m.last.get(p.Entity) == proc)
@@ -349,9 +350,9 @@ func (m *mru) Dispatch(proc int) (Packet, bool) {
 }
 
 func (m *mru) RanOn(entity, proc int) { m.last.set(entity, proc) }
-func (m *mru) Queued() int            { return m.q.len() }
+func (m *mru) Queued() int            { return m.q.Len() }
 
-func (m *mru) DepthFor(Packet) int { return m.q.len() }
+func (m *mru) DepthFor(Packet) int { return m.q.Len() }
 
 // ProcDown forgets every affinity pointing at the failed processor.
 func (m *mru) ProcDown(proc int) { m.last.forget(proc) }
@@ -364,7 +365,7 @@ func (m *mru) PreferredProc(entity int) int { return m.last.get(entity) }
 // is the ThreadPools policy, without it Wired-Streams.
 type pools struct {
 	affinityCount
-	queues   []fifo
+	queues   []fifo.Queue[Packet]
 	home     map[int]int
 	pref     map[int]int // entity → original (pre-fault) home, the failback target
 	avail    []bool
@@ -379,7 +380,7 @@ func newPools(n int, stealing bool, rng *des.RNG) *pools {
 		avail[i] = true
 	}
 	return &pools{
-		queues: make([]fifo, n), home: map[int]int{}, pref: map[int]int{},
+		queues: make([]fifo.Queue[Packet], n), home: map[int]int{}, pref: map[int]int{},
 		avail: avail, stealing: stealing, rng: rng,
 	}
 }
@@ -429,10 +430,10 @@ func (p *pools) PickProcessor(pk Packet, idle []int) int {
 	return -1 // Wired-Streams: wait for the home processor (no decision)
 }
 
-func (p *pools) Enqueue(pk Packet) { p.queues[p.homeOf(pk.Entity)].push(pk) }
+func (p *pools) Enqueue(pk Packet) { p.queues[p.homeOf(pk.Entity)].Push(pk) }
 
 func (p *pools) Dispatch(proc int) (Packet, bool) {
-	if pk, ok := p.queues[proc].pop(); ok {
+	if pk, ok := p.queues[proc].Pop(); ok {
 		// A packet from the processor's own pool is affine (stealing
 		// migrates the home along with the stream, see RanOn).
 		p.note(p.home[pk.Entity] == proc)
@@ -444,7 +445,7 @@ func (p *pools) Dispatch(proc int) (Packet, bool) {
 	// Steal the oldest packet from the longest pool.
 	longest, max := -1, 0
 	for i := range p.queues {
-		if l := p.queues[i].len(); l > max {
+		if l := p.queues[i].Len(); l > max {
 			longest, max = i, l
 		}
 	}
@@ -452,7 +453,7 @@ func (p *pools) Dispatch(proc int) (Packet, bool) {
 		return Packet{}, false
 	}
 	p.note(false)
-	return p.queues[longest].pop()
+	return p.queues[longest].Pop()
 }
 
 func (p *pools) RanOn(entity, proc int) {
@@ -466,17 +467,19 @@ func (p *pools) RanOn(entity, proc int) {
 func (p *pools) Queued() int {
 	n := 0
 	for i := range p.queues {
-		n += p.queues[i].len()
+		n += p.queues[i].Len()
 	}
 	return n
 }
 
-func (p *pools) DepthFor(pk Packet) int { return p.queues[p.homeOf(pk.Entity)].len() }
+func (p *pools) DepthFor(pk Packet) int { return p.queues[p.homeOf(pk.Entity)].Len() }
 
 // ProcDown re-homes every entity bound to the failed processor onto the
 // remaining live ones (round-robin, in ascending entity order — map
 // iteration order is randomized and re-homing must be deterministic)
 // and migrates its queued packets to their new pools in arrival order.
+// With no processor left live, the round-robin can home an entity
+// right back on proc, and its packets stay where they are.
 func (p *pools) ProcDown(proc int) {
 	p.avail[proc] = false
 	var ids []int
@@ -489,13 +492,14 @@ func (p *pools) ProcDown(proc int) {
 	for _, e := range ids {
 		p.home[e] = p.nextAvailHome()
 	}
-	for {
-		pk, ok := p.queues[proc].pop()
-		if !ok {
-			break
+	p.queues[proc].Filter(func(pk Packet) bool {
+		h := p.homeOf(pk.Entity)
+		if h == proc {
+			return true
 		}
-		p.queues[p.homeOf(pk.Entity)].push(pk)
-	}
+		p.queues[h].Push(pk)
+		return false
+	})
 }
 
 // ProcUp restores the processor. Wired-Streams entities originally
@@ -525,11 +529,13 @@ func (p *pools) ProcUp(proc int) {
 		if q == proc {
 			continue
 		}
-		for _, pk := range p.queues[q].drainMatching(func(pk Packet) bool {
-			return p.home[pk.Entity] == proc
-		}) {
-			p.queues[proc].push(pk)
-		}
+		p.queues[q].Filter(func(pk Packet) bool {
+			if p.home[pk.Entity] == proc {
+				p.queues[proc].Push(pk)
+				return false
+			}
+			return true
+		})
 	}
 }
 
@@ -541,99 +547,4 @@ func (p *pools) PreferredProc(entity int) int {
 		return h
 	}
 	return -1
-}
-
-// fifo is a slice-backed FIFO of packets that recycles its backing
-// array: the head index advances on pop (slots cleared so packets don't
-// linger past their dequeue) and the array resets when the queue drains
-// or the dead prefix dominates, so steady-state push/pop traffic stops
-// allocating.
-type fifo struct {
-	items []Packet
-	head  int
-}
-
-func (f *fifo) push(p Packet) { f.items = append(f.items, p) }
-
-// advance drops the head slot, resetting or compacting the backing
-// array when the dead prefix is worth reclaiming.
-func (f *fifo) advance() {
-	f.items[f.head] = Packet{}
-	f.head++
-	if f.head == len(f.items) {
-		f.items = f.items[:0]
-		f.head = 0
-	} else if f.head > 64 && f.head*2 >= len(f.items) {
-		n := copy(f.items, f.items[f.head:])
-		f.items = f.items[:n]
-		f.head = 0
-	}
-}
-
-func (f *fifo) pop() (Packet, bool) {
-	if f.head == len(f.items) {
-		return Packet{}, false
-	}
-	p := f.items[f.head]
-	f.advance()
-	return p, true
-}
-
-func (f *fifo) len() int { return len(f.items) - f.head }
-
-// peek returns the head packet without removing it.
-func (f *fifo) peek() (Packet, bool) {
-	if f.head == len(f.items) {
-		return Packet{}, false
-	}
-	return f.items[f.head], true
-}
-
-// indexWhereN returns the position (0 = head) of the first packet among
-// the first n that satisfies pred, or -1.
-func (f *fifo) indexWhereN(n int, pred func(Packet) bool) int {
-	for i, p := range f.items[f.head:] {
-		if i >= n {
-			break
-		}
-		if pred(p) {
-			return i
-		}
-	}
-	return -1
-}
-
-// drainMatching removes every queued packet satisfying pred, preserving
-// FIFO order among both the removed and the remaining packets, and
-// returns the removed ones. Only fault transitions call it, so the
-// allocation is off the hot path.
-func (f *fifo) drainMatching(pred func(Packet) bool) []Packet {
-	var out []Packet
-	kept := f.items[f.head:f.head]
-	for _, p := range f.items[f.head:] {
-		if pred(p) {
-			out = append(out, p)
-		} else {
-			kept = append(kept, p)
-		}
-	}
-	tail := f.head + len(kept)
-	for i := tail; i < len(f.items); i++ {
-		f.items[i] = Packet{}
-	}
-	f.items = f.items[:tail]
-	return out
-}
-
-// removeAt removes and returns the packet at position i (0 = head). The
-// index always lies within the dispatch lookahead window, so shifting
-// the short prefix right keeps this O(lookahead) even when the queue is
-// very long (an overloaded run can hold hundreds of thousands of
-// packets).
-func (f *fifo) removeAt(i int) Packet {
-	j := f.head + i
-	p := f.items[j]
-	copy(f.items[f.head+1:j+1], f.items[f.head:j])
-	f.advance()
-	return p
 }

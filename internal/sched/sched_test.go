@@ -21,14 +21,14 @@ func queuedStacks(d StackDispatcher) int {
 	switch d := d.(type) {
 	case *wiredStacks:
 		n := 0
-		for _, q := range d.runq {
-			n += len(q)
+		for i := range d.runq {
+			n += d.runq[i].Len()
 		}
 		return n
 	case *mruStacks:
-		return len(d.ready)
+		return d.ready.Len()
 	case *randomStacks:
-		return len(d.ready)
+		return d.ready.Len()
 	}
 	panic("unknown stack dispatcher")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"affinity/internal/des"
+	"affinity/internal/fifo"
 )
 
 // StackDispatcher is the IPS-paradigm scheduling interface. The
@@ -66,7 +67,7 @@ type wiredStacks struct {
 	wire  []int // current wiring (fault re-homing moves it)
 	wire0 []int // original wiring, the failback target
 	avail []bool
-	runq  [][]int
+	runq  []fifo.Queue[int]
 	next  int // round-robin cursor for fault re-homing
 }
 
@@ -75,7 +76,7 @@ func newWiredStacks(stacks, procs int) *wiredStacks {
 		wire:  make([]int, stacks),
 		wire0: make([]int, stacks),
 		avail: make([]bool, procs),
-		runq:  make([][]int, procs),
+		runq:  make([]fifo.Queue[int], procs),
 	}
 	for s := range w.wire {
 		w.wire[s] = s % procs
@@ -98,17 +99,13 @@ func (w *wiredStacks) PickProcessor(stack int, idle []int) int {
 	return -1 // wired: wait for the home processor (no decision)
 }
 
-func (w *wiredStacks) EnqueueStack(stack int) {
-	home := w.wire[stack]
-	w.runq[home] = append(w.runq[home], stack)
-}
+func (w *wiredStacks) EnqueueStack(stack int) { w.runq[w.wire[stack]].Push(stack) }
 
 func (w *wiredStacks) DispatchStack(proc int) int {
-	if len(w.runq[proc]) == 0 {
+	s, ok := w.runq[proc].Pop()
+	if !ok {
 		return -1
 	}
-	s := w.runq[proc][0]
-	w.runq[proc] = w.runq[proc][1:]
 	w.note(true) // a wired run queue only ever holds home stacks
 	return s
 }
@@ -134,7 +131,9 @@ func (w *wiredStacks) nextAvail() int {
 
 // ProcDown re-wires the failed processor's stacks onto live processors
 // (round-robin, ascending stack order) and moves its ready queue to the
-// new homes preserving queue order.
+// new homes preserving queue order. With no processor left live, the
+// round-robin can wire a stack right back to proc, and it stays queued
+// there.
 func (w *wiredStacks) ProcDown(proc int) {
 	w.avail[proc] = false
 	for s := range w.wire {
@@ -142,10 +141,13 @@ func (w *wiredStacks) ProcDown(proc int) {
 			w.wire[s] = w.nextAvail()
 		}
 	}
-	for _, s := range w.runq[proc] {
-		w.runq[w.wire[s]] = append(w.runq[w.wire[s]], s)
-	}
-	w.runq[proc] = w.runq[proc][:0]
+	w.runq[proc].Filter(func(s int) bool {
+		if w.wire[s] == proc {
+			return true
+		}
+		w.runq[w.wire[s]].Push(s)
+		return false
+	})
 }
 
 // ProcUp wires the processor's original stacks back and pulls their
@@ -166,15 +168,13 @@ func (w *wiredStacks) ProcUp(proc int) {
 		if q == proc {
 			continue
 		}
-		kept := w.runq[q][:0]
-		for _, s := range w.runq[q] {
+		w.runq[q].Filter(func(s int) bool {
 			if w.wire[s] == proc {
-				w.runq[proc] = append(w.runq[proc], s)
-			} else {
-				kept = append(kept, s)
+				w.runq[proc].Push(s)
+				return false
 			}
-		}
-		w.runq[q] = kept
+			return true
+		})
 	}
 }
 
@@ -185,7 +185,7 @@ func (w *wiredStacks) PreferredProc(stack int) int { return w.wire[stack] }
 // with affinity for it.
 type mruStacks struct {
 	affinityCount
-	ready     []int
+	ready     fifo.Queue[int]
 	last      lastRan
 	rng       *des.RNG
 	lookahead int
@@ -204,24 +204,16 @@ func (m *mruStacks) PickProcessor(stack int, idle []int) int {
 	return idle[m.rng.Intn(len(idle))]
 }
 
-func (m *mruStacks) EnqueueStack(stack int) { m.ready = append(m.ready, stack) }
+func (m *mruStacks) EnqueueStack(stack int) { m.ready.Push(stack) }
 
 func (m *mruStacks) DispatchStack(proc int) int {
-	if len(m.ready) == 0 {
+	if m.ready.Len() == 0 {
 		return -1
 	}
-	pick := 0
-	for i, s := range m.ready {
-		if i >= m.lookahead {
-			break
-		}
-		if m.last.get(s) == proc {
-			pick = i
-			break
-		}
-	}
-	s := m.ready[pick]
-	m.ready = append(m.ready[:pick], m.ready[pick+1:]...)
+	pick := max(m.ready.IndexFunc(m.lookahead, func(s int) bool {
+		return m.last.get(s) == proc
+	}), 0)
+	s := m.ready.RemoveAt(pick)
 	m.note(m.last.get(s) == proc)
 	return s
 }
@@ -241,7 +233,7 @@ func (m *mruStacks) PreferredProc(stack int) int { return m.last.get(stack) }
 // against it in the reduction experiments.
 type randomStacks struct {
 	affinityCount
-	ready []int
+	ready fifo.Queue[int]
 	rng   *des.RNG
 }
 
@@ -250,14 +242,13 @@ func (r *randomStacks) PickProcessor(_ int, idle []int) int {
 	return idle[r.rng.Intn(len(idle))]
 }
 
-func (r *randomStacks) EnqueueStack(stack int) { r.ready = append(r.ready, stack) }
+func (r *randomStacks) EnqueueStack(stack int) { r.ready.Push(stack) }
 
 func (r *randomStacks) DispatchStack(int) int {
-	if len(r.ready) == 0 {
+	s, ok := r.ready.Pop()
+	if !ok {
 		return -1
 	}
-	s := r.ready[0]
-	r.ready = r.ready[1:]
 	r.note(false)
 	return s
 }

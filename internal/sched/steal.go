@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"affinity/internal/des"
+	"affinity/internal/fifo"
 )
 
 // This file implements the AffinitySteal policy family: a work-stealing
@@ -69,7 +70,7 @@ type steal struct {
 	now       func() des.Time
 	lookahead int
 	rng       *des.RNG
-	q         fifo
+	q         fifo.Queue[Packet]
 	warm      lastRan
 }
 
@@ -101,14 +102,14 @@ func (s *steal) PickProcessor(pk Packet, idle []int) int {
 	return idle[s.rng.Intn(len(idle))]
 }
 
-func (s *steal) Enqueue(pk Packet) { s.q.push(pk) }
+func (s *steal) Enqueue(pk Packet) { s.q.Push(pk) }
 
 // stealAllowed is the family's gate: a processor the packet is not warm
 // on may take it only when the backlog has reached DepthThreshold and
 // the packet has aged past Penalty. Both corners (Penalty = 0,
 // DepthThreshold = 0) short-circuit before touching the clock.
 func (s *steal) stealAllowed(pk Packet) bool {
-	if s.q.len() < s.p.DepthThreshold {
+	if s.q.Len() < s.p.DepthThreshold {
 		return false
 	}
 	if s.p.Penalty == 0 {
@@ -121,20 +122,21 @@ func (s *steal) Dispatch(proc int) (Packet, bool) {
 	// Warm preference first: the oldest packet within the bounded
 	// lookahead that is warm on this processor — MRU's exact scan.
 	if s.p.ColdBias > 0 {
-		if i := s.q.indexWhereN(s.lookahead, func(pk Packet) bool {
+		if i := s.q.IndexFunc(s.lookahead, func(pk Packet) bool {
 			return s.warm.get(pk.Entity) == proc
 		}); i >= 0 {
 			s.note(true)
-			return s.q.removeAt(i), true
+			return s.q.RemoveAt(i), true
 		}
 	}
 	// The head: taking it is a steal only when it is warm on a
 	// different processor; packets with no warm state anywhere have
 	// nothing to lose by running here.
-	if pk, ok := s.q.peek(); ok {
+	if s.q.Len() > 0 {
+		pk := s.q.Front()
 		h := s.warm.get(pk.Entity)
 		if h < 0 || h == proc || s.stealAllowed(pk) {
-			s.q.pop()
+			s.q.Pop()
 			s.note(s.p.ColdBias > 0 && h == proc)
 			return pk, true
 		}
@@ -143,13 +145,13 @@ func (s *steal) Dispatch(proc int) (Packet, bool) {
 	// processor may still serve the oldest packet that is warm here (or
 	// warm nowhere) rather than idle past work it owns. The scan is
 	// unbounded — it runs only on middle family points (the corners
-	// always take the head), and removeAt's prefix shift is the price
+	// always take the head), and RemoveAt's prefix shift is the price
 	// of preserving arrival order among the packets left behind.
-	if i := s.q.indexWhereN(s.q.len(), func(pk Packet) bool {
+	if i := s.q.IndexFunc(s.q.Len(), func(pk Packet) bool {
 		h := s.warm.get(pk.Entity)
 		return h < 0 || h == proc
 	}); i >= 0 {
-		pk := s.q.removeAt(i)
+		pk := s.q.RemoveAt(i)
 		s.note(s.p.ColdBias > 0 && s.warm.get(pk.Entity) == proc)
 		return pk, true
 	}
@@ -157,8 +159,8 @@ func (s *steal) Dispatch(proc int) (Packet, bool) {
 }
 
 func (s *steal) RanOn(entity, proc int) { s.warm.set(entity, proc) }
-func (s *steal) Queued() int            { return s.q.len() }
-func (s *steal) DepthFor(Packet) int    { return s.q.len() }
+func (s *steal) Queued() int            { return s.q.Len() }
+func (s *steal) DepthFor(Packet) int    { return s.q.Len() }
 
 // ProcDown forgets warm state pointing at the failed processor (the MRU
 // discipline — its cache contents are lost); nothing else is bound to a

@@ -7,6 +7,7 @@ import (
 	"affinity/internal/core"
 	"affinity/internal/des"
 	"affinity/internal/faults"
+	"affinity/internal/fifo"
 	"affinity/internal/obs"
 	"affinity/internal/sched"
 	"affinity/internal/stats"
@@ -28,8 +29,8 @@ import (
 // A Host is not safe for concurrent use; the live backend drives it
 // under its dispatch mutex. The packet lifecycle is allocation-free in
 // steady state: displacement marks are flat slices indexed by entity,
-// every queue recycles its backing array, and a Job travels to the
-// backend by value. TestRunnerSteadyStateZeroAllocs pins this on the
+// every queue reuses its blocks (internal/fifo), and a Job travels to
+// the backend by value. TestRunnerSteadyStateZeroAllocs pins this on the
 // DES with recorders disabled.
 type Host struct {
 	p    Params
@@ -55,10 +56,10 @@ type Host struct {
 
 	procs       []procState
 	stacks      []stackState
-	overflow    pktQueue // Hybrid: packets spilled to the shared path
-	rng         *des.RNG // Hybrid overflow placement
-	lastProcOf  []int    // entity → processor of previous completion, -1 unknown
-	idleScratch []int    // reused by idleProcs
+	overflow    fifo.Queue[sched.Packet] // Hybrid: packets spilled to the shared path
+	rng         *des.RNG                 // Hybrid overflow placement
+	lastProcOf  []int                    // entity → processor of previous completion, -1 unknown
+	idleScratch []int                    // reused by idleProcs
 
 	delays    *stats.BatchMeans
 	delayAcc  stats.Accumulator
@@ -196,36 +197,9 @@ type procState struct {
 
 // stackState tracks one IPS stack.
 type stackState struct {
-	q       pktQueue
+	q       fifo.Queue[sched.Packet]
 	running bool
 	queued  bool
-}
-
-// pktQueue is a slice-backed packet FIFO that recycles its backing
-// array: the head index advances on pop and the array resets when the
-// queue drains (or the dead prefix dominates), so steady-state
-// enqueue/dequeue traffic stops allocating.
-type pktQueue struct {
-	buf  []sched.Packet
-	head int
-}
-
-func (q *pktQueue) len() int            { return len(q.buf) - q.head }
-func (q *pktQueue) front() sched.Packet { return q.buf[q.head] }
-func (q *pktQueue) push(p sched.Packet) { q.buf = append(q.buf, p) }
-func (q *pktQueue) pop() sched.Packet {
-	p := q.buf[q.head]
-	q.buf[q.head] = sched.Packet{}
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	return p
 }
 
 // NewHost builds the host core for p, which must already have been
@@ -433,7 +407,7 @@ func (h *Host) SampleGauges() {
 	h.emit(obs.Event{T: t, Kind: obs.KindGaugeDispProto, Proc: -1, Stream: -1, Entity: -1, Val: dProto})
 	if h.p.Paradigm == Hybrid {
 		h.emit(obs.Event{T: t, Kind: obs.KindGaugeOverflow, Proc: -1, Stream: -1, Entity: -1,
-			Val: float64(h.overflow.len())})
+			Val: float64(h.overflow.Len())})
 	}
 }
 
@@ -515,7 +489,7 @@ func (h *Host) Arrive(now des.Time, stream int) {
 	// stack is placed on a processor or queued.
 	k := pkt.Entity
 	st := &h.stacks[k]
-	if h.p.Paradigm == Hybrid && (st.running || st.queued) && st.q.len() >= h.p.HybridOverflow {
+	if h.p.Paradigm == Hybrid && (st.running || st.queued) && st.q.Len() >= h.p.HybridOverflow {
 		// The stack is backed up: spill to the shared locking path,
 		// which any idle processor may serve concurrently.
 		if idle := h.idleProcs(); len(idle) > 0 {
@@ -531,7 +505,7 @@ func (h *Host) Arrive(now des.Time, stream int) {
 			h.beginService(pkt, proc, true, true, compOverflow)
 			return
 		}
-		if h.p.MaxQueueDepth > 0 && h.overflow.len() >= h.p.MaxQueueDepth {
+		if h.p.MaxQueueDepth > 0 && h.overflow.Len() >= h.p.MaxQueueDepth {
 			h.drop(pkt, obs.DropReasonQueue)
 			return
 		}
@@ -541,11 +515,11 @@ func (h *Host) Arrive(now des.Time, stream int) {
 				Proc: -1, Stream: pkt.Stream, Entity: pkt.Entity, Seq: pkt.Seq})
 		}
 		h.enqueued(pkt)
-		h.overflow.push(pkt)
+		h.overflow.Push(pkt)
 		return
 	}
 	if h.p.MaxQueueDepth > 0 {
-		waiting := st.q.len()
+		waiting := st.q.Len()
 		if st.running {
 			waiting-- // the head is in service, not waiting
 		}
@@ -554,7 +528,7 @@ func (h *Host) Arrive(now des.Time, stream int) {
 			return
 		}
 	}
-	st.q.push(pkt)
+	st.q.Push(pkt)
 	if st.running || st.queued {
 		h.enqueued(pkt)
 		return
@@ -669,13 +643,13 @@ func (h *Host) kickIdle() {
 		if next := h.sdisp.DispatchStack(proc); next >= 0 {
 			h.stacks[next].queued = false
 			if h.drec != nil || h.over != nil {
-				h.choseDispatch(h.stacks[next].q.front(), proc)
+				h.choseDispatch(h.stacks[next].q.Front(), proc)
 			}
 			h.startStack(next, proc, true)
 			continue
 		}
-		if h.p.Paradigm == Hybrid && h.overflow.len() > 0 {
-			pkt := h.overflow.pop()
+		if h.p.Paradigm == Hybrid && h.overflow.Len() > 0 {
+			pkt, _ := h.overflow.Pop()
 			if h.drec != nil || h.over != nil {
 				h.choseDispatch(pkt, proc)
 			}
@@ -947,13 +921,13 @@ func (h *Host) dispatchHybrid(proc int) {
 	if next := h.sdisp.DispatchStack(proc); next >= 0 {
 		h.stacks[next].queued = false
 		if h.drec != nil || h.over != nil {
-			h.choseDispatch(h.stacks[next].q.front(), proc)
+			h.choseDispatch(h.stacks[next].q.Front(), proc)
 		}
 		h.startStack(next, proc, false)
 		return
 	}
-	if h.overflow.len() > 0 {
-		pkt := h.overflow.pop()
+	if h.overflow.Len() > 0 {
+		pkt, _ := h.overflow.Pop()
 		if h.drec != nil || h.over != nil {
 			h.choseDispatch(pkt, proc)
 		}
@@ -967,13 +941,13 @@ func (h *Host) completeIPS(pkt sched.Packet, proc int, protoExec float64) {
 	h.settleCompletion(pkt, proc, protoExec)
 	k := pkt.Entity
 	st := &h.stacks[k]
-	st.q.pop()
+	st.q.Pop()
 	if h.procs[proc].down {
 		// The drain is complete: the stack rejoins the ready queue (its
 		// new wire after re-homing) if it still has work, and the
 		// processor parks.
 		st.running = false
-		if st.q.len() > 0 {
+		if st.q.Len() > 0 {
 			st.queued = true
 			h.sdisp.EnqueueStack(k)
 		}
@@ -981,7 +955,7 @@ func (h *Host) completeIPS(pkt sched.Packet, proc int, protoExec float64) {
 		h.kickIdle()
 		return
 	}
-	if st.q.len() > 0 {
+	if st.q.Len() > 0 {
 		// The stack still has work, but packet-level fairness applies:
 		// if another ready stack is waiting for this processor, yield
 		// to it and rejoin the ready queue; otherwise keep running.
@@ -991,14 +965,14 @@ func (h *Host) completeIPS(pkt sched.Packet, proc int, protoExec float64) {
 			h.sdisp.EnqueueStack(k)
 			h.stacks[next].queued = false
 			if h.drec != nil || h.over != nil {
-				h.choseDispatch(h.stacks[next].q.front(), proc)
+				h.choseDispatch(h.stacks[next].q.Front(), proc)
 			}
 			h.startStack(next, proc, false)
 			return
 		}
 		// Continuing the same stack on the same processor is not a
 		// decision: there was no alternative to weigh.
-		h.beginService(st.q.front(), proc, false, false, compIPS)
+		h.beginService(st.q.Front(), proc, false, false, compIPS)
 		return
 	}
 	st.running = false
@@ -1009,7 +983,7 @@ func (h *Host) completeIPS(pkt sched.Packet, proc int, protoExec float64) {
 	if next := h.sdisp.DispatchStack(proc); next >= 0 {
 		h.stacks[next].queued = false
 		if h.drec != nil || h.over != nil {
-			h.choseDispatch(h.stacks[next].q.front(), proc)
+			h.choseDispatch(h.stacks[next].q.Front(), proc)
 		}
 		h.startStack(next, proc, false)
 		return
@@ -1019,21 +993,21 @@ func (h *Host) completeIPS(pkt sched.Packet, proc int, protoExec float64) {
 
 func (h *Host) startStack(k, proc int, fromIdle bool) {
 	st := &h.stacks[k]
-	if st.q.len() == 0 {
+	if st.q.Len() == 0 {
 		panic("sim: started an empty stack")
 	}
 	st.running = true
 	st.queued = false
-	h.beginService(st.q.front(), proc, fromIdle, false, compIPS)
+	h.beginService(st.q.Front(), proc, fromIdle, false, compIPS)
 }
 
 func (h *Host) queuedPackets() int {
 	if h.p.Paradigm == Locking {
 		return h.disp.Queued()
 	}
-	n := h.overflow.len()
+	n := h.overflow.Len()
 	for i := range h.stacks {
-		q := h.stacks[i].q.len()
+		q := h.stacks[i].q.Len()
 		if h.stacks[i].running && q > 0 {
 			q-- // the head is in service, not waiting
 		}

@@ -3,7 +3,9 @@ package sim
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"affinity/internal/core"
 	"affinity/internal/des"
@@ -179,13 +181,21 @@ func TestRunnerSteadyStateZeroAllocs(t *testing.T) {
 		name     string
 		paradigm Paradigm
 		policy   sched.Kind
+		stacks   int // > 0: this many streams and stacks at 1500 pkt/s each
 	}{
-		{"locking-mru", Locking, sched.MRU},
-		{"ips-wired", IPS, sched.IPSWired},
+		{"locking-mru", Locking, sched.MRU, 0},
+		{"ips-wired", IPS, sched.IPSWired, 0},
+		// Twice as many stacks as processors keeps the ready queues busy.
+		{"ips-wired-16-stacks", IPS, sched.IPSWired, 16},
+		{"ips-random-16-stacks", IPS, sched.IPSRandom, 16},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := quick(c.paradigm, c.policy)
 			p.Arrival = traffic.Poisson{PacketsPerSec: 3000}
+			if c.stacks > 0 {
+				p.Streams, p.Stacks = c.stacks, c.stacks
+				p.Arrival = traffic.Poisson{PacketsPerSec: 1500}
+			}
 			p.MeasuredPackets = 1 << 30 // never stop
 			p = p.WithDefaults()
 			if err := p.Validate(); err != nil {
@@ -208,6 +218,47 @@ func TestRunnerSteadyStateZeroAllocs(t *testing.T) {
 				t.Errorf("%v allocs per 2000 events in steady state, want 0", got)
 			}
 		})
+	}
+}
+
+// TestBacklogMemoryTracksQueue runs E10's saturated capacity probes for
+// 1 s of simulated time. The bytes a run allocates must stay near what
+// its final backlog occupies: growing a queue may not copy the packets
+// already in it or leave its earlier storage behind as garbage. The
+// test reads TotalAlloc, so it must not run in parallel.
+func TestBacklogMemoryTracksQueue(t *testing.T) {
+	const (
+		slack     = 1.25    // block rounding and the partly filled tail block
+		allowance = 1 << 20 // per-run state that does not scale with the backlog
+	)
+	for _, c := range []struct {
+		paradigm Paradigm
+		policy   sched.Kind
+	}{
+		{Locking, sched.WiredStreams},
+		{IPS, sched.IPSWired},
+	} {
+		p := Params{
+			Paradigm: c.paradigm, Policy: c.policy, Streams: 16,
+			Arrival: traffic.Poisson{PacketsPerSec: 8000},
+			MaxTime: des.Second, MeasuredPackets: 1 << 30, Seed: 1,
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res := Run(p)
+		runtime.ReadMemStats(&after)
+		backlog := float64(res.QueueAtEnd) * float64(unsafe.Sizeof(sched.Packet{}))
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%v: %d packets queued at the end (%.1f MiB), %.1f MiB allocated",
+			c.paradigm, res.QueueAtEnd, backlog/(1<<20), float64(got)/(1<<20))
+		if res.QueueAtEnd < 50_000 {
+			t.Fatalf("%v: only %d packets queued at the end; the probe no longer saturates", c.paradigm, res.QueueAtEnd)
+		}
+		if limit := slack*backlog + allowance; float64(got) > limit {
+			t.Errorf("%v: run allocated %.1f MiB for a %.1f MiB backlog, want at most %.1f MiB",
+				c.paradigm, float64(got)/(1<<20), backlog/(1<<20), limit/(1<<20))
+		}
 	}
 }
 

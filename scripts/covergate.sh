@@ -11,9 +11,11 @@
 # RNG substreams every simulation runs on, whose event-order and
 # determinism guarantees rest on their unit and fuzz tests),
 # internal/topo (the NUMA topology model, whose flat-machine no-op
-# contract is what keeps every pre-topology golden valid) and
+# contract is what keeps every pre-topology golden valid),
 # internal/policysearch (the counterfactual replay engine, whose
-# zero-perturbation identity licenses every substituted replay). The
+# zero-perturbation identity licenses every substituted replay) and
+# internal/fifo (the block queue behind every simulator queue, whose
+# order and memory bounds rest on its model test and fuzzer). The
 # profile is written to $COVER_OUT (default cover.out) for CI to
 # upload as an artifact.
 #
@@ -33,15 +35,15 @@ out=${COVER_OUT:-cover.out}
 strict=${COVERGATE_STRICT:-0}
 
 # package → minimum statement coverage, percent
-floors='affinity/internal/sched=90 affinity/internal/live=85 affinity/internal/obs=90 affinity/internal/des=85 affinity/internal/topo=85 affinity/internal/policysearch=85'
+floors='affinity/internal/sched=90 affinity/internal/live=85 affinity/internal/obs=90 affinity/internal/des=85 affinity/internal/topo=85 affinity/internal/policysearch=85 affinity/internal/fifo=95'
 
 repo_root=$(git rev-parse --show-toplevel)
 cd "$repo_root"
 
 echo "covergate: running tests with -coverprofile=$out"
 go test -count=1 -coverprofile="$out" \
-    -coverpkg=./internal/sched/...,./internal/live/...,./internal/obs/...,./internal/des/...,./internal/topo/...,./internal/policysearch/... \
-    ./internal/sched/... ./internal/live/... ./internal/obs/... ./internal/des/... ./internal/topo/... ./internal/policysearch/...
+    -coverpkg=./internal/sched/...,./internal/live/...,./internal/obs/...,./internal/des/...,./internal/topo/...,./internal/policysearch/...,./internal/fifo/... \
+    ./internal/sched/... ./internal/live/... ./internal/obs/... ./internal/des/... ./internal/topo/... ./internal/policysearch/... ./internal/fifo/...
 
 # Aggregate the profile per package. Blocks can appear once per test
 # binary (each -coverpkg binary reports every package), so a block
