@@ -17,11 +17,9 @@
 //     (internal/traffic) and a displacing non-protocol workload
 //     (internal/workload).
 //   - The calibration pipeline (internal/calib): a trace-driven cache
-//     simulator (internal/cachesim) replaying protocol reference traces
-//     (internal/memtrace) to regenerate the paper's measured packet
-//     times.
-//   - The executable x-kernel-style UDP/IP/FDDI receive path
-//     (internal/xkernel, internal/driver).
+//     simulator (internal/cachesim) replaying synthetic protocol
+//     reference traces (internal/memtrace) to regenerate the paper's
+//     measured packet times.
 //   - The experiment suite (internal/exp): one experiment per paper
 //     table/figure; see DESIGN.md and EXPERIMENTS.md.
 //

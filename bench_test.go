@@ -1,7 +1,7 @@
 // Benchmarks: one whole experiment (E5, regenerating its rows in quick
 // mode) plus micro-benchmarks for the hot components — the analytic
-// model, the cache simulator, the DES engine, the protocol receive path,
-// and the simulation itself. scripts/benchgate.sh gates a subset; the
+// model, the cache simulator, the DES engine, the dispatchers and the
+// simulation itself. scripts/benchgate.sh gates a subset; the
 // bench/ module (affinitybench) times the whole suite end to end.
 //
 // Run with: go test -bench=. -benchmem
@@ -16,13 +16,9 @@ import (
 	"affinity/internal/cachesim"
 	"affinity/internal/core"
 	"affinity/internal/des"
-	"affinity/internal/driver"
 	"affinity/internal/memtrace"
 	"affinity/internal/sched"
 	"affinity/internal/traffic"
-	"affinity/internal/xkernel"
-	"affinity/internal/xkernel/fddi"
-	"affinity/internal/xkernel/ip"
 )
 
 // BenchmarkFigE5LockingDelay regenerates E5's table (the paper's Fig 6
@@ -107,38 +103,6 @@ func BenchmarkDESScheduleFire(b *testing.B) {
 }
 
 func noopEvent(any) {}
-
-func BenchmarkProtocolDemuxSmallPacket(b *testing.B) {
-	host := driver.NewStack(driver.Config{
-		MAC:            fddi.Addr{0x02, 0, 0, 0, 0, 0x01},
-		Addr:           ip.MustParse(10, 0, 0, 1),
-		VerifyChecksum: true,
-	})
-	if _, err := host.UDP.Bind(9, nil); err != nil {
-		b.Fatal(err)
-	}
-	flow := driver.NewFlow(
-		driver.Endpoint{MAC: fddi.Addr{0x02, 0, 0, 0, 0, 0x02}, Addr: ip.MustParse(10, 0, 0, 2), Port: 1},
-		driver.Endpoint{MAC: fddi.Addr{0x02, 0, 0, 0, 0, 0x01}, Addr: ip.MustParse(10, 0, 0, 1), Port: 9},
-	)
-	flow.Checksum = true
-	frame := flow.Build(64)
-	b.SetBytes(int64(len(frame)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := host.Deliver(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkChecksumMaxFDDIPayload(b *testing.B) {
-	payload := make([]byte, 4432)
-	b.SetBytes(4432)
-	for i := 0; i < b.N; i++ {
-		xkernel.Checksum(0, payload)
-	}
-}
 
 func BenchmarkSimulationPerPacket(b *testing.B) {
 	// Cost of one simulated packet through the DES + model + policies.

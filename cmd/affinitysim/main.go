@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime/pprof"
@@ -74,7 +75,7 @@ func main() {
 		metOut    = flag.String("metrics", "", "write the metrics snapshot after the run (.json extension selects JSON, otherwise Prometheus text format)")
 		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run")
 	)
-	flag.Parse()
+	parseFlags()
 
 	be, err := affinity.ParseBackend(*backend)
 	if err != nil {
@@ -468,4 +469,22 @@ func parseSteal(name string) (affinity.StealParams, error) {
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "affinitysim: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// parseFlags parses the command line: a malformed or unknown flag, or a
+// stray argument, exits 1 with one "affinitysim: " line, never the
+// saturated run's 2; -h prints the usage and exits 0.
+func parseFlags() {
+	flag.CommandLine.Init("affinitysim", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	switch err := flag.CommandLine.Parse(os.Args[1:]); {
+	case err == flag.ErrHelp:
+		flag.CommandLine.SetOutput(os.Stderr)
+		flag.Usage()
+		os.Exit(0)
+	case err != nil:
+		fail("%v", err)
+	case flag.NArg() > 0:
+		fail("unexpected argument %q", flag.Arg(0))
+	}
 }

@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"affinity/internal/cachesim"
@@ -20,7 +21,7 @@ import (
 func main() {
 	validate := flag.Bool("validate", false, "also run the E4 displacement validation sweep")
 	seed := flag.Int64("seed", 1, "random seed for the validation sweep")
-	flag.Parse()
+	parseFlags()
 
 	r := calib.Measure(core.SGIChallengeXL(), cachesim.DefaultTiming())
 	fmt.Println("Calibration: packet execution time under controlled cache states")
@@ -47,4 +48,27 @@ func main() {
 		tbl := exp.FigE4(exp.Config{Seed: *seed})
 		tbl.Fprint(os.Stdout)
 	}
+}
+
+// parseFlags parses the command line: a malformed or unknown flag, or a
+// stray argument, exits 1 with one "calibrate: " line; -h prints the
+// usage and exits 0.
+func parseFlags() {
+	flag.CommandLine.Init("calibrate", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	switch err := flag.CommandLine.Parse(os.Args[1:]); {
+	case err == flag.ErrHelp:
+		flag.CommandLine.SetOutput(os.Stderr)
+		flag.Usage()
+		os.Exit(0)
+	case err != nil:
+		fail("%v", err)
+	case flag.NArg() > 0:
+		fail("unexpected argument %q", flag.Arg(0))
+	}
+}
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "calibrate: "+format+"\n", args...)
+	os.Exit(1)
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -51,7 +52,7 @@ func main() {
 		wGood     = flag.Float64("wgoodput", 0, "fitness weight on goodput shortfall (pkt/s below offered)")
 		topK      = flag.Int("counterfactuals", 0, "after the search, replay the winner's k highest-regret decisions with the cheapest alternative forced in")
 	)
-	flag.Parse()
+	parseFlags()
 	if *parallel < 0 {
 		fail("-parallel %d must be ≥ 0 (0 = GOMAXPROCS)", *parallel)
 	}
@@ -232,4 +233,22 @@ func parseInts(s string) ([]int, error) {
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "schedsearch: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// parseFlags parses the command line: a malformed or unknown flag, or a
+// stray argument, exits 1 with one "schedsearch: " line; -h prints the
+// usage and exits 0.
+func parseFlags() {
+	flag.CommandLine.Init("schedsearch", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	switch err := flag.CommandLine.Parse(os.Args[1:]); {
+	case err == flag.ErrHelp:
+		flag.CommandLine.SetOutput(os.Stderr)
+		flag.Usage()
+		os.Exit(0)
+	case err != nil:
+		fail("%v", err)
+	case flag.NArg() > 0:
+		fail("unexpected argument %q", flag.Arg(0))
+	}
 }

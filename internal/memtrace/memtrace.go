@@ -1,12 +1,11 @@
 // Package memtrace generates the memory-reference streams the calibration
 // experiments replay against the cache simulator:
 //
-//   - ProtocolTrace: the per-packet reference stream of the receive-side
-//     UDP/IP/FDDI fast path. Its structure (sequential code walk with
-//     loop reuse, per-stream protocol-state touches, header-field
-//     accesses) mirrors the executable protocol implementation in
-//     internal/xkernel; its size is calibrated so that the fully-cold
-//     replay costs ≈ 284.3 µs, the paper's measured t_cold.
+//   - ProtocolTrace: a synthetic per-packet reference stream shaped
+//     after the x-kernel's receive-side UDP/IP/FDDI fast path
+//     (sequential code walk with loop reuse, per-stream protocol-state
+//     touches, header-field accesses). Its size is chosen so that a
+//     fully-cold replay costs ≈ 284.3 µs, the paper's measured t_cold.
 //   - Workload: a displacing non-protocol reference stream whose
 //     unique-lines growth follows the Singh–Stone–Thiebaut power law
 //     u(R) ∝ R^b, produced with Thiebaut's fractal random-walk model

@@ -18,8 +18,7 @@ func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
 }
 
-// MustParse builds an Addr from four octets — a convenience for tests
-// and examples.
+// MustParse builds an Addr from four octets — a convenience for tests.
 func MustParse(a, b, c, d byte) Addr { return Addr{a, b, c, d} }
 
 // HeaderLen is the length of an option-less IPv4 header.

@@ -78,8 +78,8 @@ func (p *Protocol) addFragment(h Header, m *xkernel.Message) *xkernel.Message {
 }
 
 // Tick advances the reassembly clock one step and drops buckets older
-// than ReasmTimeout ticks. The simulation and drivers call it on their
-// own cadence, keeping expiry deterministic.
+// than ReasmTimeout ticks. Callers tick it on their own cadence,
+// keeping expiry deterministic.
 func (p *Protocol) Tick() {
 	p.clock++
 	for k, b := range p.reasm {

@@ -1,11 +1,11 @@
 // Package xkernel provides an x-kernel-style protocol framework
 // (Hutchinson & Peterson [8]): a message abstraction with efficient
-// header push/pop, a protocol composition interface, and the demux
-// plumbing used by the FDDI/IP/UDP receive fast path in the subpackages.
+// header push/pop, a protocol composition interface, the Internet
+// checksum, and the demux plumbing the IPv4 layer in ip builds on.
 //
-// The paper parallelized the receive side of exactly this framework; the
-// reproduction uses it as the executable substrate for the examples, the
-// calibration-trace structure, and the end-to-end protocol tests.
+// No simulation, calibration or command imports it or ip: the
+// calibration trace (internal/memtrace) is synthetic, not recorded from
+// this code.
 package xkernel
 
 import (
