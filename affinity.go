@@ -271,8 +271,9 @@ func Run(p Params) Results { return sim.Run(p) }
 
 // RunLive executes one run on the live goroutine backend: the same
 // dispatch policies and cost model as the DES, but with one worker
-// goroutine per simulated processor contending on real channels and
-// locks under a virtual clock. Where no two events share an instant
+// goroutine per simulated processor, each parked until a virtual clock
+// releases it and contending on a real dispatch mutex. Where no two
+// events share an instant
 // (Poisson arrivals, for example) its Results equal the DES's bit for
 // bit, EventsFired aside; where events tie, the two backends may order
 // the tie differently and agree statistically. See internal/live and

@@ -171,12 +171,6 @@ func (m *Model) ExecTimeAfter(busyMicros, intensity float64) float64 {
 	return m.ExecTime(m.DisplacingRefs(busyMicros, intensity))
 }
 
-// ColdTime and WarmTime expose the calibration bounds.
-func (m *Model) ColdTime() float64 { return m.Calib.TCold }
-
-// WarmTime returns the fully-warm execution time.
-func (m *Model) WarmTime() float64 { return m.Calib.TWarm }
-
 // FlushHalfLife returns the displacing-execution interval (µs at
 // intensity 1) after which the given level's displaced fraction first
 // reaches one half, found by bisection. Level must be 1 or 2. It returns

@@ -1,22 +1,23 @@
 // Package live is the concurrent execution backend: it drives the
 // discrete-event simulator's own host core (sim.Host — queues,
 // dispatch policies, cost-model charging, statistics) on real
-// goroutines — one worker per simulated processor, real channels for
-// work hand-off, a real mutex guarding the host. Only the clock
-// differs from the DES.
+// goroutines — one worker per simulated processor, one per arrival
+// stream, a real mutex guarding the host. Only the clock differs from
+// the DES.
 //
 // Time is virtual. A run does not sleep wall-clock microseconds;
 // instead every goroutine that would wait (for a service time to
-// elapse, for work to arrive, for the shared-stack lock) blocks on the
-// run's virtual clock, and the clock advances to the earliest pending
-// wake-up only when every goroutine in the run is blocked. That makes a
-// live run complete as fast as the hardware allows while preserving the
-// simulated timescale, exactly like a conservatively synchronized
-// parallel simulation. Same-instant arrivals are released one at a
-// time in the DES's schedule order (keyed sleepers, below). What the
-// virtual clock does NOT serialize is workers woken at the same
-// virtual instant: they run concurrently on real OS threads and
-// contend for the dispatch lock in hardware order.
+// elapse, for work to arrive, for the shared-stack lock) parks on its
+// own wake slot, and only the run's virtual clock releases it. The
+// clock advances to the earliest pending wake-up only when every
+// goroutine in the run is parked. That makes a live run complete as
+// fast as the hardware allows while preserving the simulated
+// timescale, exactly like a conservatively synchronized parallel
+// simulation. Same-instant arrivals are released one at a time in the
+// DES's schedule order (keyed sleepers, below). What the virtual clock
+// does NOT serialize is workers woken at the same virtual instant: they
+// run concurrently on real OS threads and contend for the dispatch lock
+// in hardware order.
 //
 // Where no two events share an instant, a live run is therefore
 // bit-identical to the DES run of the same Params (every Results field
@@ -34,6 +35,19 @@ import (
 	"affinity/internal/des"
 )
 
+// waiter is one goroutine's wake slot, made once before the goroutine
+// starts and reused for its whole life. The goroutine blocks only by
+// receiving from its own slot: the clock sends true when a sleeper it
+// registered (or one registered on its behalf) is due, and stop sends
+// false. A goroutine has at most one sleeper pending, and the clock
+// releases it only after the goroutine has parked, so a release always
+// finds the slot empty.
+type waiter struct{ ch chan bool }
+
+// wait blocks until the clock releases the slot; false means the run
+// stopped.
+func (w *waiter) wait() bool { return <-w.ch }
+
 // sleeper is one goroutine blocked until a virtual instant. A keyed
 // sleeper is an ordered event source (an arrival stream): same-instant
 // keyed sleepers are released one at a time in (at, seq) order, each
@@ -47,38 +61,46 @@ type sleeper struct {
 	at    des.Time
 	seq   uint64
 	keyed bool
-	ch    chan struct{}
+	w     *waiter
 }
 
 // clock is the virtual-time coordinator. Every goroutine participating
 // in a run is registered (spawn/exit) and is, at any moment, either
 // runnable — executing code, or blocked on an ordinary mutex another
-// runnable goroutine holds — or blocked in the clock (sleep, parkRecv).
-// The clock advances only when the runnable count reaches zero: it then
-// jumps to the earliest pending wake-up and releases every sleeper due
-// at that instant at once, so same-time events execute with real
-// concurrency.
+// runnable goroutine holds — or parked on its waiter. The clock
+// advances only when the runnable count reaches zero: it then jumps to
+// the earliest pending wake-up and releases every sleeper due at that
+// instant at once, so same-time events execute with real concurrency.
 //
-// The accounting protocol for channel-based blocking: a sender that
-// will unblock a parked receiver calls wake (crediting one runnable)
-// before sending; parkRecv debits the receiver when it blocks and
-// consumes the sender's credit when a value was already buffered. The
-// credit always travels with the hand-off, never with a particular
-// goroutine, so it balances no matter which side wins the race.
+// A release is the only way a parked goroutine becomes runnable again,
+// and the release itself counts it runnable, under mu. So a goroutine
+// that hands work to another (Serve, a lock grant) does not wake it: it
+// schedules the other's sleeper, and the clock releases that sleeper
+// when its instant comes like any other.
 type clock struct {
 	mu       sync.Mutex
 	now      des.Time
 	horizon  des.Time
 	runnable int
-	sleepers []sleeper // binary min-heap by (at, seq)
+	sleepers []sleeper // binary min-heap by (at, keyed-first, seq)
+	waiters  []*waiter // every slot stop must reach
 	seq      uint64
 	fired    uint64
 	stopped  bool
-	stopCh   chan struct{}
 }
 
 func newClock(horizon des.Time) *clock {
-	return &clock{horizon: horizon, stopCh: make(chan struct{})}
+	return &clock{horizon: horizon}
+}
+
+// newWaiter makes a wake slot for a goroutine of this run; call it
+// before the goroutine starts.
+func (c *clock) newWaiter() *waiter {
+	w := &waiter{ch: make(chan bool, 1)}
+	c.mu.Lock()
+	c.waiters = append(c.waiters, w)
+	c.mu.Unlock()
+	return w
 }
 
 // Now returns the current virtual time. A runnable caller sees a stable
@@ -119,116 +141,98 @@ func (c *clock) exit() {
 	c.mu.Unlock()
 }
 
-// wake credits one runnable for a hand-off the caller is about to make
-// (a channel send that unblocks a parked goroutine).
-func (c *clock) wake() {
-	c.mu.Lock()
-	c.runnable++
-	c.mu.Unlock()
-}
-
-// sleep blocks the caller for d of virtual time. It returns false when
-// the run stopped instead (the caller should unwind).
-func (c *clock) sleep(d des.Time) bool {
+// sleep blocks the caller, whose slot is w, for d of virtual time. It
+// returns false when the run stopped instead (the caller should unwind).
+func (c *clock) sleep(w *waiter, d des.Time) bool {
 	if d < 0 {
 		panic("live: negative sleep")
 	}
 	c.mu.Lock()
-	return c.sleepAtLocked(c.now+d, false)
+	return c.sleepAtLocked(w, c.now+d, false)
 }
 
 // sleepKeyed is sleep for ordered event sources: the sleeper releases
 // serially in deterministic (at, seq) order ahead of any same-instant
 // unkeyed sleepers (see the sleeper comment).
-func (c *clock) sleepKeyed(d des.Time) bool {
+func (c *clock) sleepKeyed(w *waiter, d des.Time) bool {
 	if d < 0 {
 		panic("live: negative sleep")
 	}
 	c.mu.Lock()
-	return c.sleepAtLocked(c.now+d, true)
+	return c.sleepAtLocked(w, c.now+d, true)
 }
 
 // sleepUntil blocks the caller until virtual time at (or now, if at is
 // already past). It returns false when the run stopped instead.
-func (c *clock) sleepUntil(at des.Time) bool {
+func (c *clock) sleepUntil(w *waiter, at des.Time) bool {
 	c.mu.Lock()
-	if at < c.now {
-		at = c.now
-	}
-	return c.sleepAtLocked(at, false)
+	return c.sleepAtLocked(w, max(at, c.now), false)
 }
 
-// sleepAtLocked enqueues the caller as a sleeper due at the absolute
-// instant at and blocks until released. Called with mu held; unlocks.
-func (c *clock) sleepAtLocked(at des.Time, keyed bool) bool {
-	if c.stopped {
-		c.mu.Unlock()
-		return false
-	}
-	ch := make(chan struct{})
-	c.heapPush(sleeper{at: at, seq: c.seq, keyed: keyed, ch: ch})
-	c.seq++
-	c.runnable--
-	c.advanceLocked()
-	c.mu.Unlock()
-	select {
-	case <-ch:
-		return true
-	case <-c.stopCh:
-		return false
-	}
+// sleepAtLocked registers the caller as a sleeper due at the absolute
+// instant at and parks it. Called with mu held; unlocks.
+func (c *clock) sleepAtLocked(w *waiter, at des.Time, keyed bool) bool {
+	c.pushLocked(w, at, keyed)
+	return c.parkLocked(w)
 }
 
 // preSleep registers a keyed sleeper on behalf of a goroutine that has
 // not been spawned (and is not counted runnable) yet; the goroutine
-// must block on the returned channel before doing anything else. The
-// caller registers its event sources in a fixed order before starting
-// any of them, which pins the initial seq assignment — the base case of
-// the keyed determinism induction; racing first-sleeps from the sources
+// must wait on w before doing anything else. The caller registers its
+// event sources in a fixed order before starting any of them, which
+// pins the initial seq assignment — the base case of the keyed
+// determinism induction; racing first-sleeps from the sources
 // themselves would scramble it.
-func (c *clock) preSleep(d des.Time) chan struct{} {
+func (c *clock) preSleep(w *waiter, d des.Time) {
+	c.register(w, d, true)
+}
+
+// schedule registers a sleeper, due d from now, on behalf of the
+// goroutine whose slot is w, which is parked or parks before it next
+// touches the clock: the clock releases it then, as if it had slept d
+// itself. The caller must be runnable, so the clock cannot pass the
+// instant before the sleeper is in the heap.
+func (c *clock) schedule(w *waiter, d des.Time) {
+	c.register(w, d, false)
+}
+
+// register pushes a sleeper for w, due d from now, without touching the
+// runnable count.
+func (c *clock) register(w *waiter, d des.Time, keyed bool) {
 	if d < 0 {
 		panic("live: negative sleep")
 	}
-	ch := make(chan struct{})
 	c.mu.Lock()
-	c.heapPush(sleeper{at: c.now + d, seq: c.seq, keyed: true, ch: ch})
-	c.seq++
+	c.pushLocked(w, c.now+d, keyed)
 	c.mu.Unlock()
-	return ch
 }
 
-// parkRecv blocks the caller on ch until a value is handed to it (the
-// sender must call wake before sending) or the run stops. Unlike sleep,
-// a parked goroutine has no due time and does not hold up the clock.
-func parkRecv[T any](c *clock, ch chan T) (T, bool) {
-	var zero T
+// park blocks the caller, whose slot is w, until the clock releases a
+// sleeper registered on its behalf (schedule). Unlike sleep, it
+// registers no due time of its own. It returns false when the run
+// stopped instead.
+func (c *clock) park(w *waiter) bool {
 	c.mu.Lock()
-	select {
-	case v := <-ch:
-		// The value was already buffered: consume the sender's credit —
-		// the caller itself never stopped being runnable.
-		c.runnable--
-		c.mu.Unlock()
-		return v, true
-	default:
-	}
+	return c.parkLocked(w)
+}
+
+// parkLocked counts the caller out of the runnables, lets the clock
+// advance, and waits on w. Once the clock has stopped it returns false
+// at once: the caller's slot may be empty even so, because stop skips a
+// slot whose release the caller had not yet received. Called with mu
+// held; unlocks.
+func (c *clock) parkLocked(w *waiter) bool {
 	if c.stopped {
 		c.mu.Unlock()
-		return zero, false
+		return false
 	}
 	c.runnable--
 	c.advanceLocked()
 	c.mu.Unlock()
-	select {
-	case v := <-ch:
-		return v, true
-	case <-c.stopCh:
-		return zero, false
-	}
+	return w.wait()
 }
 
-// stop freezes the clock and releases every blocked goroutine with a
+// stop freezes the clock and releases every goroutine of the run with a
 // "run over" signal. Idempotent.
 func (c *clock) stop() {
 	c.mu.Lock()
@@ -236,12 +240,20 @@ func (c *clock) stop() {
 	c.mu.Unlock()
 }
 
+// stopLocked sends false to every slot. A full slot holds a release its
+// goroutine has not received yet; that goroutine runs on and finds the
+// clock stopped at its next sleep or park.
 func (c *clock) stopLocked() {
 	if c.stopped {
 		return
 	}
 	c.stopped = true
-	close(c.stopCh)
+	for _, w := range c.waiters {
+		select {
+		case w.ch <- false:
+		default:
+		}
+	}
 }
 
 // advanceLocked advances virtual time when nothing is runnable: it
@@ -272,18 +284,32 @@ func (c *clock) advanceLocked() {
 	// event loop. Only when no keyed sleeper remains at t does the
 	// same-instant unkeyed batch release together to race.
 	if c.sleepers[0].keyed {
-		s := c.heapPop()
-		c.runnable++
-		c.fired++
-		close(s.ch)
+		c.releaseLocked()
 		return
 	}
 	for len(c.sleepers) > 0 && c.sleepers[0].at == t {
-		s := c.heapPop()
-		c.runnable++
-		c.fired++
-		close(s.ch)
+		c.releaseLocked()
 	}
+}
+
+// releaseLocked pops the top sleeper, counts its goroutine runnable and
+// sends to its slot.
+func (c *clock) releaseLocked() {
+	s := c.heapPop()
+	c.runnable++
+	c.fired++
+	select {
+	case s.w.ch <- true:
+	default:
+		panic("live: release found its wake slot full")
+	}
+}
+
+// pushLocked adds a sleeper for w due at the absolute instant at,
+// taking the next registration sequence number.
+func (c *clock) pushLocked(w *waiter, at des.Time, keyed bool) {
+	c.heapPush(sleeper{at: at, seq: c.seq, keyed: keyed, w: w})
+	c.seq++
 }
 
 // heapPush / heapPop maintain the sleeper min-heap ordered by

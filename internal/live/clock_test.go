@@ -8,18 +8,22 @@ import (
 	"affinity/internal/des"
 )
 
-// startGroup registers n goroutines with the clock and runs each body,
-// waiting for all to unwind.
-func startGroup(c *clock, bodies ...func()) {
+// startGroup gives each body its own wake slot, registers the bodies
+// with the clock and runs them, waiting for all to unwind.
+func startGroup(c *clock, bodies ...func(w *waiter)) {
+	ws := make([]*waiter, len(bodies))
+	for i := range ws {
+		ws[i] = c.newWaiter()
+	}
 	c.spawn(len(bodies))
 	var wg sync.WaitGroup
-	for _, body := range bodies {
+	for i, body := range bodies {
 		wg.Add(1)
-		go func(body func()) {
+		go func() {
 			defer wg.Done()
 			defer c.exit()
-			body()
-		}(body)
+			body(ws[i])
+		}()
 	}
 	wg.Wait()
 }
@@ -28,9 +32,9 @@ func TestClockReleasesSleepersInTimeOrder(t *testing.T) {
 	c := newClock(des.Second)
 	var mu sync.Mutex
 	var order []des.Time
-	sleepAndLog := func(d des.Time) func() {
-		return func() {
-			if !c.sleep(d) {
+	sleepAndLog := func(d des.Time) func(*waiter) {
+		return func(w *waiter) {
+			if !c.sleep(w, d) {
 				t.Error("sleep stopped early")
 				return
 			}
@@ -60,10 +64,10 @@ func TestClockReleasesSameInstantTogether(t *testing.T) {
 	c := newClock(des.Second)
 	var barrier sync.WaitGroup
 	barrier.Add(n)
-	bodies := make([]func(), n)
+	bodies := make([]func(*waiter), n)
 	for i := range bodies {
-		bodies[i] = func() {
-			if !c.sleep(500) {
+		bodies[i] = func(w *waiter) {
+			if !c.sleep(w, 500) {
 				t.Error("sleep stopped early")
 				barrier.Done()
 				return
@@ -83,8 +87,8 @@ func TestClockReleasesSameInstantTogether(t *testing.T) {
 
 func TestClockHorizonStopsRun(t *testing.T) {
 	c := newClock(100)
-	startGroup(c, func() {
-		if c.sleep(101) {
+	startGroup(c, func(w *waiter) {
+		if c.sleep(w, 101) {
 			t.Error("sleep beyond horizon returned true, want stop")
 		}
 	})
@@ -98,8 +102,8 @@ func TestClockQuiescenceStopsAtHorizon(t *testing.T) {
 	// ever happen again: DES RunUntil semantics put the clock at the
 	// horizon.
 	c := newClock(1000)
-	startGroup(c, func() {
-		if !c.sleep(10) {
+	startGroup(c, func(w *waiter) {
+		if !c.sleep(w, 10) {
 			t.Error("sleep stopped early")
 		}
 	})
@@ -108,84 +112,219 @@ func TestClockQuiescenceStopsAtHorizon(t *testing.T) {
 	}
 }
 
-func TestClockStopUnblocksEveryone(t *testing.T) {
-	c := newClock(des.Second)
-	ch := make(chan int, 1)
-	var stopped atomic.Int32
+func TestClockParkedGoroutineDoesNotHoldClock(t *testing.T) {
+	// A parked goroutine has no due time: with it parked and nothing
+	// scheduled for it, the clock still advances past it and reaches
+	// quiescence, which stops the run and unparks it with false.
+	c := newClock(1000)
 	startGroup(c,
-		func() {
-			if _, ok := parkRecv(c, ch); !ok {
-				stopped.Add(1)
+		func(w *waiter) {
+			if c.park(w) {
+				t.Error("park returned true with nothing scheduled")
 			}
 		},
-		func() {
-			if !c.sleep(5) {
-				t.Error("sleep stopped before stop()")
-				return
+		func(w *waiter) {
+			if !c.sleep(w, 10) {
+				t.Error("sleep stopped early")
 			}
-			c.stop()
-			stopped.Add(1)
 		},
 	)
-	if got := stopped.Load(); got != 2 {
-		t.Errorf("%d goroutines saw the stop, want 2", got)
+	if got := c.Now(); got != 1000 {
+		t.Errorf("Now() = %v after quiescence, want horizon 1000", got)
 	}
 }
 
-func TestParkRecvConsumesBufferedValue(t *testing.T) {
-	// The try-receive path: a value already buffered (self-hand-off,
-	// like a worker that queues its own next task) must consume the
-	// sender's wake credit without the receiver ever blocking —
-	// afterwards the balance is clean enough for timers to still fire.
+func TestClockScheduleReleasesParkedGoroutine(t *testing.T) {
+	// The hand-off: a runnable goroutine schedules a parked one, which
+	// the clock releases d later, counted runnable by the release alone.
 	c := newClock(des.Second)
-	ch := make(chan int, 1)
-	startGroup(c, func() {
-		c.wake()
-		ch <- 42
-		v, ok := parkRecv(c, ch)
-		if !ok || v != 42 {
-			t.Errorf("parkRecv = %v, %v, want 42, true", v, ok)
-		}
-		if !c.sleep(10) {
-			t.Error("timer starved after buffered hand-off")
-		}
-	})
-}
-
-func TestParkRecvBlockedHandoff(t *testing.T) {
-	// The blocked-receiver path: the receiver parks first, the sender's
-	// wake+send revives it at the sender's current instant.
-	c := newClock(des.Second)
-	ch := make(chan int)
+	var target *waiter
+	var ready sync.WaitGroup
+	ready.Add(1)
+	var woke des.Time
 	startGroup(c,
-		func() {
-			v, ok := parkRecv(c, ch)
-			if !ok || v != 7 {
-				t.Errorf("parkRecv = %v, %v, want 7, true", v, ok)
+		func(w *waiter) {
+			target = w
+			ready.Done()
+			if !c.park(w) {
+				t.Error("park stopped early")
+				return
 			}
-			if got := c.Now(); got != 5 {
-				t.Errorf("Now() = %v at hand-off, want 5", got)
-			}
+			woke = c.Now()
 		},
-		func() {
-			if !c.sleep(5) {
+		func(w *waiter) {
+			ready.Wait()
+			if !c.sleep(w, 5) {
 				t.Error("sleep stopped early")
 				return
 			}
-			c.wake()
-			ch <- 7
+			c.schedule(target, 3)
 		},
 	)
+	if woke != 8 {
+		t.Errorf("parked goroutine woke at %v, want 8", woke)
+	}
+	if got := c.Fired(); got != 2 {
+		t.Errorf("Fired() = %d, want 2 (one sleep, one schedule)", got)
+	}
+}
+
+func TestClockScheduleBeforePark(t *testing.T) {
+	// A goroutine may be scheduled before it parks, as a worker whose
+	// Complete serves its own next job is: the sleeper waits in the heap
+	// until its goroutine parks, and the runnable count stays balanced,
+	// so a later timer still fires.
+	c := newClock(des.Second)
+	startGroup(c, func(w *waiter) {
+		c.schedule(w, 4)
+		if !c.park(w) {
+			t.Error("park stopped early")
+			return
+		}
+		if got := c.Now(); got != 4 {
+			t.Errorf("Now() = %v after self-scheduled park, want 4", got)
+		}
+		if !c.sleep(w, 10) {
+			t.Error("timer starved after a self-scheduled park")
+		}
+	})
+	if got := c.Fired(); got != 2 {
+		t.Errorf("Fired() = %d, want 2", got)
+	}
+}
+
+func TestClockKeyedSleepersReleaseOneAtATime(t *testing.T) {
+	// Same-instant keyed sleepers release serially in registration
+	// order, each running to its next park first, and ahead of an
+	// unkeyed sleeper due at the same instant.
+	c := newClock(des.Second)
+	var running atomic.Int32
+	var mu sync.Mutex
+	var order []int
+	keyed := make([]*waiter, 3)
+	for i := range keyed {
+		keyed[i] = c.newWaiter()
+		c.preSleep(keyed[i], 10)
+	}
+	var wg sync.WaitGroup
+	for i, w := range keyed {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !w.wait() {
+				t.Error("keyed sleeper stopped early")
+				return
+			}
+			defer c.exit()
+			if running.Add(1) != 1 {
+				t.Error("two keyed sleepers ran at once")
+			}
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			running.Add(-1)
+		}()
+	}
+	startGroup(c, func(w *waiter) {
+		if !c.sleep(w, 10) {
+			t.Error("sleep stopped early")
+			return
+		}
+		mu.Lock()
+		order = append(order, -1)
+		mu.Unlock()
+	})
+	wg.Wait()
+	if want := []int{0, 1, 2, -1}; len(order) != len(want) ||
+		order[0] != 0 || order[1] != 1 || order[2] != 2 || order[3] != -1 {
+		t.Errorf("release order %v, want %v", order, want)
+	}
+}
+
+func TestClockStopUnblocksEveryone(t *testing.T) {
+	// stop must release a goroutine sleeping on a timer, one parked
+	// with nothing scheduled, and one parked with a sleeper scheduled
+	// on its behalf; each sees false. The stopper's own next clock call
+	// also returns false.
+	c := newClock(des.Second)
+	var scheduled *waiter
+	var ready sync.WaitGroup
+	ready.Add(1)
+	var stopped atomic.Int32
+	startGroup(c,
+		func(w *waiter) {
+			if !c.sleep(w, 100) {
+				stopped.Add(1)
+			}
+		},
+		func(w *waiter) {
+			if !c.park(w) {
+				stopped.Add(1)
+			}
+		},
+		func(w *waiter) {
+			scheduled = w
+			ready.Done()
+			if !c.park(w) {
+				stopped.Add(1)
+			}
+		},
+		func(w *waiter) {
+			ready.Wait()
+			if !c.sleep(w, 5) {
+				t.Error("sleep stopped before stop()")
+				return
+			}
+			c.schedule(scheduled, 50)
+			c.stop()
+			if !c.sleep(w, 1) {
+				stopped.Add(1)
+			}
+		},
+	)
+	if got := stopped.Load(); got != 4 {
+		t.Errorf("%d goroutines saw the stop, want 4", got)
+	}
+	if got := c.Now(); got != 5 {
+		t.Errorf("Now() = %v after stop, want the stop instant 5", got)
+	}
+}
+
+func TestClockStopWithReleasePending(t *testing.T) {
+	// A goroutine released in the same batch as the stopper may not
+	// have received its release yet when stop runs: its slot is full, so
+	// it runs on with true and sees the stop at its next clock call.
+	const n = 4
+	c := newClock(des.Second)
+	var stopOnce sync.Once
+	var after atomic.Int32
+	bodies := make([]func(*waiter), n)
+	for i := range bodies {
+		bodies[i] = func(w *waiter) {
+			if !c.sleep(w, 10) {
+				t.Error("same-instant sleeper missed its release")
+				return
+			}
+			stopOnce.Do(c.stop)
+			if !c.sleep(w, 10) {
+				after.Add(1)
+			}
+		}
+	}
+	startGroup(c, bodies...)
+	if got := after.Load(); got != n {
+		t.Errorf("%d goroutines saw the stop after their release, want %d", got, n)
+	}
 }
 
 func TestClockSleepUntilClampsToNow(t *testing.T) {
 	c := newClock(des.Second)
-	startGroup(c, func() {
-		if !c.sleep(50) {
+	startGroup(c, func(w *waiter) {
+		if !c.sleep(w, 50) {
 			t.Error("sleep stopped early")
 			return
 		}
-		if !c.sleepUntil(10) { // already past: must fire at now
+		if !c.sleepUntil(w, 10) { // already past: must fire at now
 			t.Error("sleepUntil stopped early")
 			return
 		}

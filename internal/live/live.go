@@ -5,6 +5,7 @@ import (
 
 	"affinity/internal/des"
 	"affinity/internal/faults"
+	"affinity/internal/fifo"
 	"affinity/internal/sim"
 	"affinity/internal/traffic"
 )
@@ -25,10 +26,7 @@ func Run(p sim.Params) sim.Results {
 		// the ledger they were recorded against.
 		panic("live: Params.DecisionOverride is DES-only")
 	}
-	r := &live{p: p, clk: newClock(p.MaxTime), workCh: make([]chan sim.Job, p.Processors)}
-	for i := range r.workCh {
-		r.workCh[i] = make(chan sim.Job, 1)
-	}
+	r := &live{p: p, clk: newClock(p.MaxTime), jobs: make([]sim.Job, p.Processors)}
 	r.host = sim.NewHost(p, r)
 	r.run()
 	return r.host.Results()
@@ -48,13 +46,25 @@ type live struct {
 
 	mu sync.Mutex // the dispatch/queue lock
 
+	// jobs[p] is the job Serve last handed processor p, and workers[p]
+	// that processor's wake slot. Serve writes the job under mu before
+	// it schedules the worker; the worker reads it after the release.
+	jobs    []sim.Job
+	workers []*waiter
+
 	// Virtual shared-stack lock (Locking & Hybrid overflow path): FIFO
 	// grant order like des.Resource, waiters parked on the clock.
 	lockHeld bool
-	lockQ    []chan struct{}
+	lockQ    fifo.Queue[lockRequest]
 
-	workCh []chan sim.Job
-	wg     sync.WaitGroup
+	wg sync.WaitGroup
+}
+
+// lockRequest is one processor queued for the shared-stack lock since
+// the instant at.
+type lockRequest struct {
+	proc int
+	at   des.Time
 }
 
 // live is the host's Clock; the host calls it under mu.
@@ -63,11 +73,13 @@ func (r *live) Stop()         { r.clk.stop() }
 func (r *live) Pending() int  { return r.clk.Pending() }
 func (r *live) Fired() uint64 { return r.clk.Fired() }
 
-// Serve hands the job to its processor's worker goroutine, which plays
-// the interval out on the virtual clock.
+// Serve hands the job to its processor's worker, which is parked or
+// parks before it next touches the clock: the job's first interval,
+// Pre, is scheduled on the worker's behalf, so the clock releases it
+// when Pre has elapsed, as the DES fires the job's first event.
 func (r *live) Serve(j sim.Job) {
-	r.clk.wake()
-	r.workCh[j.Proc] <- j
+	r.jobs[j.Proc] = j
+	r.clk.schedule(r.workers[j.Proc], j.Pre)
 }
 
 // run spawns the whole cast — one worker per processor, one arrival
@@ -76,13 +88,20 @@ func (r *live) Serve(j sim.Job) {
 // quiescence) and every goroutine has unwound.
 func (r *live) run() {
 	n := r.p.Processors
-	evs := []faults.Event(nil)
+	var evs []faults.Event
+	var faultW, gaugeW *waiter
 	if !r.p.Faults.Empty() {
 		evs = r.p.Faults.Sorted()
+		faultW = r.clk.newWaiter()
 		n++
 	}
 	if r.p.Recorder != nil {
+		gaugeW = r.clk.newWaiter()
 		n++
+	}
+	r.workers = make([]*waiter, r.p.Processors)
+	for proc := range r.workers {
+		r.workers[proc] = r.clk.newWaiter()
 	}
 	// Draw every stream's first gap and pre-register its keyed sleeper
 	// here, in stream order, before anything runs: exactly how the DES
@@ -93,27 +112,28 @@ func (r *live) run() {
 	type armedArrival struct {
 		proc  traffic.Process
 		batch int
-		first chan struct{}
+		w     *waiter
 	}
 	arr := make([]armedArrival, r.p.Streams)
-	for s := 0; s < r.p.Streams; s++ {
+	for s := range arr {
 		proc := r.host.ArrivalProcess(s)
 		d, b := proc.Next()
-		arr[s] = armedArrival{proc: proc, batch: b, first: r.clk.preSleep(d)}
+		arr[s] = armedArrival{proc: proc, batch: b, w: r.clk.newWaiter()}
+		r.clk.preSleep(arr[s].w, d)
 	}
 	r.clk.spawn(n)
 	r.wg.Add(n + r.p.Streams)
 	for proc := 0; proc < r.p.Processors; proc++ {
 		go r.worker(proc)
 	}
-	for s := 0; s < r.p.Streams; s++ {
-		go r.arrivalLoop(s, arr[s].proc, arr[s].batch, arr[s].first)
+	for s := range arr {
+		go r.arrivalLoop(s, arr[s].proc, arr[s].batch, arr[s].w)
 	}
-	if evs != nil {
-		go r.faultLoop(evs)
+	if faultW != nil {
+		go r.faultLoop(evs, faultW)
 	}
-	if r.p.Recorder != nil {
-		go r.gaugeLoop()
+	if gaugeW != nil {
+		go r.gaugeLoop(gaugeW)
 	}
 	r.wg.Wait()
 }
@@ -124,14 +144,12 @@ func (r *live) run() {
 // seed-derived stream, so both backends see identical arrivals. The
 // sleeps are keyed (serialized, deterministically ordered at virtual-
 // time ties); the first was pre-registered by run() in stream order.
-func (r *live) arrivalLoop(stream int, proc traffic.Process, batch int, first chan struct{}) {
+func (r *live) arrivalLoop(stream int, proc traffic.Process, batch int, w *waiter) {
 	defer r.wg.Done()
 	// Until the pre-registered first sleep releases, this source is a
 	// sleeper, not a runnable: a run that stops first just unwinds with
 	// no exit accounting.
-	select {
-	case <-first:
-	case <-r.clk.stopCh:
+	if !w.wait() {
 		return
 	}
 	defer r.clk.exit()
@@ -143,7 +161,7 @@ func (r *live) arrivalLoop(stream int, proc traffic.Process, batch int, first ch
 		r.mu.Unlock()
 		var d des.Time
 		d, batch = proc.Next()
-		if !r.clk.sleepKeyed(d) {
+		if !r.clk.sleepKeyed(w, d) {
 			return
 		}
 	}
@@ -151,11 +169,11 @@ func (r *live) arrivalLoop(stream int, proc traffic.Process, batch int, first ch
 
 // faultLoop plays the deterministic fault plan against the virtual
 // clock, applying each event under the dispatch lock.
-func (r *live) faultLoop(evs []faults.Event) {
+func (r *live) faultLoop(evs []faults.Event, w *waiter) {
 	defer r.wg.Done()
 	defer r.clk.exit()
 	for _, ev := range evs {
-		if !r.clk.sleepUntil(ev.At) {
+		if !r.clk.sleepUntil(w, ev.At) {
 			return
 		}
 		r.mu.Lock()
@@ -166,11 +184,11 @@ func (r *live) faultLoop(evs []faults.Event) {
 
 // gaugeLoop publishes the periodic gauges every sim.GaugePeriod; it
 // runs only when a recorder is attached, like the DES sampler.
-func (r *live) gaugeLoop() {
+func (r *live) gaugeLoop(w *waiter) {
 	defer r.wg.Done()
 	defer r.clk.exit()
 	for {
-		if !r.clk.sleep(sim.GaugePeriod) {
+		if !r.clk.sleep(w, sim.GaugePeriod) {
 			return
 		}
 		r.mu.Lock()
@@ -179,69 +197,64 @@ func (r *live) gaugeLoop() {
 	}
 }
 
-// worker is one simulated processor: it parks until a job is handed to
-// it, plays out the service interval (and the shared-stack lock's
-// critical section, for locked jobs) on the virtual clock, then
-// completes the job under the dispatch lock, where the host picks the
-// processor's next work.
+// worker is one simulated processor. It parks until the clock releases
+// it at the end of a job's Pre interval (Serve scheduled it). A locked
+// job then takes the shared-stack lock and sleeps its critical section,
+// or queues and parks until a release grants the lock and schedules the
+// critical section for it. The worker then completes the job under the
+// dispatch lock, where the host picks the processor's next work.
 func (r *live) worker(proc int) {
 	defer r.wg.Done()
 	defer r.clk.exit()
+	w := r.workers[proc]
 	for {
-		j, ok := parkRecv(r.clk, r.workCh[proc])
-		if !ok {
+		if !r.clk.park(w) {
 			return
 		}
-		if !r.clk.sleep(j.Pre) {
+		j := r.jobs[proc]
+		if j.Locked && !r.holdLock(proc, j.Crit) {
 			return
-		}
-		if j.Locked {
-			waitStart := r.clk.Now()
-			if !r.lockAcquire() {
-				return
-			}
-			r.mu.Lock()
-			r.host.LockWaited(r.clk.Now() - waitStart)
-			r.mu.Unlock()
-			if !r.clk.sleep(j.Crit) {
-				return
-			}
-			r.lockRelease()
 		}
 		r.mu.Lock()
-		r.host.Complete(r.clk.Now(), &j)
+		now := r.clk.Now()
+		if j.Locked {
+			r.releaseLockLocked(now)
+		}
+		r.host.Complete(now, &j)
 		r.mu.Unlock()
 	}
 }
 
-// lockAcquire takes the virtual shared-stack lock, parking on the clock
-// behind earlier requesters; grants are FIFO like des.Resource. Returns
-// false when the run stopped while waiting.
-func (r *live) lockAcquire() bool {
+// holdLock takes the virtual shared-stack lock for processor proc and
+// plays its critical section, crit, out on the clock. A free lock is
+// taken at once, with no wait; a held one queues the request FIFO, like
+// des.Resource, and parks the worker until releaseLockLocked grants it.
+// It returns false when the run stopped first.
+func (r *live) holdLock(proc int, crit des.Time) bool {
+	w := r.workers[proc]
 	r.mu.Lock()
-	if !r.lockHeld {
-		r.lockHeld = true
+	if r.lockHeld {
+		r.lockQ.Push(lockRequest{proc: proc, at: r.clk.Now()})
 		r.mu.Unlock()
-		return true
+		return r.clk.park(w)
 	}
-	ch := make(chan struct{}, 1)
-	r.lockQ = append(r.lockQ, ch)
+	r.lockHeld = true
+	r.host.LockWaited(0)
 	r.mu.Unlock()
-	_, ok := parkRecv(r.clk, ch)
-	return ok
+	return r.clk.sleep(w, crit)
 }
 
-// lockRelease hands the virtual lock to the oldest waiter, or frees it.
-func (r *live) lockRelease() {
-	r.mu.Lock()
-	if len(r.lockQ) > 0 {
-		ch := r.lockQ[0]
-		r.lockQ = r.lockQ[1:]
-		r.clk.wake()
-		r.mu.Unlock()
-		ch <- struct{}{}
+// releaseLockLocked releases the virtual shared-stack lock at now. Like
+// des.Resource.Release it grants the lock inside the release: the
+// oldest queued request gets it, its wait is recorded, and its critical
+// section is scheduled on the requester's behalf. With nobody queued
+// the lock goes free. Called under mu.
+func (r *live) releaseLockLocked(now des.Time) {
+	req, ok := r.lockQ.Pop()
+	if !ok {
+		r.lockHeld = false
 		return
 	}
-	r.lockHeld = false
-	r.mu.Unlock()
+	r.host.LockWaited(now - req.at)
+	r.clk.schedule(r.workers[req.proc], r.jobs[req.proc].Crit)
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"runtime"
 	"testing"
 
 	"affinity/internal/des"
@@ -9,6 +10,7 @@ import (
 	"affinity/internal/sched"
 	"affinity/internal/sim"
 	"affinity/internal/traffic"
+	"affinity/internal/workload"
 )
 
 func quick(paradigm sim.Paradigm, policy sched.Kind) sim.Params {
@@ -113,6 +115,52 @@ func TestLiveLockWaitObserved(t *testing.T) {
 	res := Run(p)
 	if res.MeanLockWait <= 0 {
 		t.Errorf("MeanLockWait = %v at 34400 pkt/s offered, want > 0", res.MeanLockWait)
+	}
+}
+
+// TestLiveSteadyStateAllocs is the live counterpart of the DES's
+// TestRunnerSteadyStateZeroAllocs: a run makes its goroutines, wake
+// slots and queues up front and then hands packets between them without
+// allocating, so measuring 100 k more packets costs no more
+// allocations. It reads runtime.MemStats, so it must not run in
+// parallel.
+func TestLiveSteadyStateAllocs(t *testing.T) {
+	zipfBurst := &workload.Spec{Name: "zipf-burst-1", Classes: []workload.Class{
+		{Name: "flows", Model: "poisson", Streams: 8, RatePPS: 14000, Zipf: 1.0,
+			OnUS: 20000, OffUS: 40000}}}
+	wired := quick(sim.IPS, sched.IPSWired)
+	wired.Streams, wired.Stacks = 16, 16
+	wired.Arrival = traffic.Poisson{PacketsPerSec: 1500}
+	for _, c := range []struct {
+		name string
+		p    sim.Params
+	}{
+		{"locking-mru-zipf-burst", sim.Params{Paradigm: sim.Locking, Policy: sched.MRU,
+			Workload: zipfBurst, DataTouch: 10, Seed: 1}},
+		{"ips-wired-16-streams", wired},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mallocs := func(packets int) uint64 {
+				p := c.p
+				p.MeasuredPackets = packets
+				p.MaxTime = 150 * des.Second
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res := Run(p)
+				runtime.ReadMemStats(&after)
+				if res.Saturated {
+					t.Fatalf("%d-packet run saturated; its backlog would allocate", packets)
+				}
+				return after.Mallocs - before.Mallocs
+			}
+			const small, large = 20_000, 120_000
+			a, b := mallocs(small), mallocs(large)
+			perPkt := (float64(b) - float64(a)) / (large - small)
+			t.Logf("%d allocations at %d packets, %d at %d: %.4f per extra packet", a, small, b, large, perPkt)
+			if perPkt >= 0.01 {
+				t.Errorf("%.4f allocations per extra packet, want < 0.01", perPkt)
+			}
+		})
 	}
 }
 

@@ -37,8 +37,6 @@ func NewCSV(w io.Writer) *CSV {
 	return c
 }
 
-func ftoa(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-
 // Record implements Recorder.
 func (c *CSV) Record(e Event) {
 	if c.err != nil || c.closed {
