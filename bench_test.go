@@ -104,6 +104,32 @@ func BenchmarkDESScheduleFire(b *testing.B) {
 
 func noopEvent(any) {}
 
+// BenchmarkDESEventQueue times one schedule+fire pair with the event
+// list held at a fixed depth, so every op sifts through a real heap:
+// 12 and 103 pending are the mean depths of the des-mru-zipf-burst and
+// des-wired-96 runs. Each op schedules one event at a pre-drawn delay,
+// uniform over twice the depth in microseconds, and fires the earliest.
+func BenchmarkDESEventQueue(b *testing.B) {
+	for _, depth := range []int{12, 103} {
+		b.Run("pending="+strconv.Itoa(depth), func(b *testing.B) {
+			rng := des.NewRNG(1)
+			delays := make([]des.Time, 4096)
+			for i := range delays {
+				delays[i] = des.Time(rng.Float64() * float64(2*depth))
+			}
+			s := des.NewSimulator()
+			for i := range depth {
+				s.ScheduleArg(delays[i], noopEvent, nil)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.ScheduleArg(delays[i&4095], noopEvent, nil)
+				s.Step()
+			}
+		})
+	}
+}
+
 func BenchmarkSimulationPerPacket(b *testing.B) {
 	// Cost of one simulated packet through the DES + model + policies.
 	n := b.N

@@ -12,12 +12,13 @@ import (
 var flagLine = regexp.MustCompile(`^  -([A-Za-z0-9_]+)(?: ([a-z]+))?(?:\t.*)?$`)
 
 // TestCLIFlagErrorsExitOne builds the four commands and reads each one's
-// -h listing. Every int, float and bool flag gets a malformed value; each
-// command also gets an unknown flag, a stray argument and a final flag
-// with no value. Every such call must exit 1 with one "<cmd>: " line on
-// stderr and nothing on stdout, so a typo is never mistaken for a
-// saturated run (exit 2). The cases come from the listing, so a flag
-// added later is covered without editing this test.
+// -h listing. Every int, float and bool flag gets a malformed value, and
+// every float flag also gets NaN; each command also gets an unknown
+// flag, a stray argument and a final flag with no value. Every such call
+// must exit 1 with one "<cmd>: " line on stderr and nothing on stdout,
+// so a typo is never mistaken for a saturated run (exit 2). The cases
+// come from the listing, so a flag added later is covered without
+// editing this test.
 func TestCLIFlagErrorsExitOne(t *testing.T) {
 	dir := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", dir, "./cmd/...").CombinedOutput(); err != nil {
@@ -40,8 +41,13 @@ func TestCLIFlagErrorsExitOne(t *testing.T) {
 				switch flagName, typ := m[1], m[2]; typ {
 				case "":
 					cases = append(cases, []string{"-" + flagName + "=x"})
-				case "int", "float":
+				case "int":
 					cases = append(cases, []string{"-" + flagName, "x"})
+					needsArg = flagName
+				case "float":
+					// NaN parses as a float but is no rate, cost or
+					// weight; it must be refused like a typo.
+					cases = append(cases, []string{"-" + flagName, "x"}, []string{"-" + flagName, "NaN"})
 					needsArg = flagName
 				case "string":
 					needsArg = flagName

@@ -471,9 +471,10 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// parseFlags parses the command line: a malformed or unknown flag, or a
-// stray argument, exits 1 with one "affinitysim: " line, never the
-// saturated run's 2; -h prints the usage and exits 0.
+// parseFlags parses the command line: a malformed or unknown flag, a
+// float flag that is not finite, or a stray argument, exits 1 with one
+// "affinitysim: " line, never the saturated run's 2; -h prints the usage
+// and exits 0.
 func parseFlags() {
 	flag.CommandLine.Init("affinitysim", flag.ContinueOnError)
 	flag.CommandLine.SetOutput(io.Discard)
@@ -487,4 +488,11 @@ func parseFlags() {
 	case flag.NArg() > 0:
 		fail("unexpected argument %q", flag.Arg(0))
 	}
+	// NaN and ±Inf parse as floats, but no float flag means anything
+	// with them: refuse them before they become costs or event times.
+	flag.Visit(func(f *flag.Flag) {
+		if x, ok := f.Value.(flag.Getter).Get().(float64); ok && (math.IsNaN(x) || math.IsInf(x, 0)) {
+			fail("invalid value %q for flag -%s: not a finite number", f.Value, f.Name)
+		}
+	})
 }

@@ -248,7 +248,12 @@ func TestCLIBadFlagsExitOne(t *testing.T) {
 		{"-topology", "2x4:2,1"},                 // cross-socket cheaper than same-socket
 		{"-topology", "2x4:0.5,2"},               // same-socket below 1
 		{"-topology", "2x4", "-processors", "6"}, // shape disagrees with count
-		{"-paradigm", "ips", "-policy", "rss"},   // hash dispatch is Locking-only
+		{"-topology", "2x4:1,NaN"},               // NaN passes every range comparison
+		{"-topology", "2x4:NaN,2"},
+		{"-faults", "slow:2xNaN@0s"},
+		{"-faults", "slow:2xInf@0s"}, // infinite service times
+		{"-faults", "loss:NaN@0s"},
+		{"-paradigm", "ips", "-policy", "rss"}, // hash dispatch is Locking-only
 		{"-paradigm", "ips", "-policy", "flowdir"},
 	}
 	for _, args := range cases {

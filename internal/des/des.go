@@ -8,11 +8,15 @@
 // they were scheduled, which keeps runs reproducible.
 //
 // The engine is allocation-free in steady state: event nodes are pooled
-// on a free list and recycled as soon as they fire, and the
-// pending-event list is an inlined 4-ary heap (no interface boxing, no
-// container/heap round trips). An event is a non-capturing ArgHandler
-// plus a pointer-shaped argument, so scheduling one allocates nothing
-// once the pool covers the run's peak pending count.
+// on a free list and recycled as soon as they fire. An event is a
+// non-capturing ArgHandler plus a pointer-shaped argument, so scheduling
+// one allocates nothing once the pool covers the run's peak pending
+// count. The pending events wait in a Queue, a 4-ary heap that holds
+// each node's (time, seq) key inline beside its pointer. The time key
+// is the float's bit pattern with −0 folded to +0, so a compare is one
+// 128-bit subtraction; a pop picks the least of four children with
+// borrow masks instead of branches, walks the hole down to a leaf and
+// sifts the last entry up from there (queue.go).
 package des
 
 import (
@@ -57,11 +61,9 @@ func (t Time) String() string {
 // a pooled argument keeps the schedule path free of closure allocations.
 type ArgHandler func(arg any)
 
-// event is a scheduled handler. seq breaks ties so that simultaneous
-// events fire in scheduling order.
+// event is a scheduled handler; its time and sequence number are its
+// key in the event queue.
 type event struct {
-	at  Time
-	seq uint64
 	fn  ArgHandler
 	arg any
 }
@@ -74,14 +76,12 @@ type Simulator struct {
 	stopped bool
 	fired   uint64
 
-	// events is a 4-ary min-heap ordered by (at, seq). A 4-ary layout
-	// halves the tree depth of the binary heap and keeps children of a
-	// node on one cache line, which measurably speeds the sift in
-	// event-dense runs.
-	events []*event
+	// events holds the pending events keyed by (at, seq): seq breaks
+	// ties, so simultaneous events fire in scheduling order.
+	events Queue[*event]
 
-	// free is the recycled-node pool. Nodes move heap→free on fire and
-	// free→heap on schedule, so a steady-state run stops allocating
+	// free is the recycled-node pool. Nodes move queue→free on fire and
+	// free→queue on schedule, so a steady-state run stops allocating
 	// once the pool covers its peak pending count.
 	free []*event
 }
@@ -98,7 +98,7 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events currently scheduled.
-func (s *Simulator) Pending() int { return len(s.events) }
+func (s *Simulator) Pending() int { return s.events.Len() }
 
 // ScheduleArg runs fn(arg) after delay. A negative delay is an error in
 // the caller; it panics to surface the bug immediately.
@@ -110,10 +110,10 @@ func (s *Simulator) ScheduleArg(delay Time, fn ArgHandler, arg any) {
 }
 
 // ScheduleArgAt runs fn(arg) at absolute time at, which must not precede
-// the clock.
+// the clock. A NaN time panics too.
 func (s *Simulator) ScheduleArgAt(at Time, fn ArgHandler, arg any) {
-	if at < s.now {
-		panic(fmt.Sprintf("des: schedule at %v before now %v", at, s.now))
+	if !(at >= s.now) {
+		panic(fmt.Sprintf("des: schedule at %v, not at or after now %v", at, s.now))
 	}
 	if fn == nil {
 		panic("des: nil handler")
@@ -126,76 +126,9 @@ func (s *Simulator) ScheduleArgAt(at Time, fn ArgHandler, arg any) {
 	} else {
 		ev = new(event)
 	}
-	ev.at, ev.seq, ev.fn, ev.arg = at, s.seq, fn, arg
+	ev.fn, ev.arg = fn, arg
+	s.events.Push(at, s.seq, ev)
 	s.seq++
-	s.events = append(s.events, ev)
-	s.siftUp(len(s.events) - 1)
-}
-
-// less orders events by (time, sequence).
-func less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// siftUp restores the heap property from leaf i toward the root.
-func (s *Simulator) siftUp(i int) {
-	ev := s.events[i]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		p := s.events[parent]
-		if !less(ev, p) {
-			break
-		}
-		s.events[i] = p
-		i = parent
-	}
-	s.events[i] = ev
-}
-
-// siftDown restores the heap property from node i toward the leaves.
-func (s *Simulator) siftDown(i int) {
-	n := len(s.events)
-	ev := s.events[i]
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		// Find the smallest of up to four children.
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if less(s.events[c], s.events[min]) {
-				min = c
-			}
-		}
-		child := s.events[min]
-		if !less(child, ev) {
-			break
-		}
-		s.events[i] = child
-		i = min
-	}
-	s.events[i] = ev
-}
-
-// pop removes and returns the earliest event.
-func (s *Simulator) pop() *event {
-	ev := s.events[0]
-	n := len(s.events) - 1
-	s.events[0] = s.events[n]
-	s.events[n] = nil
-	s.events = s.events[:n]
-	if n > 0 {
-		s.siftDown(0)
-	}
-	return ev
 }
 
 // Stop makes Run return after the currently executing handler.
@@ -204,11 +137,11 @@ func (s *Simulator) Stop() { s.stopped = true }
 // Step fires the next event, advancing the clock, and reports whether an
 // event was available.
 func (s *Simulator) Step() bool {
-	if len(s.events) == 0 || s.stopped {
+	if s.events.Len() == 0 || s.stopped {
 		return false
 	}
-	ev := s.pop()
-	s.now = ev.at
+	var ev *event
+	s.now, ev = s.events.Pop()
 	s.fired++
 	fn, arg := ev.fn, ev.arg
 	// Recycle before calling: fn/arg are already extracted, and the
@@ -225,8 +158,8 @@ func (s *Simulator) Step() bool {
 // otherwise.
 func (s *Simulator) RunUntil(horizon Time) {
 	s.stopped = false
-	for len(s.events) > 0 && !s.stopped {
-		if s.events[0].at > horizon {
+	for s.events.Len() > 0 && !s.stopped {
+		if at, _ := s.events.Min(); at > horizon {
 			s.now = horizon
 			return
 		}

@@ -141,6 +141,17 @@ func TestScheduleBeforeNowPanics(t *testing.T) {
 	s.ScheduleArgAt(5, runFunc, func() {})
 }
 
+// NaN passes an "at < now" check; the schedule path must refuse it
+// before it reaches the queue, whose keys order only non-negative times.
+func TestScheduleNaNPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic scheduling at NaN")
+		}
+	}()
+	NewSimulator().ScheduleArg(Time(math.NaN()), runFunc, func() {})
+}
+
 func TestFiredCounter(t *testing.T) {
 	s := NewSimulator()
 	for i := 0; i < 7; i++ {

@@ -1,6 +1,9 @@
 package des
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -11,7 +14,8 @@ import (
 //   - events fire in nondecreasing time, ties broken by scheduling
 //     order (the (time, seq) total order the runs' determinism rests on)
 //   - no event fires twice, none is lost
-//   - the 4-ary heap keeps its ordering invariant
+//   - the event queue keeps its heap invariant and clears the slots
+//     it vacates
 //   - pooled nodes stay consistent: recycled nodes hold no handler
 //     state, and after the drain the free list covers every node the
 //     peak pending count needed
@@ -64,15 +68,7 @@ func FuzzEventOrdering(f *testing.F) {
 		}
 
 		checkHeap := func() {
-			for i, ev := range s.events {
-				if i > 0 {
-					p := s.events[(i-1)>>2]
-					if ev.at < p.at || (ev.at == p.at && ev.seq < p.seq) {
-						t.Fatalf("heap violation at %d: child (%v,%d) < parent (%v,%d)",
-							i, ev.at, ev.seq, p.at, p.seq)
-					}
-				}
-			}
+			checkQueue(t, &s.events)
 			for _, ev := range s.free {
 				if ev.fn != nil || ev.arg != nil {
 					t.Fatal("free node retains handler state")
@@ -115,6 +111,105 @@ func FuzzEventOrdering(f *testing.F) {
 		// Every node ever allocated is now on the free list.
 		if len(s.free) < peak {
 			t.Fatalf("pool holds %d nodes, high-water mark was %d", len(s.free), peak)
+		}
+	})
+}
+
+// checkQueue fails t unless q is a 4-ary min-heap by (at, tie) whose
+// vacated slots beyond its length hold no value.
+func checkQueue[T comparable](t *testing.T, q *Queue[T]) {
+	t.Helper()
+	h := q.h
+	for i := 1; i < len(h); i++ {
+		c, p := h[i], h[(i-1)>>2]
+		if before(c.at, c.tie, p.at, p.tie) != 0 {
+			t.Fatalf("heap violation at %d: child (%#x,%#x) < parent (%#x,%#x)",
+				i, c.at, c.tie, p.at, p.tie)
+		}
+	}
+	for i, e := range h[len(h):cap(h)] {
+		if e != (entry[T]{}) {
+			t.Fatalf("vacated slot %d still holds an entry", len(h)+i)
+		}
+	}
+}
+
+// FuzzEventQueue interleaves pushes of fuzz-chosen (at, tie) keys with
+// pops and checks every pop against a reference: the pending entries
+// stably sorted by (at, tie). The keys come from small palettes so that
+// collisions are common: same-instant ties, −0 beside +0, +Inf, tie
+// words with and without the top bit (the live clock's unkeyed mark).
+// Equal keys may pop in either order, so a pop is checked by its key,
+// and its value must be a pending entry carrying that key. At the end
+// everything pushed has popped exactly once.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 2, 5, 1, 2, 0x85, 2, 2, 5, 1, 9, 4, 0, 0, 0, 1, 8, 8, 1, 7, 0x80})
+	seed := make([]byte, 0, 120)
+	for i := 0; i < 40; i++ {
+		seed = append(seed, byte(i%5), byte(i*7), byte(i*29))
+	}
+	f.Add(seed)
+
+	times := []Time{0, Time(math.Copysign(0, -1)), 1, 1, 2.5, 1e9,
+		Time(math.Inf(1)), Time(math.SmallestNonzeroFloat64), math.MaxFloat64}
+	ties := []uint64{0, 1, 2, 1<<63 - 1, 1 << 63, 1<<63 | 1, 1<<63 | 2, math.MaxUint64}
+	type rec struct {
+		at     Time
+		tie    uint64
+		popped bool
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var q Queue[*rec]
+		var all, pending []*rec
+		pop := func() {
+			sort.SliceStable(pending, func(i, j int) bool {
+				a, b := pending[i], pending[j]
+				return a.at < b.at || (a.at == b.at && a.tie < b.tie)
+			})
+			want := pending[0]
+			at, r := q.Pop()
+			// A popped −0 reads back as +0.
+			if math.Float64bits(float64(at)) != math.Float64bits(float64(want.at)+0) || r.at != want.at || r.tie != want.tie {
+				t.Fatalf("popped (%v, %#x) at %v, want key (%v, %#x)", r.at, r.tie, at, want.at, want.tie)
+			}
+			if r.popped {
+				t.Fatalf("(%v, %#x) popped twice", r.at, r.tie)
+			}
+			r.popped = true
+			i := slices.Index(pending, r)
+			if i < 0 {
+				t.Fatalf("popped (%v, %#x), which is not pending", r.at, r.tie)
+			}
+			pending = slices.Delete(pending, i, i+1)
+		}
+		for i := 0; i+2 < len(data); i += 3 {
+			if data[i]%5 == 0 && len(pending) > 0 {
+				pop()
+			} else {
+				r := &rec{at: times[int(data[i+1])%len(times)], tie: ties[int(data[i+2])%len(ties)]}
+				if data[i+2]&0x80 == 0 {
+					// A tie word chosen for its low bits, below the top bit.
+					r.tie = uint64(data[i+2])
+				}
+				q.Push(r.at, r.tie, r)
+				all = append(all, r)
+				pending = append(pending, r)
+			}
+			if q.Len() != len(pending) {
+				t.Fatalf("Len() = %d, model says %d", q.Len(), len(pending))
+			}
+			checkQueue(t, &q)
+		}
+		for len(pending) > 0 {
+			pop()
+			checkQueue(t, &q)
+		}
+		for _, r := range all {
+			if !r.popped {
+				t.Fatalf("(%v, %#x) lost", r.at, r.tie)
+			}
 		}
 	})
 }

@@ -17,6 +17,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -146,8 +147,8 @@ func (p *Plan) Validate(procs, streams int) error {
 		return nil
 	}
 	for i, e := range p.Events {
-		if e.At < 0 {
-			return fmt.Errorf("faults: event %d (%v) at negative time %v", i, e.Kind, e.At)
+		if !(e.At >= 0) || math.IsInf(float64(e.At), 1) {
+			return fmt.Errorf("faults: event %d (%v) at %v, a negative time or not finite", i, e.Kind, e.At)
 		}
 		switch e.Kind {
 		case ProcDown, ProcUp:
@@ -158,11 +159,11 @@ func (p *Plan) Validate(procs, streams int) error {
 			if e.Proc < 0 || e.Proc >= procs {
 				return fmt.Errorf("faults: event %d: processor %d outside [0, %d)", i, e.Proc, procs)
 			}
-			if e.Factor <= 0 {
-				return fmt.Errorf("faults: event %d: slow-down factor %v must be positive", i, e.Factor)
+			if !(e.Factor > 0) || math.IsInf(e.Factor, 1) {
+				return fmt.Errorf("faults: event %d: slow-down factor %v must be positive and finite", i, e.Factor)
 			}
 		case Loss:
-			if e.Prob < 0 || e.Prob > 1 {
+			if !(e.Prob >= 0 && e.Prob <= 1) {
 				return fmt.Errorf("faults: event %d: loss probability %v outside [0, 1]", i, e.Prob)
 			}
 		case Burst:

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -67,6 +68,11 @@ func TestValidateRejections(t *testing.T) {
 		{"negative proc", (&Plan{}).Up(0, -1), "outside"},
 		{"bad factor", (&Plan{}).Slow(0, 0, 0), "must be positive"},
 		{"bad prob", (&Plan{}).WithLoss(0, 1.5), "outside [0, 1]"},
+		{"NaN time", (&Plan{}).Down(des.Time(math.NaN()), 0), "not finite"},
+		{"infinite time", (&Plan{}).WithLoss(des.Time(math.Inf(1)), 0.1), "not finite"},
+		{"NaN factor", (&Plan{}).Slow(0, 0, math.NaN()), "must be positive"},
+		{"infinite factor", (&Plan{}).Slow(0, 0, math.Inf(1)), "finite"},
+		{"NaN prob", (&Plan{}).WithLoss(0, math.NaN()), "outside [0, 1]"},
 		{"bad burst stream", (&Plan{}).WithBurst(0, 9, 5), "outside [-1, 8)"},
 		{"bad burst count", (&Plan{}).WithBurst(0, 0, 0), "must be positive"},
 		{"double down", (&Plan{}).Down(0, 3).Down(des.Second, 3), "already down"},

@@ -30,6 +30,7 @@
 package live
 
 import (
+	"fmt"
 	"sync"
 
 	"affinity/internal/des"
@@ -48,21 +49,18 @@ type waiter struct{ ch chan bool }
 // stopped.
 func (w *waiter) wait() bool { return <-w.ch }
 
-// sleeper is one goroutine blocked until a virtual instant. A keyed
-// sleeper is an ordered event source (an arrival stream): same-instant
+// unkeyed marks the tie word of an unkeyed sleeper. A keyed sleeper is
+// an ordered event source (an arrival stream) and its tie is its
+// registration seq alone, so at one instant every keyed sleeper sorts
+// ahead of every unkeyed one, and each kind sorts by seq. Same-instant
 // keyed sleepers are released one at a time in (at, seq) order, each
 // running to its next park before the following one releases, instead
 // of being released together to race. Because arrival sources register
 // their first sleep in stream order and re-register serially under this
-// protocol, a keyed sleeper's seq reproduces the DES event heap's
+// protocol, a keyed sleeper's seq reproduces the DES event queue's
 // schedule order exactly — the deterministic (stream, seq) tie-break
 // both backends share (see DESIGN.md §10).
-type sleeper struct {
-	at    des.Time
-	seq   uint64
-	keyed bool
-	w     *waiter
-}
+const unkeyed = 1 << 63
 
 // clock is the virtual-time coordinator. Every goroutine participating
 // in a run is registered (spawn/exit) and is, at any moment, either
@@ -82,8 +80,8 @@ type clock struct {
 	now      des.Time
 	horizon  des.Time
 	runnable int
-	sleepers []sleeper // binary min-heap by (at, keyed-first, seq)
-	waiters  []*waiter // every slot stop must reach
+	sleepers des.Queue[*waiter] // by (at, tie); see unkeyed
+	waiters  []*waiter          // every slot stop must reach
 	seq      uint64
 	fired    uint64
 	stopped  bool
@@ -119,11 +117,11 @@ func (c *clock) Fired() uint64 {
 }
 
 // Pending returns the number of goroutines currently asleep on a timer
-// (the live analogue of the DES event-heap depth).
+// (the live analogue of the DES event queue's depth).
 func (c *clock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.sleepers)
+	return c.sleepers.Len()
 }
 
 // spawn registers n goroutines about to start; call before `go`.
@@ -144,20 +142,14 @@ func (c *clock) exit() {
 // sleep blocks the caller, whose slot is w, for d of virtual time. It
 // returns false when the run stopped instead (the caller should unwind).
 func (c *clock) sleep(w *waiter, d des.Time) bool {
-	if d < 0 {
-		panic("live: negative sleep")
-	}
 	c.mu.Lock()
 	return c.sleepAtLocked(w, c.now+d, false)
 }
 
 // sleepKeyed is sleep for ordered event sources: the sleeper releases
 // serially in deterministic (at, seq) order ahead of any same-instant
-// unkeyed sleepers (see the sleeper comment).
+// unkeyed sleepers (see unkeyed).
 func (c *clock) sleepKeyed(w *waiter, d des.Time) bool {
-	if d < 0 {
-		panic("live: negative sleep")
-	}
 	c.mu.Lock()
 	return c.sleepAtLocked(w, c.now+d, true)
 }
@@ -191,7 +183,7 @@ func (c *clock) preSleep(w *waiter, d des.Time) {
 // goroutine whose slot is w, which is parked or parks before it next
 // touches the clock: the clock releases it then, as if it had slept d
 // itself. The caller must be runnable, so the clock cannot pass the
-// instant before the sleeper is in the heap.
+// instant before the sleeper is queued.
 func (c *clock) schedule(w *waiter, d des.Time) {
 	c.register(w, d, false)
 }
@@ -199,9 +191,6 @@ func (c *clock) schedule(w *waiter, d des.Time) {
 // register pushes a sleeper for w, due d from now, without touching the
 // runnable count.
 func (c *clock) register(w *waiter, d des.Time, keyed bool) {
-	if d < 0 {
-		panic("live: negative sleep")
-	}
 	c.mu.Lock()
 	c.pushLocked(w, c.now+d, keyed)
 	c.mu.Unlock()
@@ -265,12 +254,12 @@ func (c *clock) advanceLocked() {
 	if c.runnable > 0 || c.stopped {
 		return
 	}
-	if len(c.sleepers) == 0 {
+	if c.sleepers.Len() == 0 {
 		c.now = c.horizon
 		c.stopLocked()
 		return
 	}
-	t := c.sleepers[0].at
+	t, tie := c.sleepers.Min()
 	if t > c.horizon {
 		c.now = c.horizon
 		c.stopLocked()
@@ -283,11 +272,14 @@ func (c *clock) advanceLocked() {
 	// next release — the serial, deterministic firing order of the DES
 	// event loop. Only when no keyed sleeper remains at t does the
 	// same-instant unkeyed batch release together to race.
-	if c.sleepers[0].keyed {
+	if tie&unkeyed == 0 {
 		c.releaseLocked()
 		return
 	}
-	for len(c.sleepers) > 0 && c.sleepers[0].at == t {
+	for c.sleepers.Len() > 0 {
+		if at, _ := c.sleepers.Min(); at != t {
+			break
+		}
 		c.releaseLocked()
 	}
 }
@@ -295,71 +287,27 @@ func (c *clock) advanceLocked() {
 // releaseLocked pops the top sleeper, counts its goroutine runnable and
 // sends to its slot.
 func (c *clock) releaseLocked() {
-	s := c.heapPop()
+	_, w := c.sleepers.Pop()
 	c.runnable++
 	c.fired++
 	select {
-	case s.w.ch <- true:
+	case w.ch <- true:
 	default:
 		panic("live: release found its wake slot full")
 	}
 }
 
 // pushLocked adds a sleeper for w due at the absolute instant at,
-// taking the next registration sequence number.
+// taking the next registration sequence number. An instant before now,
+// or NaN, panics.
 func (c *clock) pushLocked(w *waiter, at des.Time, keyed bool) {
-	c.heapPush(sleeper{at: at, seq: c.seq, keyed: keyed, w: w})
+	if !(at >= c.now) {
+		panic(fmt.Sprintf("live: sleep until %v, not at or after now %v", at, c.now))
+	}
+	tie := c.seq
+	if !keyed {
+		tie |= unkeyed
+	}
+	c.sleepers.Push(at, tie, w)
 	c.seq++
-}
-
-// heapPush / heapPop maintain the sleeper min-heap ordered by
-// (at, keyed-first, seq); seq keeps same-instant wake order stable with
-// registration order, and keyed (ordered-event) sleepers sort ahead of
-// unkeyed ones at the same instant so advanceLocked can serialize them.
-func (c *clock) heapPush(s sleeper) {
-	c.sleepers = append(c.sleepers, s)
-	i := len(c.sleepers) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !sleeperLess(c.sleepers[i], c.sleepers[parent]) {
-			break
-		}
-		c.sleepers[i], c.sleepers[parent] = c.sleepers[parent], c.sleepers[i]
-		i = parent
-	}
-}
-
-func (c *clock) heapPop() sleeper {
-	top := c.sleepers[0]
-	n := len(c.sleepers) - 1
-	c.sleepers[0] = c.sleepers[n]
-	c.sleepers[n] = sleeper{}
-	c.sleepers = c.sleepers[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && sleeperLess(c.sleepers[l], c.sleepers[min]) {
-			min = l
-		}
-		if r < n && sleeperLess(c.sleepers[r], c.sleepers[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		c.sleepers[i], c.sleepers[min] = c.sleepers[min], c.sleepers[i]
-		i = min
-	}
-	return top
-}
-
-func sleeperLess(a, b sleeper) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.keyed != b.keyed {
-		return a.keyed
-	}
-	return a.seq < b.seq
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,6 +54,19 @@ func TestClockReleasesSleepersInTimeOrder(t *testing.T) {
 			t.Fatalf("wake order %v, want %v", order, want)
 		}
 	}
+}
+
+// TestClockRefusesNaN: a sleeper due at NaN would sit in the queue
+// under a key that orders as no time; registering one panics.
+func TestClockRefusesNaN(t *testing.T) {
+	c := newClock(des.Second)
+	w := c.newWaiter()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic registering a sleeper at NaN")
+		}
+	}()
+	c.schedule(w, des.Time(math.NaN()))
 }
 
 func TestClockReleasesSameInstantTogether(t *testing.T) {

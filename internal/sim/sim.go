@@ -343,14 +343,18 @@ func (p Params) Validate() error {
 			return fmt.Errorf("sim: stream %d: %w", i, err)
 		}
 	}
-	if p.LockCritFrac < 0 || p.LockCritFrac > 1 {
+	// The range checks are written to fail on NaN, which passes every
+	// ordinary comparison; ±Inf is refused wherever it would become a
+	// time or a cost.
+	if !(p.LockCritFrac >= 0 && p.LockCritFrac <= 1) {
 		return fmt.Errorf("sim: lock critical fraction %v outside [0, 1]", p.LockCritFrac)
 	}
-	if p.CodeSharedFrac < 0 || p.CodeSharedFrac > 1 {
+	if !(p.CodeSharedFrac >= 0 && p.CodeSharedFrac <= 1) {
 		return fmt.Errorf("sim: code shared fraction %v outside [0, 1]", p.CodeSharedFrac)
 	}
-	if p.DataTouch < 0 || p.LockOverhead < 0 {
-		return fmt.Errorf("sim: negative per-packet overheads")
+	if !(p.DataTouch >= 0 && p.LockOverhead >= 0) || math.IsInf(p.DataTouch, 1) || math.IsInf(p.LockOverhead, 1) {
+		return fmt.Errorf("sim: per-packet overheads (data touch %v, lock %v) must be finite and ≥ 0",
+			p.DataTouch, p.LockOverhead)
 	}
 	if p.MaxQueueDepth < 0 {
 		return fmt.Errorf("sim: negative max queue depth %d", p.MaxQueueDepth)
@@ -362,7 +366,7 @@ func (p Params) Validate() error {
 		if p.Steal.DepthThreshold < 0 {
 			return fmt.Errorf("sim: negative steal depth threshold %d", p.Steal.DepthThreshold)
 		}
-		if p.Steal.ColdBias < 0 || p.Steal.ColdBias > 1 {
+		if !(p.Steal.ColdBias >= 0 && p.Steal.ColdBias <= 1) {
 			return fmt.Errorf("sim: steal cold-start bias %v outside [0, 1]", p.Steal.ColdBias)
 		}
 	}

@@ -322,6 +322,15 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.CodeSharedFrac = -0.1 },                            //
 		func(p *Params) { p.DataTouch = -1 },                                   //
 		func(p *Params) { p.Background = &workload.NonProtocol{Intensity: 2} }, //
+		// NaN passes every ordinary range comparison; ±Inf would
+		// become an event time.
+		func(p *Params) { p.LockCritFrac = math.NaN() },
+		func(p *Params) { p.CodeSharedFrac = math.NaN() },
+		func(p *Params) { p.DataTouch = math.NaN() },
+		func(p *Params) { p.DataTouch = math.Inf(1) },
+		func(p *Params) { p.LockOverhead = math.NaN() },
+		func(p *Params) { p.LockOverhead = math.Inf(1) },
+		func(p *Params) { p.Background = &workload.NonProtocol{Intensity: math.NaN()} },
 	}
 	for i, mutate := range bad {
 		p := quick(Locking, sched.FCFS).WithDefaults()

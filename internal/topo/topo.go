@@ -25,6 +25,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -81,13 +82,16 @@ func (t *Topology) Validate(processors int) error {
 	if t.Sockets <= 0 || t.CoresPerSocket <= 0 {
 		return fmt.Errorf("topo: shape %dx%d must be positive", t.Sockets, t.CoresPerSocket)
 	}
-	if t.SameSocketTransient < 1 {
-		return fmt.Errorf("topo: same-socket transient %g < 1 (a migration cannot beat staying put)",
+	if !(t.SameSocketTransient >= 1) {
+		return fmt.Errorf("topo: same-socket transient %g must be ≥ 1 (a migration cannot beat staying put)",
 			t.SameSocketTransient)
 	}
-	if t.CrossSocketTransient < t.SameSocketTransient {
-		return fmt.Errorf("topo: cross-socket transient %g < same-socket %g",
+	if !(t.CrossSocketTransient >= t.SameSocketTransient) {
+		return fmt.Errorf("topo: cross-socket transient %g must be ≥ same-socket %g",
 			t.CrossSocketTransient, t.SameSocketTransient)
+	}
+	if math.IsInf(t.CrossSocketTransient, 1) {
+		return fmt.Errorf("topo: cross-socket transient %g is not finite", t.CrossSocketTransient)
 	}
 	if processors > 0 && t.Processors() != processors {
 		return fmt.Errorf("topo: shape %dx%d has %d cores, run has %d processors",

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -61,6 +62,9 @@ func TestValidateRejections(t *testing.T) {
 		{"zero-cores", Topology{Sockets: 2, SameSocketTransient: 1, CrossSocketTransient: 1}, 0, "positive"},
 		{"same-below-one", Topology{Sockets: 2, CoresPerSocket: 2, SameSocketTransient: 0.5, CrossSocketTransient: 1}, 0, "same-socket"},
 		{"cross-below-same", Topology{Sockets: 2, CoresPerSocket: 2, SameSocketTransient: 2, CrossSocketTransient: 1.5}, 0, "cross-socket"},
+		{"same-NaN", Topology{Sockets: 2, CoresPerSocket: 2, SameSocketTransient: math.NaN(), CrossSocketTransient: 1.5}, 0, "same-socket"},
+		{"cross-NaN", Topology{Sockets: 2, CoresPerSocket: 2, SameSocketTransient: 1, CrossSocketTransient: math.NaN()}, 0, "cross-socket"},
+		{"cross-Inf", Topology{Sockets: 2, CoresPerSocket: 2, SameSocketTransient: 1, CrossSocketTransient: math.Inf(1)}, 0, "not finite"},
 		{"shape-mismatch", Topology{Sockets: 2, CoresPerSocket: 2, SameSocketTransient: 1, CrossSocketTransient: 1}, 8, "8 processors"},
 	}
 	for _, c := range cases {

@@ -46,7 +46,7 @@ func (o OnOff) Validate() error {
 	if !(o.MeanOn > 0) || math.IsInf(float64(o.MeanOn), 1) {
 		return fmt.Errorf("traffic: onoff mean ON period %v must be a positive finite duration", o.MeanOn)
 	}
-	if o.MeanOff < 0 || math.IsInf(float64(o.MeanOff), 1) {
+	if !(o.MeanOff >= 0) || math.IsInf(float64(o.MeanOff), 1) {
 		return fmt.Errorf("traffic: onoff mean OFF period %v must be a non-negative finite duration", o.MeanOff)
 	}
 	return nil

@@ -106,6 +106,8 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{OnOff{Base: Poisson{PacketsPerSec: 0}, MeanOn: 1}, "rate"},
 		{OnOff{Base: Poisson{PacketsPerSec: 100}, MeanOn: 0, MeanOff: 10}, "ON period"},
 		{OnOff{Base: Poisson{PacketsPerSec: 100}, MeanOn: 10, MeanOff: -1}, "OFF period"},
+		{OnOff{Base: Poisson{PacketsPerSec: 100}, MeanOn: 10, MeanOff: des.Time(math.NaN())}, "OFF period"},
+		{Train{PacketsPerSec: 100, MeanTrainLen: 5, IntraGap: des.Time(math.NaN())}, "intra-train"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()

@@ -187,10 +187,10 @@ func (t Train) Validate() error {
 	if !(t.MeanTrainLen >= 1) || math.IsInf(t.MeanTrainLen, 1) {
 		return fmt.Errorf("traffic: mean train length %v must be a finite value ≥ 1", t.MeanTrainLen)
 	}
-	if t.IntraGap < 0 {
+	if !(t.IntraGap >= 0) {
 		return fmt.Errorf("traffic: negative intra-train gap %v", t.IntraGap)
 	}
-	if t.interTrain() <= 0 {
+	if !(t.interTrain() > 0) {
 		return fmt.Errorf("traffic: train params infeasible: rate %v, len %v, gap %v need a negative inter-train gap",
 			t.PacketsPerSec, t.MeanTrainLen, t.IntraGap)
 	}

@@ -138,7 +138,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		t.Rates = make([]float64, streams)
 		for i, p := range parts {
 			r, err := strconv.ParseFloat(p, 64)
-			if err != nil || r < 0 {
+			if err != nil || !(r >= 0) || math.IsInf(r, 1) {
 				return nil, fmt.Errorf("workload: bad nominal rate %q", p)
 			}
 			t.Rates[i] = r
@@ -171,7 +171,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("workload: trace line %d: bad stream id %q", line, row[:f1])
 		}
 		delay, err := strconv.ParseFloat(row[f1+1:f2], 64)
-		if err != nil || delay < 0 {
+		if err != nil || !(delay >= 0) || math.IsInf(delay, 1) {
 			return nil, fmt.Errorf("workload: trace line %d: bad delay %q", line, row[f1+1:f2])
 		}
 		batch, err := strconv.Atoi(row[f2+1:])

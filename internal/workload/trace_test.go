@@ -57,6 +57,9 @@ func TestReadTraceRejects(t *testing.T) {
 		{"bad columns", "# affinity-trace v1 streams=1\nwrong,cols\n", "column header"},
 		{"bad stream", "# affinity-trace v1 streams=1\nstream,delay_us,batch\n5,1.5,1\n", "stream id"},
 		{"bad delay", "# affinity-trace v1 streams=1\nstream,delay_us,batch\n0,-3,1\n", "delay"},
+		{"NaN delay", "# affinity-trace v1 streams=1\nstream,delay_us,batch\n0,NaN,1\n", "delay"},
+		{"infinite delay", "# affinity-trace v1 streams=1\nstream,delay_us,batch\n0,+Inf,1\n", "delay"},
+		{"NaN rate", "# affinity-trace v1 streams=1\n# rates_pps=NaN\nstream,delay_us,batch\n0,1.5,1\n", "rate"},
 		{"bad batch", "# affinity-trace v1 streams=1\nstream,delay_us,batch\n0,1.5,0\n", "batch"},
 		{"short line", "# affinity-trace v1 streams=1\nstream,delay_us,batch\n0,1.5\n", "want stream"},
 		{"no events", "# affinity-trace v1 streams=2\nstream,delay_us,batch\n", "no arrival events"},

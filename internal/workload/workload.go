@@ -7,7 +7,10 @@
 // of preempting it when a packet arrives.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NonProtocol describes the background workload on every processor.
 //
@@ -47,11 +50,11 @@ func WithIntensity(v float64) NonProtocol {
 
 // Validate reports a descriptive error for out-of-range parameters.
 func (n NonProtocol) Validate() error {
-	if n.Intensity < 0 || n.Intensity > 1 {
+	if !(n.Intensity >= 0 && n.Intensity <= 1) {
 		return fmt.Errorf("workload: intensity %v outside [0, 1]", n.Intensity)
 	}
-	if n.PreemptCost < 0 {
-		return fmt.Errorf("workload: negative preempt cost %v", n.PreemptCost)
+	if !(n.PreemptCost >= 0) || math.IsInf(n.PreemptCost, 1) {
+		return fmt.Errorf("workload: preempt cost %v must be finite and ≥ 0", n.PreemptCost)
 	}
 	return nil
 }

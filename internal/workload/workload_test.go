@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestDefaults(t *testing.T) {
 	d := Default()
@@ -66,6 +69,9 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{Intensity: -0.1},
 		{Intensity: 1.1},
 		{Intensity: 0.5, PreemptCost: -1},
+		{Intensity: math.NaN()},
+		{Intensity: 0.5, PreemptCost: math.NaN()},
+		{Intensity: 0.5, PreemptCost: math.Inf(1)},
 	}
 	for _, n := range bad {
 		if err := n.Validate(); err == nil {
