@@ -255,14 +255,15 @@ func TestCLIBadFlagsExitOne(t *testing.T) {
 		{"-faults", "loss:NaN@0s"},
 		{"-paradigm", "ips", "-policy", "rss"}, // hash dispatch is Locking-only
 		{"-paradigm", "ips", "-policy", "flowdir"},
+		{"-packets", "-5"}, // would stop at the first measured packet
 	}
 	for _, args := range cases {
 		_, stderr, code := run(t, args...)
 		if code != 1 {
 			t.Errorf("%v: exit %d, want 1", args, code)
 		}
-		if !strings.HasPrefix(stderr, "affinitysim:") {
-			t.Errorf("%v: stderr %q lacks the affinitysim: prefix", args, stderr)
+		if !strings.HasPrefix(stderr, "affinitysim:") || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%v: stderr %q is not one affinitysim: line", args, stderr)
 		}
 	}
 }

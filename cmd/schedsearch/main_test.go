@@ -143,14 +143,16 @@ func TestSearchCLIBadFlagsExitOne(t *testing.T) {
 		{"-spec", "/nonexistent/spec.json"},
 		{"-rate", "-100"},
 		{"-parallel", "-1"},
+		{"-packets", "-5"}, // one-packet runs would pick the "best" configuration
 	}
 	for _, args := range cases {
-		_, stderr, code := run(t, append(args, "-packets", "200")...)
+		// The case's own flags come last, so its -packets wins.
+		_, stderr, code := run(t, append([]string{"-packets", "200"}, args...)...)
 		if code != 1 {
 			t.Errorf("%v: exit %d, want 1", args, code)
 		}
-		if !strings.HasPrefix(stderr, "schedsearch:") {
-			t.Errorf("%v: stderr %q lacks the schedsearch: prefix", args, stderr)
+		if !strings.HasPrefix(stderr, "schedsearch:") || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%v: stderr %q is not one schedsearch: line", args, stderr)
 		}
 	}
 }

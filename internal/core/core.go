@@ -172,11 +172,15 @@ func poissonTail(lambda float64, k int) float64 {
 	if lambda <= 0 {
 		return 0
 	}
+	return poissonTailFrom(math.Exp(-lambda), lambda, k)
+}
+
+// poissonTailFrom is poissonTail for lambda > 0 given term = e^{−λ}.
+func poissonTailFrom(term, lambda float64, k int) float64 {
 	// P(X ≥ k) = 1 − Σ_{i<k} e^{−λ} λ^i / i!
-	term := math.Exp(-lambda)
 	cdf := term
 	for i := 1; i < k; i++ {
-		term *= lambda / float64(i)
+		term = float64(term * (lambda / float64(i)))
 		cdf += term
 	}
 	if cdf > 1 {

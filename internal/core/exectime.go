@@ -162,7 +162,7 @@ func (m *Model) ExecTime(refs float64) float64 {
 	if math.IsInf(refs, 1) {
 		return c.TCold
 	}
-	return c.TWarm + m.F1(refs)*(c.TL1Cold-c.TWarm) + m.F2(refs)*(c.TCold-c.TL1Cold)
+	return c.TWarm + float64(m.F1(refs)*(c.TL1Cold-c.TWarm)) + float64(m.F2(refs)*(c.TCold-c.TL1Cold))
 }
 
 // ExecTimeAfter is a convenience wrapper: execution time after busyMicros

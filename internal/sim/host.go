@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 
 	"affinity/internal/core"
@@ -61,13 +62,24 @@ type Host struct {
 	lastProcOf  []int                    // entity → processor of previous completion, -1 unknown
 	idleScratch []int                    // reused by idleProcs
 
+	// idle has bit p%64 of word p/64 set while processor p is neither
+	// busy nor down. beginService, goIdle, procDown and procUp keep it
+	// in step with procState, so idleProcs reads the set bits instead
+	// of scanning every processor. Up to 64 processors it is idleWord,
+	// so the mask costs a run no allocation.
+	idle     []uint64
+	idleWord [1]uint64
+
 	delays    *stats.BatchMeans
-	delayAcc  stats.Accumulator
 	delayHist *stats.Histogram
-	perStream []stats.Accumulator
-	service   stats.Accumulator
-	queueing  stats.Accumulator
-	lockWait  stats.Accumulator
+	// Results reads only a mean and a count from each of these, and
+	// the largest measured delay from maxDelay.
+	delayMean stats.Mean
+	maxDelay  float64
+	perStream []stats.Mean
+	service   stats.Mean
+	queueing  stats.Mean
+	lockWait  stats.Mean
 
 	warm       uint64
 	coldStarts uint64
@@ -216,7 +228,7 @@ func NewHost(p Params, clk Clock) *Host {
 		lastProcOf: make([]int, entities),
 		delays:     stats.NewBatchMeans(uint64(max(p.MeasuredPackets/30, 1))),
 		delayHist:  stats.NewHistogram(0, 100_000, 10_000), // 10 µs bins to 100 ms
-		perStream:  make([]stats.Accumulator, p.Streams),
+		perStream:  make([]stats.Mean, p.Streams),
 
 		rec:           p.Recorder,
 		drec:          p.DecisionRecorder,
@@ -234,7 +246,12 @@ func NewHost(p Params, clk Clock) *Host {
 	for i := range h.lastProcOf {
 		h.lastProcOf[i] = -1
 	}
+	h.idle = h.idleWord[:]
+	if p.Processors > 64 {
+		h.idle = make([]uint64, (p.Processors+63)/64)
+	}
 	for i := range h.procs {
+		h.setIdle(i, true)
 		h.procs[i].seen = make([]bool, entities)
 		h.procs[i].markNP = make([]float64, entities)
 		h.procs[i].markProto = make([]float64, entities)
@@ -438,18 +455,28 @@ func (h *Host) Fault(now des.Time, ev faults.Event) {
 	}
 }
 
-// idleProcs returns the processors currently free of protocol work. The
-// returned slice is the host's scratch buffer, valid until the next
-// call.
+// idleProcs returns the processors currently free of protocol work, in
+// ascending order. The returned slice is the host's scratch buffer,
+// valid until the next call.
 func (h *Host) idleProcs() []int {
 	idle := h.idleScratch[:0]
-	for i := range h.procs {
-		if !h.procs[i].busy && !h.procs[i].down {
-			idle = append(idle, i)
+	for w, word := range h.idle {
+		for ; word != 0; word &= word - 1 {
+			idle = append(idle, w<<6|bits.TrailingZeros64(word))
 		}
 	}
 	h.idleScratch = idle
 	return idle
+}
+
+// setIdle records whether processor p is free of protocol work (neither
+// busy nor down) in the idle mask.
+func (h *Host) setIdle(p int, free bool) {
+	if free {
+		h.idle[p>>6] |= 1 << (p & 63)
+	} else {
+		h.idle[p>>6] &^= 1 << (p & 63)
+	}
 }
 
 // Arrive admits one packet of stream at instant now.
@@ -581,6 +608,7 @@ func (h *Host) procDown(proc int) {
 	now := h.now
 	ps.down = true
 	ps.downSince = now
+	h.setIdle(proc, false)
 	if h.rec != nil {
 		h.emit(obs.Event{T: float64(now), Kind: obs.KindProcDown,
 			Proc: proc, Stream: -1, Entity: -1})
@@ -605,6 +633,7 @@ func (h *Host) procUp(proc int) {
 	now := h.now
 	ps.down = false
 	ps.downTime += float64(now - ps.downSince)
+	h.setIdle(proc, !ps.busy)
 	for i := range ps.seen {
 		ps.seen[i] = false
 	}
@@ -710,6 +739,7 @@ func (h *Host) beginService(pkt sched.Packet, proc int, fromIdle, locked bool, d
 		ps.dispNP += h.p.Background.Intensity * h.rate * float64(now-ps.idleSince)
 		ps.busy = true
 		ps.busySince = now
+		h.setIdle(proc, false)
 		ps.util.Set(float64(now), 1)
 		if h.rec != nil {
 			h.emit(obs.Event{T: float64(now), Kind: obs.KindProcBusy,
@@ -860,7 +890,10 @@ func (h *Host) settleCompletion(pkt sched.Packet, proc int, protoExec float64) {
 	if pkt.Arrive >= h.p.Warmup {
 		delay := float64(now - pkt.Arrive)
 		h.delays.Add(delay)
-		h.delayAcc.Add(delay)
+		h.delayMean.Add(delay)
+		if delay > h.maxDelay {
+			h.maxDelay = delay
+		}
 		h.delayHist.Add(delay)
 		h.perStream[pkt.Stream].Add(delay)
 		h.measured++
@@ -876,6 +909,7 @@ func (h *Host) goIdle(proc int) {
 	ps := &h.procs[proc]
 	ps.busy = false
 	ps.idleSince = now
+	h.setIdle(proc, !ps.down)
 	ps.util.Set(float64(now), 0)
 	if h.rec != nil {
 		h.emit(obs.Event{T: float64(now), Kind: obs.KindProcIdle,
@@ -1047,9 +1081,9 @@ func (h *Host) Results() Results {
 		Completed:      uint64(h.measured),
 		CompletedTotal: h.service.N(),
 		Arrivals:       h.arrivals,
-		MeanDelay:      h.delayAcc.Mean(),
+		MeanDelay:      h.delayMean.Mean(),
 		DelayCI:        h.delays.HalfWidth(),
-		MaxDelay:       h.delayAcc.Max(),
+		MaxDelay:       h.maxDelay,
 		MeanService:    h.service.Mean(),
 		MeanQueueing:   h.queueing.Mean(),
 		MeanLockWait:   h.lockWait.Mean(),

@@ -359,6 +359,18 @@ func (p Params) Validate() error {
 	if p.MaxQueueDepth < 0 {
 		return fmt.Errorf("sim: negative max queue depth %d", p.MaxQueueDepth)
 	}
+	// The measurement window: a NaN or infinite warmup measures no
+	// packet, a NaN horizon never ends a run, and a negative packet
+	// target stops it at the first measured packet.
+	if !(p.Warmup >= 0) || math.IsInf(float64(p.Warmup), 1) {
+		return fmt.Errorf("sim: warmup %v must be finite and ≥ 0", p.Warmup)
+	}
+	if !(p.MaxTime > 0) {
+		return fmt.Errorf("sim: horizon %v must be positive", p.MaxTime)
+	}
+	if p.MeasuredPackets < 0 {
+		return fmt.Errorf("sim: negative measured packet count %d", p.MeasuredPackets)
+	}
 	if p.Policy == sched.AffinitySteal {
 		if math.IsNaN(p.Steal.Penalty) || p.Steal.Penalty < 0 {
 			return fmt.Errorf("sim: steal penalty %v must be ≥ 0 µs (or +Inf to pin)", p.Steal.Penalty)

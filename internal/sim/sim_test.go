@@ -331,6 +331,17 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.LockOverhead = math.NaN() },
 		func(p *Params) { p.LockOverhead = math.Inf(1) },
 		func(p *Params) { p.Background = &workload.NonProtocol{Intensity: math.NaN()} },
+		// A measurement window that cannot measure: a NaN or infinite
+		// warmup measures no packet, a NaN horizon never ends the run,
+		// a negative one ends it before it starts, and a negative
+		// packet target stops it at the first measured packet.
+		func(p *Params) { p.Warmup = des.Time(math.NaN()) },
+		func(p *Params) { p.Warmup = des.Time(math.Inf(1)) },
+		func(p *Params) { p.Warmup = -des.Millisecond },
+		func(p *Params) { p.MaxTime = des.Time(math.NaN()) },
+		func(p *Params) { p.MaxTime = -des.Second },
+		func(p *Params) { p.MaxTime = 0 },
+		func(p *Params) { p.MeasuredPackets = -5 },
 	}
 	for i, mutate := range bad {
 		p := quick(Locking, sched.FCFS).WithDefaults()

@@ -18,6 +18,8 @@ import (
 //     QuantileClamped flags exactly the overflow-mass quantiles
 //   - cumulative bin counts, underflow and overflow account for every
 //     observation
+//   - a Mean fed the same values holds the Accumulator's count and mean
+//     bit for bit (the simulator keeps mean-only statistics in Means)
 func FuzzBatchMeans(f *testing.F) {
 	le := binary.LittleEndian
 	mk := func(batch uint16, xs ...float64) []byte {
@@ -49,6 +51,7 @@ func FuzzBatchMeans(f *testing.F) {
 		bm := NewBatchMeans(batchSize)
 		h := NewHistogram(0, 100_000, 1_000)
 		var acc Accumulator
+		var mean Mean
 		n := 0
 		for ; len(data) >= 8; data = data[8:] {
 			x := math.Float64frombits(le.Uint64(data[:8]))
@@ -57,6 +60,7 @@ func FuzzBatchMeans(f *testing.F) {
 			}
 			bm.Add(x)
 			acc.Add(x)
+			mean.Add(x)
 			h.Add(x)
 			n++
 		}
@@ -64,8 +68,11 @@ func FuzzBatchMeans(f *testing.F) {
 			return
 		}
 
-		if acc.N() != uint64(n) || h.N() != uint64(n) {
-			t.Fatalf("N: acc=%d hist=%d, fed %d", acc.N(), h.N(), n)
+		if acc.N() != uint64(n) || h.N() != uint64(n) || mean.N() != uint64(n) {
+			t.Fatalf("N: acc=%d hist=%d mean=%d, fed %d", acc.N(), h.N(), mean.N(), n)
+		}
+		if got, want := math.Float64bits(mean.Mean()), math.Float64bits(acc.Mean()); got != want {
+			t.Fatalf("Mean.Mean() = %v, Accumulator.Mean() = %v", mean.Mean(), acc.Mean())
 		}
 		if m := acc.Mean(); m < acc.Min() && !closeRank(m, acc.Min()) ||
 			m > acc.Max() && !closeRank(m, acc.Max()) {

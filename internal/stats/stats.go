@@ -63,6 +63,27 @@ func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 func (a *Accumulator) Min() float64 { return a.min }
 func (a *Accumulator) Max() float64 { return a.max }
 
+// Mean computes a streaming count and mean: Accumulator's Welford
+// mean update alone, bit for bit, for a caller that reads nothing else.
+// The zero value is ready to use.
+type Mean struct {
+	n    uint64
+	mean float64
+}
+
+// Add records one observation.
+func (m *Mean) Add(x float64) {
+	m.n++
+	d := x - m.mean
+	m.mean += d / float64(m.n)
+}
+
+// N returns the observation count.
+func (m *Mean) N() uint64 { return m.n }
+
+// Mean returns the sample mean, or 0 with no observations.
+func (m *Mean) Mean() float64 { return m.mean }
+
 // TimeWeighted integrates a piecewise-constant process (queue length,
 // busy servers) over simulation time.
 type TimeWeighted struct {
@@ -106,7 +127,7 @@ func (w *TimeWeighted) Mean(now float64) float64 {
 // averages are treated as (approximately) independent samples.
 type BatchMeans struct {
 	batchSize uint64
-	current   Accumulator
+	current   Mean // the batch in progress
 	batches   Accumulator
 }
 
@@ -123,7 +144,7 @@ func (b *BatchMeans) Add(x float64) {
 	b.current.Add(x)
 	if b.current.N() == b.batchSize {
 		b.batches.Add(b.current.Mean())
-		b.current = Accumulator{}
+		b.current = Mean{}
 	}
 }
 

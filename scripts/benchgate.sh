@@ -11,14 +11,24 @@
 # the head run (renamed/deleted benchmarks shrink the comparison) or
 # when the head run produced no benchmarks at all.
 #
+# The two sides run in interleaved rounds: each round runs every gated
+# benchmark once at each side, and the side that goes first alternates
+# from round to round. Host speed drifts over minutes, so running one
+# side's repetitions before the other's lets the drift decide the
+# verdict; interleaved, it lands on both sides alike. Every benchmark
+# runs at GOMAXPROCS 1 (-cpu 1): the gated set is single-goroutine
+# except BenchmarkFigE5LockingDelay, whose grid runs on a concurrent
+# sim.Pool and allocates a varying amount at more than one P.
+#
 # Usage:
 #   scripts/benchgate.sh <base-ref>          # e.g. origin/main or a SHA
 #
 # Knobs (environment):
 #   BENCHGATE_BENCH                regex of benchmarks to gate on
 #                                  (default: the simulator hot path)
-#   BENCHGATE_COUNT                repetitions per benchmark (default 6;
-#                                  medians absorb scheduler noise)
+#   BENCHGATE_COUNT                rounds (default 6; each runs every
+#                                  benchmark once per side, and medians
+#                                  absorb scheduler noise)
 #   BENCHGATE_MAX_TIME_REGRESSION  allowed time/op growth in percent
 #                                  (default 10)
 #
@@ -36,20 +46,33 @@ cd "$repo_root"
 
 workdir=$(mktemp -d)
 base_tree="$workdir/base"
-trap 'git worktree remove --force "$base_tree" 2>/dev/null || true; rm -rf "$workdir"' EXIT
+trap 'rm -rf "$workdir"' EXIT
 
-echo "benchgate: base=$base_ref bench=$bench count=$count max-time-regress=${max_regress}%"
+echo "benchgate: base=$base_ref bench=$bench rounds=$count max-time-regress=${max_regress}%"
 
-git worktree add --quiet --detach "$base_tree" "$base_ref"
+mkdir "$base_tree"
+git archive "$base_ref" | tar -x -C "$base_tree"
 
+echo "benchgate: building both sides' benchmarks…"
+(cd "$base_tree" && go test -c -o "$workdir/base.test" .)
+(cd "$repo_root" && go test -c -o "$workdir/head.test" .)
+
+# run_bench <side> appends one pass over the gated set to <side>.txt,
+# running the side's test binary in its own tree.
 run_bench() {
-    (cd "$1" && go test -run '^$' -bench "$bench" -benchmem -count "$count" -timeout 30m .)
+    local tree=$base_tree
+    [ "$1" = head ] && tree=$repo_root
+    (cd "$tree" && "$workdir/$1.test" -test.run '^$' -test.bench "$bench" -test.benchmem \
+        -test.count 1 -test.cpu 1 -test.timeout 30m) >> "$workdir/$1.txt"
 }
 
-echo "benchgate: running base benchmarks…"
-run_bench "$base_tree" > "$workdir/base.txt"
-echo "benchgate: running head benchmarks…"
-run_bench "$repo_root" > "$workdir/head.txt"
+for ((round = 1; round <= count; round++)); do
+    if ((round % 2)); then sides="base head"; else sides="head base"; fi
+    echo "benchgate: round $round/$count ($sides)…"
+    for side in $sides; do
+        run_bench "$side"
+    done
+done
 
 if command -v benchstat >/dev/null 2>&1; then
     benchstat "$workdir/base.txt" "$workdir/head.txt" || true
