@@ -92,8 +92,9 @@ func BenchmarkCacheSimColdPacket(b *testing.B) {
 }
 
 // BenchmarkDESScheduleFire times one schedule+fire pair through the
-// engine's only scheduling path: ScheduleArg with a non-capturing
-// handler, as the runner uses it.
+// engine's one-shot path: ScheduleArg with a non-capturing handler, as
+// the runner schedules fault and gauge events (BenchmarkDESTimers times
+// the timer path its arrivals and services take).
 func BenchmarkDESScheduleFire(b *testing.B) {
 	s := des.NewSimulator()
 	for i := 0; i < b.N; i++ {
@@ -128,6 +129,55 @@ func BenchmarkDESEventQueue(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDESTimers times one timer firing with n timers pending, in
+// the arrival streams' pattern: each op fires the earliest timer, and
+// its handler re-arms it at the next pre-drawn delay, drawn as
+// BenchmarkDESEventQueue draws them, at the same two depths.
+func BenchmarkDESTimers(b *testing.B) {
+	for _, depth := range []int{12, 103} {
+		b.Run("pending="+strconv.Itoa(depth), func(b *testing.B) {
+			rng := des.NewRNG(1)
+			tb := &timerBench{s: des.NewSimulator(), delays: make([]des.Time, 4096)}
+			for i := range tb.delays {
+				tb.delays[i] = des.Time(rng.Float64() * float64(2*depth))
+			}
+			timers := make([]benchTimer, depth)
+			for i := range timers {
+				timers[i] = benchTimer{b: tb}
+				timers[i].t = tb.s.NewTimer(rearmTimer, &timers[i])
+			}
+			for i := range timers {
+				tb.s.Arm(timers[i].t, tb.delays[i])
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tb.s.Step()
+			}
+		})
+	}
+}
+
+// timerBench is BenchmarkDESTimers' simulator and delay stream; next
+// indexes the delay the next re-arm takes.
+type timerBench struct {
+	s      *des.Simulator
+	delays []des.Time
+	next   int
+}
+
+// benchTimer is one of BenchmarkDESTimers' timers.
+type benchTimer struct {
+	b *timerBench
+	t *des.Timer
+}
+
+func rearmTimer(a any) {
+	bt := a.(*benchTimer)
+	tb := bt.b
+	tb.s.Arm(bt.t, tb.delays[tb.next&4095])
+	tb.next++
 }
 
 func BenchmarkSimulationPerPacket(b *testing.B) {

@@ -7,20 +7,30 @@
 // microseconds). Events scheduled for the same instant fire in the order
 // they were scheduled, which keeps runs reproducible.
 //
-// The engine is allocation-free in steady state: event nodes are pooled
-// on a free list and recycled as soon as they fire. An event is a
-// non-capturing ArgHandler plus a pointer-shaped argument, so scheduling
-// one allocates nothing once the pool covers the run's peak pending
-// count. The pending events wait in a Queue, a 4-ary heap that holds
-// each node's (time, seq) key inline beside its pointer. The time key
-// is the float's bit pattern with −0 folded to +0, so a compare is one
-// 128-bit subtraction; a pop picks the least of four children with
+// Pending firings wait in two structures under one (time, seq) order.
+// A Timer is an event source with at most one firing pending — a
+// simulation's arrival streams and processors — and owns a fixed leaf
+// of a winner tree (timer.go), where arming replays one leaf-to-root
+// path and a timer fires in place. A one-shot event (ScheduleArg: the
+// fault plan, the gauge sampler) waits in a Queue, a 4-ary heap that
+// holds each node's (time, seq) key inline beside its pointer. The time
+// key is the float's bit pattern with −0 folded to +0, so a compare is
+// one 128-bit subtraction; a pop picks the least of four children with
 // borrow masks instead of branches, walks the hole down to a leaf and
-// sifts the last entry up from there (queue.go).
+// sifts the last entry up from there (queue.go). Step fires the lesser
+// of the two roots, and both draw seq from one counter, so a firing's
+// place in the order does not depend on which structure held it.
+//
+// The engine is allocation-free in steady state: timers are made once,
+// and one-shot event nodes are pooled on a free list and recycled as
+// soon as they fire. An event is a non-capturing ArgHandler plus a
+// pointer-shaped argument, so scheduling one allocates nothing once the
+// pool covers the run's peak pending count.
 package des
 
 import (
 	"fmt"
+	"math"
 )
 
 // Time is a simulation timestamp or duration in microseconds.
@@ -75,15 +85,22 @@ type Simulator struct {
 	seq     uint64
 	stopped bool
 	fired   uint64
+	armed   int // timers pending (timer.go)
 
-	// events holds the pending events keyed by (at, seq): seq breaks
-	// ties, so simultaneous events fire in scheduling order.
+	// events holds the pending one-shot events keyed by (at, seq): seq
+	// breaks ties, so simultaneous events fire in scheduling order.
 	events Queue[*event]
 
 	// free is the recycled-node pool. Nodes move queue→free on fire and
 	// free→queue on schedule, so a steady-state run stops allocating
 	// once the pool covers its peak pending count.
 	free []*event
+
+	// timers[i] owns leaf i of tree, a winner tree of width leaves in
+	// heap layout: tree[1] is the root, tree[width+i] leaf i.
+	timers []*Timer
+	tree   []node
+	width  int32
 }
 
 // NewSimulator returns a simulator with the clock at zero.
@@ -97,8 +114,10 @@ func (s *Simulator) Now() Time { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events currently scheduled.
-func (s *Simulator) Pending() int { return s.events.Len() }
+// Pending returns the number of firings currently scheduled: one-shot
+// events plus armed timers. A timer whose handler is running counts
+// again only once it is armed again.
+func (s *Simulator) Pending() int { return s.events.Len() + s.armed }
 
 // ScheduleArg runs fn(arg) after delay. A negative delay is an error in
 // the caller; it panics to surface the bug immediately.
@@ -135,9 +154,16 @@ func (s *Simulator) ScheduleArgAt(at Time, fn ArgHandler, arg any) {
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Step fires the next event, advancing the clock, and reports whether an
-// event was available.
+// event was available. A handler must not call Step, RunUntil or Run.
 func (s *Simulator) Step() bool {
-	if s.events.Len() == 0 || s.stopped {
+	if s.stopped {
+		return false
+	}
+	if s.armed != 0 && s.timerNext() {
+		s.fireTimer()
+		return true
+	}
+	if s.events.Len() == 0 {
 		return false
 	}
 	var ev *event
@@ -158,7 +184,18 @@ func (s *Simulator) Step() bool {
 // otherwise.
 func (s *Simulator) RunUntil(horizon Time) {
 	s.stopped = false
-	for s.events.Len() > 0 && !s.stopped {
+	for !s.stopped {
+		if s.armed != 0 && s.timerNext() {
+			if Time(math.Float64frombits(s.tree[1].at)) > horizon {
+				s.now = horizon
+				return
+			}
+			s.fireTimer()
+			continue
+		}
+		if s.events.Len() == 0 {
+			break
+		}
 		if at, _ := s.events.Min(); at > horizon {
 			s.now = horizon
 			return

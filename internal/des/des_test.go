@@ -368,3 +368,153 @@ func TestRNGDrawHelpers(t *testing.T) {
 		t.Fatalf("ExpTime negative: %v", d)
 	}
 }
+
+// newFuncTimer makes a timer that runs fn, through runFunc like after.
+func newFuncTimer(s *Simulator, fn func()) *Timer {
+	return s.NewTimer(runFunc, fn)
+}
+
+// Timers and one-shot events share one (time, seq) order: a timer armed
+// between two ScheduleArg calls for the same instant fires between them.
+func TestTimersAndEventsShareOneOrder(t *testing.T) {
+	s := NewSimulator()
+	var order []string
+	a := newFuncTimer(s, func() { order = append(order, "timer a") })
+	b := newFuncTimer(s, func() { order = append(order, "timer b") })
+	after(s, 5, func() { order = append(order, "event 1") })
+	s.Arm(b, 5)
+	after(s, 5, func() { order = append(order, "event 2") })
+	s.Arm(a, 5)
+	after(s, 3, func() { order = append(order, "event 0") })
+	if got := s.Pending(); got != 5 {
+		t.Fatalf("Pending() = %d, want 5", got)
+	}
+	s.Run()
+	want := []string{"event 0", "event 1", "timer b", "event 2", "timer a"}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+	if s.Fired() != 5 || s.Pending() != 0 {
+		t.Fatalf("Fired() = %d, Pending() = %d after Run, want 5 and 0", s.Fired(), s.Pending())
+	}
+}
+
+// A timer that re-arms from its own handler fires again; while its
+// handler runs it is not pending until it re-arms; one that returns
+// without re-arming goes idle and may be armed again later.
+func TestTimerFiresInPlace(t *testing.T) {
+	s := NewSimulator()
+	var times []Time
+	var tm *Timer
+	n := 0
+	tm = newFuncTimer(s, func() {
+		times = append(times, s.Now())
+		if s.Pending() != 0 {
+			t.Fatalf("firing timer counted as pending: Pending() = %d", s.Pending())
+		}
+		if n++; n < 3 {
+			s.Arm(tm, 10)
+			if s.Pending() != 1 {
+				t.Fatalf("re-armed timer not pending: Pending() = %d", s.Pending())
+			}
+		}
+	})
+	s.Arm(tm, 1)
+	s.Run()
+	if len(times) != 3 || times[0] != 1 || times[1] != 11 || times[2] != 21 {
+		t.Fatalf("fired at %v, want [1 11 21]", times)
+	}
+	s.Arm(tm, 4)
+	s.Run()
+	if len(times) != 4 || times[3] != 25 {
+		t.Fatalf("re-armed idle timer fired at %v, want 25 last", times)
+	}
+}
+
+// Any handler may arm an idle timer, as a lock release arms the
+// processor it grants the lock to.
+func TestTimerArmedFromAnotherHandler(t *testing.T) {
+	s := NewSimulator()
+	var log []string
+	var b *Timer
+	a := newFuncTimer(s, func() {
+		log = append(log, "a")
+		s.Arm(b, 0)
+	})
+	b = newFuncTimer(s, func() { log = append(log, "b at "+s.Now().String()) })
+	after(s, 7, func() { s.Arm(a, 1) })
+	s.Run()
+	if len(log) != 2 || log[0] != "a" || log[1] != "b at 8.000µs" {
+		t.Fatalf("log = %v, want [a, b at 8.000µs]", log)
+	}
+}
+
+func TestTimerArmWhilePendingPanics(t *testing.T) {
+	s := NewSimulator()
+	tm := newFuncTimer(s, func() {})
+	s.Arm(tm, 5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic on arming a pending timer")
+		}
+		if s.Pending() != 1 {
+			t.Fatalf("Pending() = %d after the refused arm, want 1", s.Pending())
+		}
+	}()
+	s.Arm(tm, 6)
+}
+
+func TestTimerBadDelayPanics(t *testing.T) {
+	for _, d := range []Time{-1, Time(math.NaN())} {
+		func() {
+			s := NewSimulator()
+			tm := newFuncTimer(s, func() {})
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic arming with delay %v", d)
+				}
+			}()
+			s.Arm(tm, d)
+		}()
+	}
+}
+
+// RunUntil stops before a timer beyond the horizon and leaves it armed.
+func TestRunUntilStopsBeforeTimer(t *testing.T) {
+	s := NewSimulator()
+	fired := 0
+	tm := newFuncTimer(s, func() { fired++ })
+	s.Arm(tm, 50)
+	s.RunUntil(40)
+	if fired != 0 || s.Now() != 40 || s.Pending() != 1 {
+		t.Fatalf("fired %d, Now() = %v, Pending() = %d; want 0, 40µs, 1", fired, s.Now(), s.Pending())
+	}
+	s.RunUntil(50)
+	if fired != 1 || s.Now() != 50 {
+		t.Fatalf("fired %d, Now() = %v; want 1, 50µs", fired, s.Now())
+	}
+}
+
+// A timer created after others are armed gets a leaf in a wider tree,
+// and the armed timers keep their order.
+func TestTimerCreatedAfterArm(t *testing.T) {
+	s := NewSimulator()
+	var order []int
+	var timers []*Timer
+	for i := 0; i < 5; i++ {
+		i := i
+		timers = append(timers, newFuncTimer(s, func() { order = append(order, i) }))
+		s.Arm(timers[i], Time(10-i))
+	}
+	s.Run()
+	for i, got := range order {
+		if got != 4-i {
+			t.Fatalf("order = %v, want [4 3 2 1 0]", order)
+		}
+	}
+}

@@ -7,42 +7,61 @@ import (
 	"testing"
 )
 
-// FuzzEventOrdering drives the simulator through arbitrary
-// schedule/step/run interleavings decoded from the fuzz input and checks
-// the engine's core guarantees after every operation:
+// FuzzEventOrdering drives the simulator through arbitrary interleavings
+// of one-shot events and timers decoded from the fuzz input: schedule,
+// step and run, create a timer, arm an idle one, and — inside a timer's
+// handler — re-arm it, arm another idle timer, or return without
+// re-arming. It checks the engine's core guarantees after every
+// operation:
 //
-//   - events fire in nondecreasing time, ties broken by scheduling
-//     order (the (time, seq) total order the runs' determinism rests on)
-//   - no event fires twice, none is lost
-//   - the event queue keeps its heap invariant and clears the slots
-//     it vacates
+//   - everything fires in nondecreasing time, ties broken by scheduling
+//     order (the (time, seq) total order the runs' determinism rests
+//     on), one-shot events and timer firings alike
+//   - nothing fires twice, nothing is lost
+//   - Pending() counts the one-shot events and armed timers, not the
+//     timer whose handler is running until it is armed again
+//   - arming a pending timer panics and changes nothing
+//   - the event queue keeps its heap invariant and clears the slots it
+//     vacates, and the timer tree holds every armed timer's key and
+//     the least key of each subtree
 //   - pooled nodes stay consistent: recycled nodes hold no handler
 //     state, and after the drain the free list covers every node the
-//     peak pending count needed
+//     peak count of pending one-shot events needed
 func FuzzEventOrdering(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 20, 0, 5, 2, 2, 2})
 	f.Add([]byte{0, 10, 0, 10, 0, 10, 1, 1, 3, 255})
 	f.Add([]byte{0, 0, 0, 0, 2, 0, 1, 1, 2, 2, 3, 40, 0, 7, 2})
+	f.Add([]byte{4, 0, 4, 0, 4, 0, 5, 9, 5, 6, 5, 0, 0, 3, 2, 0, 3, 30, 5, 6, 3, 200})
+	f.Add([]byte{4, 0, 4, 0, 5, 1, 5, 2, 1, 0, 5, 1, 2, 0, 2, 0, 3, 0, 3, 255})
 	seed := make([]byte, 0, 96)
 	for i := 0; i < 32; i++ {
-		seed = append(seed, byte(i%4), byte(i*37), byte(i))
+		seed = append(seed, byte(i%8), byte(i*37), byte(i))
 	}
 	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewSimulator()
 
-		// seq mirrors the engine's tie-break counter: the n-th event
-		// scheduled carries seq n-1.
+		// tracked is one scheduled firing; seq mirrors the engine's
+		// tie-break counter, which ScheduleArg and Arm share: the n-th
+		// firing scheduled carries seq n-1. A timer firing's act picks
+		// what its handler does.
 		type tracked struct {
 			at    Time
 			seq   uint64
+			act   byte
 			fired bool
 		}
+		// fuzzTimer is one timer and its pending firing, if any.
+		type fuzzTimer struct {
+			t   *Timer
+			cur *tracked
+		}
 		var all []*tracked
-		track := func(at Time) *tracked {
-			tr := &tracked{at: at, seq: uint64(len(all))}
+		var timers []*fuzzTimer
+		track := func(at Time, act byte) *tracked {
+			tr := &tracked{at: at, seq: uint64(len(all)), act: act}
 			all = append(all, tr)
 			return tr
 		}
@@ -50,10 +69,16 @@ func FuzzEventOrdering(f *testing.F) {
 		var lastAt Time
 		var lastSeq uint64
 		fired, peak := 0, 0
-		fire := func(arg any) {
-			tr := arg.(*tracked)
+		checkPending := func() {
+			t.Helper()
+			if want := len(all) - fired; s.Pending() != want {
+				t.Fatalf("Pending() = %d, model says %d", s.Pending(), want)
+			}
+		}
+		observe := func(tr *tracked) {
+			t.Helper()
 			if tr.fired {
-				t.Fatalf("event (at=%v seq=%d) fired twice", tr.at, tr.seq)
+				t.Fatalf("firing (at=%v seq=%d) fired twice", tr.at, tr.seq)
 			}
 			tr.fired = true
 			fired++
@@ -65,54 +90,143 @@ func FuzzEventOrdering(f *testing.F) {
 					tr.at, tr.seq, lastAt, lastSeq)
 			}
 			lastAt, lastSeq = tr.at, tr.seq
+			checkPending()
+		}
+		fire := func(arg any) { observe(arg.(*tracked)) }
+
+		// arm arms ft after delay with act as its next firing's action,
+		// or, if ft is pending, checks that arming it panics and leaves
+		// the model as it was.
+		arm := func(ft *fuzzTimer, delay Time, act byte) {
+			t.Helper()
+			if ft.cur != nil {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatal("arming a pending timer did not panic")
+						}
+					}()
+					s.Arm(ft.t, delay)
+				}()
+				checkPending()
+				return
+			}
+			ft.cur = track(s.Now()+delay, act)
+			s.Arm(ft.t, delay)
+			checkPending()
 		}
 
-		checkHeap := func() {
+		// Handlers arm at most budget more times, so every run drains.
+		budget := 4*len(data) + 8
+		onTimer := func(arg any) {
+			ft := arg.(*fuzzTimer)
+			tr := ft.cur
+			ft.cur = nil
+			observe(tr)
+			if budget == 0 {
+				return
+			}
+			budget--
+			next := tr.act*37 + 11
+			switch d := Time(tr.act >> 3); tr.act % 4 {
+			case 0: // return without re-arming
+			case 1: // re-arm from its own handler
+				arm(ft, d, next)
+			case 2: // arm the next timer after this one, pending or idle
+				arm(timers[(slices.Index(timers, ft)+1)%len(timers)], d, next)
+			case 3: // re-arm, then schedule a one-shot at the same delay
+				arm(ft, d, next)
+				s.ScheduleArg(d, fire, track(s.Now()+d, 0))
+				peak = max(peak, s.events.Len())
+			}
+		}
+
+		check := func() {
 			checkQueue(t, &s.events)
 			for _, ev := range s.free {
 				if ev.fn != nil || ev.arg != nil {
 					t.Fatal("free node retains handler state")
 				}
 			}
+			checkTree(t, s)
+			for _, ft := range timers {
+				n := s.tree[int(s.width)+int(ft.t.leaf)]
+				if ft.t.armed != (ft.cur != nil) {
+					t.Fatalf("timer %d armed = %v, model says %v", ft.t.leaf, ft.t.armed, ft.cur != nil)
+				}
+				want := node{idleKey, idleKey, ft.t.leaf}
+				if ft.cur != nil {
+					want = node{math.Float64bits(float64(ft.cur.at)), ft.cur.seq, ft.t.leaf}
+				}
+				if n != want {
+					t.Fatalf("timer %d leaf holds (%#x, %d), model says (%#x, %d)", ft.t.leaf, n.at, n.tie, want.at, want.tie)
+				}
+			}
 		}
 
 		for i := 0; i+1 < len(data); i += 2 {
-			op, p := data[i]%4, data[i+1]
+			op, p := data[i]%8, data[i+1]
 			switch op {
 			case 0: // schedule p time units out
-				s.ScheduleArg(Time(p), fire, track(s.Now()+Time(p)))
+				s.ScheduleArg(Time(p), fire, track(s.Now()+Time(p), 0))
 			case 1: // schedule at the current instant, behind any ties
-				s.ScheduleArgAt(s.Now(), fire, track(s.Now()))
+				s.ScheduleArgAt(s.Now(), fire, track(s.Now(), 0))
 			case 2: // fire one event
 				s.Step()
 			case 3: // run out a horizon p units long
 				s.RunUntil(s.Now() + Time(p))
+			case 4, 6: // create a timer, up to a bound
+				if len(timers) < 40 {
+					ft := &fuzzTimer{}
+					ft.t = s.NewTimer(onTimer, ft)
+					timers = append(timers, ft)
+				}
+			case 5, 7: // arm a timer from outside any handler
+				if len(timers) > 0 {
+					arm(timers[int(p)%len(timers)], Time(p>>2), p)
+				}
 			}
-			peak = max(peak, s.Pending())
-			checkHeap()
+			peak = max(peak, s.events.Len())
+			check()
+			checkPending()
 			if got := fired; got != int(s.Fired()) {
 				t.Fatalf("Fired() = %d, observed %d handler calls", s.Fired(), got)
 			}
 		}
 
 		// Drain: everything still pending must fire, in order.
-		if want := len(all) - fired; want != s.Pending() {
-			t.Fatalf("Pending() = %d, model says %d", s.Pending(), want)
-		}
+		checkPending()
 		s.Run()
 		for _, tr := range all {
 			if !tr.fired {
-				t.Fatalf("event (at=%v seq=%d) lost", tr.at, tr.seq)
+				t.Fatalf("firing (at=%v seq=%d) lost", tr.at, tr.seq)
 			}
 		}
 		if s.Pending() != 0 {
-			t.Fatalf("%d events pending after Run", s.Pending())
+			t.Fatalf("%d firings pending after Run", s.Pending())
 		}
+		check()
 		// Every node ever allocated is now on the free list.
 		if len(s.free) < peak {
 			t.Fatalf("pool holds %d nodes, high-water mark was %d", len(s.free), peak)
 		}
 	})
+}
+
+// checkTree fails t unless every inner node of s's timer tree holds the
+// lesser of its two children.
+func checkTree(t *testing.T, s *Simulator) {
+	t.Helper()
+	for i := int(s.width) - 1; i >= 1; i-- {
+		a, b := s.tree[2*i], s.tree[2*i+1]
+		if before(b.at, b.tie, a.at, a.tie) != 0 {
+			a = b
+		}
+		if s.tree[i].at != a.at || s.tree[i].tie != a.tie {
+			t.Fatalf("tree node %d holds (%#x, %d), its children's least is (%#x, %d)",
+				i, s.tree[i].at, s.tree[i].tie, a.at, a.tie)
+		}
+	}
 }
 
 // checkQueue fails t unless q is a 4-ary min-heap by (at, tie) whose

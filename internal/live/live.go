@@ -26,7 +26,7 @@ func Run(p sim.Params) sim.Results {
 		// the ledger they were recorded against.
 		panic("live: Params.DecisionOverride is DES-only")
 	}
-	r := &live{p: p, clk: newClock(p.MaxTime), jobs: make([]sim.Job, p.Processors)}
+	r := &live{p: p, clk: newClock(p.MaxTime)}
 	r.host = sim.NewHost(p, r)
 	r.run()
 	return r.host.Results()
@@ -46,10 +46,9 @@ type live struct {
 
 	mu sync.Mutex // the dispatch/queue lock
 
-	// jobs[p] is the job Serve last handed processor p, and workers[p]
-	// that processor's wake slot. Serve writes the job under mu before
-	// it schedules the worker; the worker reads it after the release.
-	jobs    []sim.Job
+	// workers[p] is processor p's wake slot. The host writes p's job
+	// slot (Host.Job) under mu before Serve schedules the worker; the
+	// worker reads it after the release.
 	workers []*waiter
 
 	// Virtual shared-stack lock (Locking & Hybrid overflow path): FIFO
@@ -77,8 +76,7 @@ func (r *live) Fired() uint64 { return r.clk.Fired() }
 // parks before it next touches the clock: the job's first interval,
 // Pre, is scheduled on the worker's behalf, so the clock releases it
 // when Pre has elapsed, as the DES fires the job's first event.
-func (r *live) Serve(j sim.Job) {
-	r.jobs[j.Proc] = j
+func (r *live) Serve(j *sim.Job) {
 	r.clk.schedule(r.workers[j.Proc], j.Pre)
 }
 
@@ -206,12 +204,11 @@ func (r *live) gaugeLoop(w *waiter) {
 func (r *live) worker(proc int) {
 	defer r.wg.Done()
 	defer r.clk.exit()
-	w := r.workers[proc]
+	w, j := r.workers[proc], r.host.Job(proc)
 	for {
 		if !r.clk.park(w) {
 			return
 		}
-		j := r.jobs[proc]
 		if j.Locked && !r.holdLock(proc, j.Crit) {
 			return
 		}
@@ -220,7 +217,7 @@ func (r *live) worker(proc int) {
 		if j.Locked {
 			r.releaseLockLocked(now)
 		}
-		r.host.Complete(now, &j)
+		r.host.Complete(now, j)
 		r.mu.Unlock()
 	}
 }
@@ -256,5 +253,5 @@ func (r *live) releaseLockLocked(now des.Time) {
 		return
 	}
 	r.host.LockWaited(now - req.at)
-	r.clk.schedule(r.workers[req.proc], r.jobs[req.proc].Crit)
+	r.clk.schedule(r.workers[req.proc], r.host.Job(req.proc).Crit)
 }

@@ -30,9 +30,10 @@ import (
 // A Host is not safe for concurrent use; the live backend drives it
 // under its dispatch mutex. The packet lifecycle is allocation-free in
 // steady state: displacement marks are flat slices indexed by entity,
-// every queue reuses its blocks (internal/fifo), and a Job travels to
-// the backend by value. TestRunnerSteadyStateZeroAllocs pins this on the
-// DES with recorders disabled.
+// every queue reuses its blocks (internal/fifo), and each processor's
+// Job is built in place in jobs and handed to the backend by pointer.
+// TestRunnerSteadyStateZeroAllocs pins this on the DES with recorders
+// disabled.
 type Host struct {
 	p    Params
 	clk  Clock
@@ -56,6 +57,7 @@ type Host struct {
 	sdisp sched.StackDispatcher  // IPS / Hybrid
 
 	procs       []procState
+	jobs        []Job // jobs[p]: processor p's current service interval
 	stacks      []stackState
 	overflow    fifo.Queue[sched.Packet] // Hybrid: packets spilled to the shared path
 	rng         *des.RNG                 // Hybrid overflow placement
@@ -146,8 +148,10 @@ type Clock interface {
 	// Fired returns the number of events executed so far.
 	Fired() uint64
 	// Serve plays out one service interval (see Job) and then calls
-	// Host.Complete with the instant the interval ends.
-	Serve(j Job)
+	// Host.Complete with the instant the interval ends. The job is the
+	// host's slot for j.Proc: it stays put and unchanged until that
+	// Complete, which may rebuild it for the processor's next job.
+	Serve(j *Job)
 }
 
 // Job is one packet's service interval, bound when a processor starts
@@ -225,6 +229,7 @@ func NewHost(p Params, clk Clock) *Host {
 		exec:       p.Model.Compile(),
 		rate:       p.Model.Platform.RefsPerMicrosecond(),
 		procs:      make([]procState, p.Processors),
+		jobs:       make([]Job, p.Processors),
 		lastProcOf: make([]int, entities),
 		delays:     stats.NewBatchMeans(uint64(max(p.MeasuredPackets/30, 1))),
 		delayHist:  stats.NewHistogram(0, 100_000, 10_000), // 10 µs bins to 100 ms
@@ -722,8 +727,8 @@ func (h *Host) xRefs(e, proc int) float64 {
 // running the background workload (its idle displacement is settled and
 // the preemption cost applies). locked selects the shared-stack path,
 // which pays the lock overhead and serializes its critical section; done
-// selects the completion continuation. The charged interval goes to the
-// backend as a Job.
+// selects the completion continuation. The charged interval is built in
+// proc's Job slot and goes to the backend by pointer.
 func (h *Host) beginService(pkt sched.Packet, proc int, fromIdle, locked bool, done completionKind) {
 	now := h.now
 	ps := &h.procs[proc]
@@ -806,15 +811,20 @@ func (h *Host) beginService(pkt sched.Packet, proc int, fromIdle, locked bool, d
 		}
 	}
 
-	j := Job{Proc: proc, Locked: locked, pkt: pkt, exec: exec, warmHit: warmHit, done: done}
+	j := &h.jobs[proc]
+	j.Proc, j.Locked, j.pkt, j.exec, j.warmHit, j.done = proc, locked, pkt, exec, warmHit, done
 	if locked {
 		j.Pre = des.Time(preempt + h.p.LockOverhead + (1-h.p.LockCritFrac)*exec)
 		j.Crit = des.Time(h.p.LockCritFrac * exec)
 	} else {
-		j.Pre = des.Time(preempt + exec)
+		j.Pre, j.Crit = des.Time(preempt+exec), 0
 	}
 	h.clk.Serve(j)
 }
+
+// Job returns processor proc's job slot, the one Serve hands over for
+// proc. The pointer is fixed for the Host's life.
+func (h *Host) Job(proc int) *Job { return &h.jobs[proc] }
 
 // LockWaited records how long a Locked job queued for the shared-stack
 // lock; the backend calls it at the instant the lock is granted.
@@ -824,7 +834,9 @@ func (h *Host) LockWaited(d des.Time) { h.lockWait.Add(float64(d)) }
 // counter, displacement marks, affinity state and delay statistics —
 // and runs the paradigm's continuation, which picks the processor's
 // next work. The protocol execution that displaces other footprints
-// includes the lock overhead but not the spin wait.
+// includes the lock overhead but not the spin wait. j is the slot Serve
+// was handed; the continuation may rebuild it for the next job, so
+// Complete reads it only before the continuation starts.
 func (h *Host) Complete(now des.Time, j *Job) {
 	h.now = now
 	if j.warmHit {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"affinity/internal/core"
+	"affinity/internal/sched"
 	"affinity/internal/traffic"
 )
 
@@ -160,7 +161,8 @@ func CacheKey(p Params) (string, bool) {
 	fmt.Fprintf(&b, "|cost:%g,%g,%g,%g", p.LockOverhead, p.LockCritFrac, p.CodeSharedFrac, p.DataTouch)
 	fmt.Fprintf(&b, "|q:%d,%d,%d", p.HybridOverflow, p.MRULookahead, p.MaxQueueDepth)
 	fmt.Fprintf(&b, "|hash:%d,%t", p.FDRebalance, p.hashIdentity)
-	fmt.Fprintf(&b, "|steal:%g,%d,%g", p.Steal.Penalty, p.Steal.DepthThreshold, p.Steal.ColdBias)
+	st := stealKey(p.Steal)
+	fmt.Fprintf(&b, "|steal:%g,%d,%g", st.Penalty, st.DepthThreshold, st.ColdBias)
 	if p.Topology != nil {
 		// Parse round-trips String, so the rendering carries every field
 		// (shape and both transient multipliers): two runs differing only
@@ -177,6 +179,24 @@ func CacheKey(p Params) (string, bool) {
 	fmt.Fprintf(&b, "|seed:%d", p.Seed)
 	fmt.Fprintf(&b, "|stop:%g,%d,%g", float64(p.Warmup), p.MeasuredPackets, float64(p.MaxTime))
 	return b.String(), true
+}
+
+// stealKey returns the steal point as CacheKey spells it, folding two
+// spellings that run identically into one:
+//   - Penalty +Inf is the pinned corner: sched.NewPacketDispatcherFull
+//     builds the Wired-Streams dispatcher, which reads neither
+//     DepthThreshold nor ColdBias, so it keys as (+Inf, 0, 0).
+//   - DepthThreshold 1 never refuses a steal: the gate runs only with
+//     the packet itself queued, so the backlog is at least 1. It keys
+//     as 0.
+func stealKey(sp sched.StealParams) sched.StealParams {
+	if sp.Pinned() {
+		return sched.StealParams{Penalty: sp.Penalty}
+	}
+	if sp.DepthThreshold == 1 {
+		sp.DepthThreshold = 0
+	}
+	return sp
 }
 
 // specKey renders an arrival spec canonically: the dynamic type name

@@ -69,6 +69,45 @@ func TestPoolKeyIsCanonical(t *testing.T) {
 }
 
 // Params that differ in any behavioral knob must not collide.
+// Two spellings of one AffinitySteal point run identically, so they
+// share a key: the pinned corner (Penalty +Inf) reads neither
+// DepthThreshold nor ColdBias, and DepthThreshold 1 refuses no steal
+// that 0 allows. Each pair is simulated, so a rule that folded runs
+// that differ fails on the Results.
+func TestCacheKeyFoldsEquivalentStealSpellings(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		a, b sched.StealParams
+	}{
+		{"pinned", sched.StealParams{Penalty: math.Inf(1), DepthThreshold: 3, ColdBias: 0.5},
+			sched.StealParams{Penalty: math.Inf(1)}},
+		{"depth-1", sched.StealParams{Penalty: 40, DepthThreshold: 1, ColdBias: 0.5},
+			sched.StealParams{Penalty: 40, ColdBias: 0.5}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var res [2]Results
+			var keys [2]string
+			for i, sp := range []sched.StealParams{c.a, c.b} {
+				p := poolParams(1)
+				p.Policy, p.Steal = sched.AffinitySteal, sp
+				p.Streams, p.Arrival = 8, traffic.Poisson{PacketsPerSec: 1100}
+				p.MeasuredPackets = 3000
+				keys[i], _ = CacheKey(p)
+				res[i] = Run(p)
+			}
+			if c.a.DepthThreshold == 1 && res[0].Migrations == 0 {
+				t.Fatal("no migrations: the run never gets past the steal gate")
+			}
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Fatalf("%+v and %+v ran differently", c.a, c.b)
+			}
+			if keys[0] != keys[1] {
+				t.Errorf("%+v and %+v key apart:\n%s\n%s", c.a, c.b, keys[0], keys[1])
+			}
+		})
+	}
+}
+
 func TestPoolKeySeparatesDistinctRuns(t *testing.T) {
 	base := poolParams(1)
 	kBase, _ := CacheKey(base)

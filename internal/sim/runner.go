@@ -7,21 +7,25 @@ import (
 )
 
 // runner is the discrete-event backend: the host core (host.go) under
-// the DES clock. Arrivals, fault events, gauge samples and service
-// intervals are heap events; the shared-stack lock is a des.Resource.
+// the DES clock. Each arrival stream and each processor is a des.Timer,
+// an event source with at most one firing pending; fault events and
+// gauge samples are one-shot heap events; the shared-stack lock is a
+// des.Resource.
 //
-// The event loop is allocation-free in steady state: DES event nodes
-// are pooled inside des.Simulator, and per-packet service state lives
-// in pooled svc records scheduled through non-capturing des.ArgHandler
-// functions (no per-packet closures). TestRunnerSteadyStateZeroAllocs
-// pins the disabled-recorder path at zero allocations per event.
+// The event loop is allocation-free in steady state: timers are made
+// once at start, one-shot event nodes are pooled inside des.Simulator,
+// and a processor's service state is its server record plus the host's
+// Job slot, read by pointer through non-capturing des.ArgHandler
+// functions (no per-packet closures or copies).
+// TestRunnerSteadyStateZeroAllocs pins the disabled-recorder path at
+// zero allocations per event.
 type runner struct {
 	*Host
 	sim  *des.Simulator
 	lock *des.Resource // Locking & Hybrid: the shared-stack lock
 
-	sources  []arrivalSource // one per stream, scheduled by pointer
-	svcFree  []*svc          // recycled per-packet service records
+	sources  []arrivalSource // one per stream
+	servers  []server        // one per processor
 	faultEvs []faultEvent
 }
 
@@ -39,28 +43,19 @@ func (r *runner) Now() des.Time { return r.sim.Now() }
 func (r *runner) Stop()         { r.sim.Stop() }
 func (r *runner) Pending() int  { return r.sim.Pending() }
 func (r *runner) Fired() uint64 { return r.sim.Fired() }
-func (r *runner) Serve(j Job) {
-	sv := r.acquireSvc()
-	sv.job = j
-	if j.Locked {
-		r.sim.ScheduleArg(j.Pre, svcLockRequest, sv)
-		return
-	}
-	r.sim.ScheduleArg(j.Pre, svcFinish, sv)
-}
+func (r *runner) Serve(j *Job)  { r.sim.Arm(r.servers[j.Proc].t, j.Pre) }
 
-// arrivalSource drives one stream's arrival process; it is scheduled by
-// pointer through arrivalFire so per-arrival rescheduling allocates
-// nothing.
+// arrivalSource drives one stream's arrival process from its timer.
 type arrivalSource struct {
 	r       *runner
+	t       *des.Timer
 	stream  int
 	proc    traffic.Process
 	pending int
 }
 
 // arrivalFire delivers the batch drawn on the previous tick, then draws
-// and schedules the next one.
+// the next one and re-arms the stream's timer.
 func arrivalFire(a any) {
 	src := a.(*arrivalSource)
 	r := src.r
@@ -70,7 +65,7 @@ func arrivalFire(a any) {
 	}
 	d, b := src.proc.Next()
 	src.pending = b
-	r.sim.ScheduleArg(d, arrivalFire, src)
+	r.sim.Arm(src.t, d)
 }
 
 // gaugeSample publishes the periodic gauges and reschedules itself.
@@ -92,9 +87,22 @@ func faultFire(a any) {
 	fe.r.Fault(fe.r.sim.Now(), fe.ev)
 }
 
-// start schedules every stream's arrival process, the fault plan and,
-// when a recorder is attached, the periodic gauge sampler.
+// start makes every timer, then schedules the fault plan, the periodic
+// gauge sampler when a recorder is attached, and every stream's first
+// arrival, in stream order.
 func (r *runner) start() {
+	r.servers = make([]server, r.p.Processors)
+	for i := range r.servers {
+		sv := &r.servers[i]
+		sv.r, sv.job = r, r.Job(i)
+		sv.t = r.sim.NewTimer(serverFire, sv)
+	}
+	r.sources = make([]arrivalSource, r.p.Streams)
+	for s := range r.sources {
+		src := &r.sources[s]
+		src.r, src.stream = r, s
+		src.t = r.sim.NewTimer(arrivalFire, src)
+	}
 	if !r.p.Faults.Empty() {
 		evs := r.p.Faults.Sorted()
 		r.faultEvs = make([]faultEvent, len(evs))
@@ -107,65 +115,53 @@ func (r *runner) start() {
 	if r.p.Recorder != nil {
 		r.sim.ScheduleArg(GaugePeriod, gaugeSample, r)
 	}
-	r.sources = make([]arrivalSource, r.p.Streams)
-	for s := 0; s < r.p.Streams; s++ {
+	for s := range r.sources {
 		src := &r.sources[s]
-		src.r, src.stream = r, s
 		src.proc = r.ArrivalProcess(s)
 		d, b := src.proc.Next()
 		src.pending = b
-		r.sim.ScheduleArg(d, arrivalFire, src)
+		r.sim.Arm(src.t, d)
 	}
 }
 
-// svc is the pooled per-packet service record: the Job plus the lock
-// request instant, threaded through the DES by pointer.
-type svc struct {
+// server plays one processor's jobs out on its timer. The timer ends
+// Pre; a Locked job then queues for the shared-stack lock, and the
+// grant arms the timer again for Crit.
+type server struct {
 	r         *runner
-	job       Job
+	t         *des.Timer
+	job       *Job     // the host's job slot for this processor
+	holding   bool     // the timer is timing the critical section
 	requested des.Time // lock-wait start (locked path)
 }
 
-func (r *runner) acquireSvc() *svc {
-	if n := len(r.svcFree); n > 0 {
-		s := r.svcFree[n-1]
-		r.svcFree[n-1] = nil
-		r.svcFree = r.svcFree[:n-1]
-		return s
+// serverFire ends the processor's current interval: an unlocked job's
+// service, a locked job's non-critical section (it then requests the
+// lock), or its critical section (it then releases the lock). A
+// finished job goes back to the host, whose continuation may start the
+// next one at once and so re-arm this timer.
+func serverFire(a any) {
+	sv := a.(*server)
+	r, j := sv.r, sv.job
+	if j.Locked {
+		if !sv.holding {
+			sv.requested = r.sim.Now()
+			r.lock.AcquireArg(serverLockGranted, sv)
+			return
+		}
+		sv.holding = false
+		r.lock.Release()
 	}
-	return &svc{r: r}
+	r.Complete(r.sim.Now(), j)
 }
 
-// svcFinish recycles the record and hands the finished job back to the
-// host, whose continuation may start the next service at once (reusing
-// the record just freed).
-func svcFinish(a any) {
-	s := a.(*svc)
-	r, j := s.r, s.job
-	r.svcFree = append(r.svcFree, s)
-	r.Complete(r.sim.Now(), &j)
-}
-
-// svcLockRequest ends the non-critical section and queues for the
-// shared-stack lock.
-func svcLockRequest(a any) {
-	s := a.(*svc)
-	s.requested = s.r.sim.Now()
-	s.r.lock.AcquireArg(svcLockGranted, s)
-}
-
-// svcLockGranted runs when the lock is granted: record the spin wait and
-// schedule the critical section.
-func svcLockGranted(a any) {
-	s := a.(*svc)
-	r := s.r
-	r.LockWaited(r.sim.Now() - s.requested)
-	r.sim.ScheduleArg(s.job.Crit, svcLockDone, s)
-}
-
-// svcLockDone releases the lock and completes the locked service.
-func svcLockDone(a any) {
-	s := a.(*svc)
-	s.r.lock.Release()
-	svcFinish(s)
+// serverLockGranted runs when the lock is granted, inside the request or
+// inside another processor's release: record the spin wait and time the
+// critical section.
+func serverLockGranted(a any) {
+	sv := a.(*server)
+	r := sv.r
+	sv.holding = true
+	r.LockWaited(r.sim.Now() - sv.requested)
+	r.sim.Arm(sv.t, sv.job.Crit)
 }

@@ -513,8 +513,10 @@ func (p Params) entityCount() int {
 	return p.Streams
 }
 
-// entityOf maps a stream to its footprint entity.
-func (p Params) entityOf(stream int) int {
+// entityOf maps a stream to its footprint entity. The receiver is a
+// pointer because Host.Arrive calls it per packet: a value receiver
+// copies the whole Params at each call, inlined or not.
+func (p *Params) entityOf(stream int) int {
 	if p.Paradigm == IPS || p.Paradigm == Hybrid {
 		return stream % p.Stacks
 	}

@@ -37,7 +37,7 @@
 set -euo pipefail
 
 base_ref=${1:?usage: scripts/benchgate.sh <base-ref>}
-bench=${BENCHGATE_BENCH:-'^(BenchmarkFigE5LockingDelay|BenchmarkDESScheduleFire|BenchmarkDESEventQueue|BenchmarkSimulationPerPacket|BenchmarkDecisionLedgerPerPacket|BenchmarkModelExecTime|BenchmarkExecTimeCompiled|BenchmarkWorkloadSpecPerPacket|BenchmarkDispatch)$'}
+bench=${BENCHGATE_BENCH:-'^(BenchmarkFigE5LockingDelay|BenchmarkDESScheduleFire|BenchmarkDESEventQueue|BenchmarkDESTimers|BenchmarkSimulationPerPacket|BenchmarkDecisionLedgerPerPacket|BenchmarkModelExecTime|BenchmarkExecTimeCompiled|BenchmarkWorkloadSpecPerPacket|BenchmarkDispatch)$'}
 count=${BENCHGATE_COUNT:-6}
 max_regress=${BENCHGATE_MAX_TIME_REGRESSION:-10}
 
