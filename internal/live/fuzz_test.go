@@ -14,15 +14,23 @@ import (
 // FuzzFaultPlanConservation: no fault plan and no queue bound, however
 // adversarial, may ever violate the 4-term conservation ledger — on
 // either backend. The fuzzer drives a structured plan (outage window,
-// slowdown, loss, burst) plus a queue bound and paradigm selector; both
-// engines run it and every shared invariant must hold.
+// slowdown, loss, burst) plus a queue bound and policy selector; both
+// engines run it and every shared invariant must hold. The selector
+// reaches MRU, Hybrid/IPS-MRU and every static-home policy, and more
+// takes up to three further processors down for the same outage, one
+// every more>>2 ms, so a plan can re-home more than once or take every
+// processor down (the last-processor rule).
 func FuzzFaultPlanConservation(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint16(0), uint8(250), uint8(150), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(2), uint8(1), uint16(8), uint8(10), uint8(200), uint8(3), uint8(50), uint8(200))
-	f.Add(int64(3), uint8(2), uint16(1), uint8(255), uint8(1), uint8(100), uint8(255), uint8(9))
-	f.Add(int64(4), uint8(0), uint16(64), uint8(0), uint8(0), uint8(30), uint8(4), uint8(255))
+	f.Add(int64(1), uint8(0), uint16(0), uint8(250), uint8(150), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint16(8), uint8(10), uint8(200), uint8(3), uint8(50), uint8(200), uint8(0))
+	f.Add(int64(3), uint8(2), uint16(1), uint8(255), uint8(1), uint8(100), uint8(255), uint8(9), uint8(0))
+	f.Add(int64(4), uint8(0), uint16(64), uint8(0), uint8(0), uint8(30), uint8(4), uint8(255), uint8(0))
+	f.Add(int64(5), uint8(4), uint16(0), uint8(100), uint8(200), uint8(0), uint8(0), uint8(0), uint8(3|10<<2))
+	f.Add(int64(6), uint8(6), uint16(16), uint8(50), uint8(100), uint8(0), uint8(20), uint8(0), uint8(1|5<<2))
+	f.Add(int64(7), uint8(3), uint16(0), uint8(200), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3))
+	f.Add(int64(8), uint8(5), uint16(4), uint8(30), uint8(250), uint8(0), uint8(0), uint8(0), uint8(2|1<<2))
 	f.Fuzz(func(t *testing.T, seed int64, parSel uint8, maxQueue uint16,
-		downMs, outageMs, lossPct, burst, slowTenths uint8) {
+		downMs, outageMs, lossPct, burst, slowTenths, more uint8) {
 		p := sim.Params{
 			Streams:         4,
 			Processors:      4,
@@ -32,20 +40,27 @@ func FuzzFaultPlanConservation(f *testing.F) {
 			MaxTime:         800 * des.Millisecond,
 			MaxQueueDepth:   int(maxQueue),
 		}
-		switch parSel % 3 {
+		switch parSel % 7 {
 		case 0:
 			p.Paradigm, p.Policy = sim.Locking, sched.MRU
 		case 1:
 			p.Paradigm, p.Policy, p.Stacks = sim.IPS, sched.IPSWired, 4
-		default:
+		case 2:
 			p.Paradigm, p.Policy, p.Stacks = sim.Hybrid, sched.IPSMRU, 4
+		default:
+			p.Paradigm = sim.Locking
+			p.Policy = []sched.Kind{sched.ThreadPools, sched.WiredStreams, sched.RSS, sched.FlowDirector}[parSel%7-3]
 		}
 		plan := &faults.Plan{}
 		if downMs > 0 {
 			at := des.Time(downMs) * des.Millisecond
-			plan.Down(at, int(parSel)%p.Processors)
-			if outageMs > 0 {
-				plan.Up(at+des.Time(outageMs)*des.Millisecond, int(parSel)%p.Processors)
+			gap := des.Time(more>>2) * des.Millisecond
+			for k := range 1 + int(more%4) {
+				proc := (int(parSel) + k) % p.Processors
+				plan.Down(at+des.Time(k)*gap, proc)
+				if outageMs > 0 {
+					plan.Up(at+des.Time(outageMs)*des.Millisecond+des.Time(k)*gap, proc)
+				}
 			}
 		}
 		if lossPct > 0 {

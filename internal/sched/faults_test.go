@@ -199,7 +199,7 @@ func TestWiredStacksProcDownRewiresAndRestores(t *testing.T) {
 	d.EnqueueStack(2) // ready again, queued on the survivor
 	d.ProcUp(0)
 	if d.PreferredProc(0) != 0 || d.PreferredProc(2) != 0 || d.PreferredProc(1) != 1 || d.PreferredProc(3) != 1 {
-		t.Fatalf("post-recovery wiring = %v, want original", d.wire)
+		t.Fatalf("post-recovery wiring = %v, want original", d.tab.cur)
 	}
 	// Stack 2's queued entry followed the failback.
 	if got := d.DispatchStack(1); got != -1 {
@@ -271,5 +271,87 @@ func TestLastProcessorDownKeepsQueuedWork(t *testing.T) {
 		if got := d.DispatchStack(0); got != want {
 			t.Fatalf("IPS-Wired: DispatchStack = %d, want %d", got, want)
 		}
+	}
+}
+
+// When the last live processor fails, every static-home policy leaves
+// its slots and queued work on it: once all are down, each entity's
+// preferred processor is the one that failed last. After all recover,
+// every queued item dispatches exactly once, in per-entity FIFO order.
+func TestLastProcessorRuleStaticHomes(t *testing.T) {
+	const procs, entities = 3, 6
+	downOrder := []int{2, 0, 1}
+	type item struct{ entity, seq int }
+	for _, k := range []Kind{WiredStreams, ThreadPools, RSS, FlowDirector, IPSWired} {
+		t.Run(k.String(), func(t *testing.T) {
+			var d Placement
+			var add func(round, seq int) []item // queues one round of work
+			var take func(proc int) (item, bool)
+			if k == IPSWired {
+				sd := newSD(k, entities, procs)
+				d = sd
+				add = func(round, _ int) []item {
+					s := []item{{2 * round, 0}, {2*round + 1, 0}}
+					sd.EnqueueStack(s[0].entity)
+					sd.EnqueueStack(s[1].entity)
+					return s
+				}
+				take = func(proc int) (item, bool) {
+					s := sd.DispatchStack(proc)
+					return item{s, 0}, s >= 0
+				}
+			} else {
+				pd := idPD(k, procs, 0)
+				d = pd
+				add = func(_, seq int) []item {
+					var queued []item
+					for e := range entities {
+						pd.Enqueue(Packet{Stream: e, Entity: e, Seq: uint64(seq + e)})
+						queued = append(queued, item{e, seq + e})
+					}
+					return queued
+				}
+				take = func(proc int) (item, bool) {
+					p, ok := pd.Dispatch(proc)
+					return item{p.Entity, int(p.Seq)}, ok
+				}
+			}
+			want := map[item]bool{}
+			for round, proc := range downOrder {
+				for _, it := range add(round, round*entities) {
+					want[it] = true
+				}
+				d.ProcDown(proc)
+			}
+			last := downOrder[len(downOrder)-1]
+			for e := range entities {
+				if got := d.PreferredProc(e); got != last {
+					t.Errorf("entity %d prefers %d with every processor down, want %d (failed last)", e, got, last)
+				}
+			}
+			for proc := range procs {
+				d.ProcUp(proc)
+			}
+			lastSeq := map[int]int{}
+			for proc := range procs {
+				for {
+					it, ok := take(proc)
+					if !ok {
+						break
+					}
+					if !want[it] {
+						t.Fatalf("dispatched %+v, which is not queued (or twice)", it)
+					}
+					delete(want, it)
+					if s, seen := lastSeq[it.entity]; seen && it.seq < s {
+						t.Errorf("entity %d: seq %d dispatched after %d", it.entity, it.seq, s)
+					}
+					lastSeq[it.entity] = it.seq
+				}
+			}
+			if len(want) != 0 {
+				t.Errorf("%d queued items never dispatched: %v", len(want), want)
+			}
+		})
 	}
 }

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"sort"
-
-	"affinity/internal/fifo"
-)
+import "affinity/internal/fifo"
 
 // This file implements the NIC-hash dispatch policies. Both model the
 // hardware flow-steering path of a multi-queue NIC: the packet's stream
@@ -67,14 +63,14 @@ type HashConfig struct {
 // DefaultRebalance is FlowDirector's default re-home trigger depth.
 const DefaultRebalance = 8
 
-// hashed implements PacketDispatcher for RSS and FlowDirector.
+// hashed implements PacketDispatcher for RSS and FlowDirector. Its
+// home table's slots are the indirection-table buckets, seeded
+// bucket i → processor i mod n.
 type hashed struct {
 	affinityCount
 	queues   []fifo.Queue[Packet]
-	table    []int       // bucket → processor, mutated by faults and rebalancing
-	canon    []int       // bucket → original processor, the failback target
-	override map[int]int // entity → re-homed processor (FlowDirector only)
-	avail    []bool
+	tab      homeTable
+	override lastRan // entity → re-homed processor (FlowDirector only)
 	// rebalance is the re-home trigger depth; < 0 disables rebalancing
 	// (always for RSS).
 	rebalance int
@@ -85,22 +81,8 @@ func newHashed(n int, hc HashConfig) *hashed {
 	if hc.Rebalance == 0 {
 		hc.Rebalance = DefaultRebalance
 	}
-	size := tableSizeFor(n)
-	table := make([]int, size)
-	canon := make([]int, size)
-	for i := range table {
-		table[i] = i % n
-		canon[i] = i % n
-	}
-	avail := make([]bool, n)
-	for i := range avail {
-		avail[i] = true
-	}
-	return &hashed{
-		queues: make([]fifo.Queue[Packet], n), table: table, canon: canon,
-		override: map[int]int{}, avail: avail,
-		rebalance: hc.Rebalance, identity: hc.Identity,
-	}
+	return &hashed{queues: make([]fifo.Queue[Packet], n), tab: newHomeTable(tableSizeFor(n), n),
+		rebalance: hc.Rebalance, identity: hc.Identity}
 }
 
 // mix64 is the splitmix64 finalizer — the stand-in for the NIC's
@@ -116,20 +98,22 @@ func mix64(x uint64) uint64 {
 
 func (h *hashed) bucket(entity int) int {
 	if h.identity {
-		return entity % len(h.table)
+		return entity % len(h.tab.cur)
 	}
-	return int(mix64(uint64(entity)) % uint64(len(h.table)))
+	return int(mix64(uint64(entity)) % uint64(len(h.tab.cur)))
 }
 
 // homeOf is a pure read: the table (plus any FlowDirector override)
 // fully determines a flow's processor, so unlike pools.homeOf there is
 // no first-touch assignment to record.
 func (h *hashed) homeOf(entity int) int {
-	if p, ok := h.override[entity]; ok {
+	if p := h.override.get(entity); p >= 0 {
 		return p
 	}
-	return h.table[h.bucket(entity)]
+	return h.tab.cur[h.bucket(entity)]
 }
+
+func (h *hashed) packetHome(pk Packet) int { return h.homeOf(pk.Entity) }
 
 func (h *hashed) PickProcessor(pk Packet, idle []int) int {
 	home := h.homeOf(pk.Entity)
@@ -151,7 +135,7 @@ func (h *hashed) PickProcessor(pk Packet, idle []int) int {
 				target = i
 			}
 		}
-		h.override[pk.Entity] = target
+		h.override.set(pk.Entity, target)
 		h.note(false)
 		return target
 	}
@@ -166,7 +150,7 @@ func (h *hashed) Enqueue(pk Packet) {
 	if h.rebalance >= 0 && h.queues[home].Len() >= h.rebalance {
 		if t := h.leastLoaded(home); t >= 0 &&
 			h.queues[home].Len()-h.queues[t].Len() >= h.rebalance {
-			h.override[pk.Entity] = t
+			h.override.set(pk.Entity, t)
 			home = t
 		}
 	}
@@ -179,7 +163,7 @@ func (h *hashed) Enqueue(pk Packet) {
 func (h *hashed) leastLoaded(home int) int {
 	best, depth := -1, 0
 	for i := range h.queues {
-		if i == home || !h.avail[i] {
+		if i == home || !h.tab.live[i] {
 			continue
 		}
 		if d := h.queues[i].Len(); best < 0 || d < depth {
@@ -214,84 +198,26 @@ func (h *hashed) Queued() int {
 
 func (h *hashed) DepthFor(pk Packet) int { return h.queues[h.homeOf(pk.Entity)].Len() }
 
-// ProcDown rewrites every indirection-table entry (and FlowDirector
-// override) naming the failed processor onto the remaining live ones —
-// round-robin across buckets in ascending order, like a driver
+// ProcDown rewrites every indirection-table entry, then every
+// FlowDirector override, naming the failed processor onto the live
+// ones — round-robin from the first live processor, like a driver
 // rewriting the RSS redirection table — and migrates its queued packets
-// to their new homes in arrival order. With no processor left live the
-// table keeps naming proc, and its packets stay where they are.
+// to their new homes in arrival order.
 func (h *hashed) ProcDown(proc int) {
-	h.avail[proc] = false
-	live := h.liveProcs()
-	if len(live) > 0 {
-		next := 0
-		for i := range h.table {
-			if h.table[i] == proc {
-				h.table[i] = live[next%len(live)]
-				next++
-			}
-		}
-		var ids []int
-		for e, p := range h.override {
-			if p == proc {
-				ids = append(ids, e)
-			}
-		}
-		sort.Ints(ids)
-		for _, e := range ids {
-			h.override[e] = live[next%len(live)]
-			next++
-		}
-	}
-	h.queues[proc].Filter(func(pk Packet) bool {
-		home := h.homeOf(pk.Entity)
-		if home == proc {
-			return true
-		}
-		h.queues[home].Push(pk)
-		return false
-	})
+	h.tab.cursor = 0
+	h.tab.down(proc)
+	h.tab.rehome(h.override, proc)
+	spill(h.queues, proc, h.packetHome)
 }
 
 // ProcUp restores the processor and fails the table back to its
-// canonical entries (with the displaced flows' queued packets;
-// per-flow FIFO order is preserved because a flow's packets sit
-// contiguously in one queue). FlowDirector overrides stay where
-// rebalancing put them — recovery does not undo ATR placement.
+// canonical entries, with the displaced flows' queued packets.
+// FlowDirector overrides stay where rebalancing put them — recovery
+// does not undo ATR placement.
 func (h *hashed) ProcUp(proc int) {
-	h.avail[proc] = true
-	changed := false
-	for i := range h.table {
-		if h.canon[i] == proc && h.table[i] != proc {
-			h.table[i] = proc
-			changed = true
-		}
+	if h.tab.up(proc) {
+		pull(h.queues, proc, h.packetHome)
 	}
-	if !changed {
-		return
-	}
-	for q := range h.queues {
-		if q == proc {
-			continue
-		}
-		h.queues[q].Filter(func(pk Packet) bool {
-			if h.homeOf(pk.Entity) == proc {
-				h.queues[proc].Push(pk)
-				return false
-			}
-			return true
-		})
-	}
-}
-
-func (h *hashed) liveProcs() []int {
-	var live []int
-	for i, ok := range h.avail {
-		if ok {
-			live = append(live, i)
-		}
-	}
-	return live
 }
 
 // PreferredProc: the hash always names a target, even for a flow never

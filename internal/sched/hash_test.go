@@ -252,11 +252,11 @@ func TestIndirectionTableScalesWithCores(t *testing.T) {
 func TestRSSCoversAllCoresAt1024(t *testing.T) {
 	const n = 1024
 	d := idPD(RSS, n, 0).(*hashed)
-	if len(d.table) != tableSizeFor(n) {
-		t.Fatalf("table length %d, want %d", len(d.table), tableSizeFor(n))
+	if len(d.tab.cur) != tableSizeFor(n) {
+		t.Fatalf("table length %d, want %d", len(d.tab.cur), tableSizeFor(n))
 	}
 	seen := make([]int, n)
-	for _, proc := range d.table {
+	for _, proc := range d.tab.cur {
 		if proc < 0 || proc >= n {
 			t.Fatalf("table entry %d out of range", proc)
 		}

@@ -25,7 +25,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"affinity/internal/des"
 	"affinity/internal/fifo"
@@ -135,35 +134,23 @@ func (k Kind) ForIPS() bool {
 	return false
 }
 
-// PacketDispatcher is the Locking-paradigm scheduling interface.
-type PacketDispatcher interface {
-	// PickProcessor chooses an idle processor for an arriving packet,
-	// or -1 to enqueue it instead. idle is the set of processors
-	// currently free of protocol work (never empty when called).
-	PickProcessor(p Packet, idle []int) int
-	// Enqueue records a packet that could not be placed.
-	Enqueue(p Packet)
-	// Dispatch returns the next packet for a processor that just became
-	// idle, or ok=false if it should stay idle.
-	Dispatch(proc int) (Packet, bool)
-	// RanOn informs the dispatcher that a packet of the given entity
-	// completed on proc (updates MRU/affinity state).
+// Placement is what the dispatchers of both paradigms share: what they
+// learn from completions, how they survive faults, and what the
+// observability layer reads. An entity is a stream under Locking and a
+// stack under IPS.
+type Placement interface {
+	// RanOn informs the dispatcher that the entity's work completed on
+	// proc (updates MRU/affinity state).
 	RanOn(entity, proc int)
-	// Queued returns the number of packets waiting.
-	Queued() int
-	// DepthFor returns how many packets are waiting in the queue p
-	// would join if enqueued now — the quantity a bounded-queue
-	// admission decision compares against the capacity.
-	DepthFor(p Packet) int
 	// ProcDown removes proc from service (fault injection): policies
-	// with static placement re-home entities bound to it and migrate
-	// their queued packets; affinity memories pointing at it are
-	// forgotten. The runner stops offering proc in idle sets and stops
-	// calling Dispatch for it until ProcUp.
+	// with static placement re-home the entities bound to it and move
+	// their queued work; affinity memories pointing at it are
+	// forgotten. The host stops offering proc in idle sets and stops
+	// dispatching to it until ProcUp.
 	ProcDown(proc int)
-	// ProcUp restores proc to service. Wired policies re-home their
-	// displaced entities back (the first packets after failback pay a
-	// cold-cache penalty — the simulator wiped the processor's state).
+	// ProcUp restores proc to service. Wired policies move their
+	// displaced entities back (their first runs after failback start
+	// cold — the simulator wiped the processor's state).
 	ProcUp(proc int)
 	// AffinityStats reports how many placement/dispatch decisions
 	// landed work on the processor holding the entity's warm state,
@@ -175,6 +162,26 @@ type PacketDispatcher interface {
 	// for the decision ledger: it must not create or mutate placement
 	// state.
 	PreferredProc(entity int) int
+}
+
+// PacketDispatcher is the Locking-paradigm scheduling interface.
+type PacketDispatcher interface {
+	Placement
+	// PickProcessor chooses an idle processor for an arriving packet,
+	// or -1 to enqueue it instead. idle is the set of processors
+	// currently free of protocol work (never empty when called).
+	PickProcessor(p Packet, idle []int) int
+	// Enqueue records a packet that could not be placed.
+	Enqueue(p Packet)
+	// Dispatch returns the next packet for a processor that just became
+	// idle, or ok=false if it should stay idle.
+	Dispatch(proc int) (Packet, bool)
+	// Queued returns the number of packets waiting.
+	Queued() int
+	// DepthFor returns how many packets are waiting in the queue p
+	// would join if enqueued now — the quantity a bounded-queue
+	// admission decision compares against the capacity.
+	DepthFor(p Packet) int
 }
 
 // affinityCount instruments a policy's decisions for the observability
@@ -278,7 +285,7 @@ func (*fcfs) PreferredProc(int) int { return -1 }
 // none is known. Entities are dense indices (streams under Locking,
 // stacks under IPS), so a slice stands in for a map on the per-packet
 // path. It grows on set: the constructors are not told the entity
-// count.
+// count. The home table keeps its slots' processors in it too.
 type lastRan []int
 
 func (t lastRan) get(entity int) int {
@@ -361,57 +368,38 @@ func (*mru) ProcUp(int) {}
 
 func (m *mru) PreferredProc(entity int) int { return m.last.get(entity) }
 
-// pools: per-processor queues with a per-stream home. With stealing it
-// is the ThreadPools policy, without it Wired-Streams.
+// pools: per-processor queues with a per-stream home, assigned
+// round-robin at first touch from the table's cursor (the one re-homing
+// uses too). With stealing it is the ThreadPools policy, without it
+// Wired-Streams.
 type pools struct {
 	affinityCount
 	queues   []fifo.Queue[Packet]
-	home     map[int]int
-	pref     map[int]int // entity → original (pre-fault) home, the failback target
-	avail    []bool
+	tab      homeTable // slot = entity, grown at first touch
 	stealing bool
-	nextHome int // round-robin assignment of new entities
 	rng      *des.RNG
 }
 
 func newPools(n int, stealing bool, rng *des.RNG) *pools {
-	avail := make([]bool, n)
-	for i := range avail {
-		avail[i] = true
-	}
-	return &pools{
-		queues: make([]fifo.Queue[Packet], n), home: map[int]int{}, pref: map[int]int{},
-		avail: avail, stealing: stealing, rng: rng,
-	}
+	return &pools{queues: make([]fifo.Queue[Packet], n), tab: newHomeTable(0, n),
+		stealing: stealing, rng: rng}
 }
 
 func (p *pools) homeOf(entity int) int {
-	h, ok := p.home[entity]
-	if !ok {
-		h = p.nextAvailHome()
-		p.home[entity] = h
-		p.pref[entity] = h
+	if h := p.tab.cur.get(entity); h >= 0 {
+		return h
+	}
+	h := p.tab.next()
+	p.tab.cur.set(entity, h)
+	if !p.stealing {
+		// ThreadPools has no failback home: stealing re-balances on
+		// its own once the processor is back.
+		p.tab.home.set(entity, h)
 	}
 	return h
 }
 
-// nextAvailHome advances the round-robin cursor to the next live
-// processor. With every processor down it falls back to the plain
-// round-robin choice: the packet waits in that pool until a recovery
-// re-homes it, and packet conservation still holds.
-func (p *pools) nextAvailHome() int {
-	n := len(p.queues)
-	for range p.queues {
-		h := p.nextHome % n
-		p.nextHome++
-		if p.avail[h] {
-			return h
-		}
-	}
-	h := p.nextHome % n
-	p.nextHome++
-	return h
-}
+func (p *pools) packetHome(pk Packet) int { return p.homeOf(pk.Entity) }
 
 func (p *pools) PickProcessor(pk Packet, idle []int) int {
 	h := p.homeOf(pk.Entity)
@@ -436,7 +424,7 @@ func (p *pools) Dispatch(proc int) (Packet, bool) {
 	if pk, ok := p.queues[proc].Pop(); ok {
 		// A packet from the processor's own pool is affine (stealing
 		// migrates the home along with the stream, see RanOn).
-		p.note(p.home[pk.Entity] == proc)
+		p.note(p.tab.cur.get(pk.Entity) == proc)
 		return pk, true
 	}
 	if !p.stealing {
@@ -460,7 +448,7 @@ func (p *pools) RanOn(entity, proc int) {
 	if p.stealing {
 		// Stealing migrates the stream's home with it, keeping
 		// subsequent packets near the warmed state.
-		p.home[entity] = proc
+		p.tab.cur.set(entity, proc)
 	}
 }
 
@@ -474,77 +462,22 @@ func (p *pools) Queued() int {
 
 func (p *pools) DepthFor(pk Packet) int { return p.queues[p.homeOf(pk.Entity)].Len() }
 
-// ProcDown re-homes every entity bound to the failed processor onto the
-// remaining live ones (round-robin, in ascending entity order — map
-// iteration order is randomized and re-homing must be deterministic)
-// and migrates its queued packets to their new pools in arrival order.
-// With no processor left live, the round-robin can home an entity
-// right back on proc, and its packets stay where they are.
+// ProcDown re-homes the entities on the failed processor and moves its
+// queued packets to their new pools in arrival order.
 func (p *pools) ProcDown(proc int) {
-	p.avail[proc] = false
-	var ids []int
-	for e, h := range p.home {
-		if h == proc {
-			ids = append(ids, e)
-		}
-	}
-	sort.Ints(ids)
-	for _, e := range ids {
-		p.home[e] = p.nextAvailHome()
-	}
-	p.queues[proc].Filter(func(pk Packet) bool {
-		h := p.homeOf(pk.Entity)
-		if h == proc {
-			return true
-		}
-		p.queues[h].Push(pk)
-		return false
-	})
+	p.tab.down(proc)
+	spill(p.queues, proc, p.packetHome)
 }
 
 // ProcUp restores the processor. Wired-Streams entities originally
-// homed here fail back (with their queued packets; per-stream FIFO
-// order is preserved because a stream's packets all sit contiguously in
-// one pool). ThreadPools re-balances on its own — stealing migrates
-// homes toward the recovered processor as soon as it picks up work.
+// homed here fail back with their queued packets (a stream's packets
+// all sit in one pool, so its order holds).
 func (p *pools) ProcUp(proc int) {
-	p.avail[proc] = true
-	if p.stealing {
-		return
-	}
-	var ids []int
-	for e, h := range p.pref {
-		if h == proc && p.home[e] != proc {
-			ids = append(ids, e)
-		}
-	}
-	if len(ids) == 0 {
-		return
-	}
-	sort.Ints(ids)
-	for _, e := range ids {
-		p.home[e] = proc
-	}
-	for q := range p.queues {
-		if q == proc {
-			continue
-		}
-		p.queues[q].Filter(func(pk Packet) bool {
-			if p.home[pk.Entity] == proc {
-				p.queues[proc].Push(pk)
-				return false
-			}
-			return true
-		})
+	if p.tab.up(proc) {
+		pull(p.queues, proc, p.packetHome)
 	}
 }
 
 // PreferredProc reads the entity's home without assigning one — homeOf
-// would mutate the map, and ledger reads must not shift round-robin
-// placement.
-func (p *pools) PreferredProc(entity int) int {
-	if h, ok := p.home[entity]; ok {
-		return h
-	}
-	return -1
-}
+// would, and ledger reads must not shift round-robin placement.
+func (p *pools) PreferredProc(entity int) int { return p.tab.cur.get(entity) }

@@ -11,6 +11,7 @@ import (
 // schedulable unit is a ready stack (one with queued packets that is not
 // currently running).
 type StackDispatcher interface {
+	Placement
 	// PickProcessor chooses an idle processor for a stack that just
 	// became ready, or -1 to queue the stack instead.
 	PickProcessor(stack int, idle []int) int
@@ -19,23 +20,6 @@ type StackDispatcher interface {
 	// DispatchStack returns the next stack for a processor that just
 	// became idle, or -1 if it should stay idle.
 	DispatchStack(proc int) int
-	// RanOn informs the dispatcher that a stack ran on proc.
-	RanOn(stack, proc int)
-	// ProcDown removes proc from service (fault injection): IPS-Wired
-	// re-wires its stacks onto live processors and moves their queued
-	// entries; IPS-MRU forgets affinities pointing at it.
-	ProcDown(proc int)
-	// ProcUp restores proc to service; IPS-Wired wires its original
-	// stacks back (their first runs after failback start cold — the
-	// simulator wiped the processor's cache state).
-	ProcUp(proc int)
-	// AffinityStats reports how many placement/dispatch decisions
-	// landed a stack on its warm processor, out of the total made.
-	AffinityStats() (hits, total uint64)
-	// PreferredProc returns the processor the policy would steer the
-	// stack toward, or -1 when it has no target (see
-	// PacketDispatcher.PreferredProc). A pure read — no state changes.
-	PreferredProc(stack int) int
 }
 
 // NewStackDispatcherLookahead builds the IPS dispatcher for kind k with
@@ -58,38 +42,23 @@ func NewStackDispatcherLookahead(k Kind, stacks, procs int, rng *des.RNG, lookah
 	}
 }
 
-// wiredStacks: stack k is bound to processor k mod procs; each processor
-// has a FIFO runqueue of its ready stacks. Fault injection moves the
-// current wiring (wire) while wire0 remembers the original binding so a
-// recovered processor gets its stacks back.
+// wiredStacks: stack k is bound to processor k mod procs (its home
+// table's slot k); each processor has a FIFO runqueue of its ready
+// stacks. The table's cursor, which only re-homing moves, starts at 0.
 type wiredStacks struct {
 	affinityCount
-	wire  []int // current wiring (fault re-homing moves it)
-	wire0 []int // original wiring, the failback target
-	avail []bool
-	runq  []fifo.Queue[int]
-	next  int // round-robin cursor for fault re-homing
+	tab  homeTable
+	runq []fifo.Queue[int]
 }
 
 func newWiredStacks(stacks, procs int) *wiredStacks {
-	w := &wiredStacks{
-		wire:  make([]int, stacks),
-		wire0: make([]int, stacks),
-		avail: make([]bool, procs),
-		runq:  make([]fifo.Queue[int], procs),
-	}
-	for s := range w.wire {
-		w.wire[s] = s % procs
-		w.wire0[s] = w.wire[s]
-	}
-	for i := range w.avail {
-		w.avail[i] = true
-	}
-	return w
+	return &wiredStacks{tab: newHomeTable(stacks, procs), runq: make([]fifo.Queue[int], procs)}
 }
 
+func (w *wiredStacks) stackHome(stack int) int { return w.tab.cur[stack] }
+
 func (w *wiredStacks) PickProcessor(stack int, idle []int) int {
-	home := w.wire[stack]
+	home := w.tab.cur[stack]
 	for _, i := range idle {
 		if i == home {
 			w.note(true)
@@ -99,7 +68,7 @@ func (w *wiredStacks) PickProcessor(stack int, idle []int) int {
 	return -1 // wired: wait for the home processor (no decision)
 }
 
-func (w *wiredStacks) EnqueueStack(stack int) { w.runq[w.wire[stack]].Push(stack) }
+func (w *wiredStacks) EnqueueStack(stack int) { w.runq[w.tab.cur[stack]].Push(stack) }
 
 func (w *wiredStacks) DispatchStack(proc int) int {
 	s, ok := w.runq[proc].Pop()
@@ -112,73 +81,22 @@ func (w *wiredStacks) DispatchStack(proc int) int {
 
 func (*wiredStacks) RanOn(int, int) {}
 
-// nextAvail advances the re-homing cursor to the next live processor,
-// falling back to plain round-robin when every processor is down (the
-// stack then waits until a recovery re-wires it).
-func (w *wiredStacks) nextAvail() int {
-	n := len(w.runq)
-	for range w.runq {
-		h := w.next % n
-		w.next++
-		if w.avail[h] {
-			return h
-		}
-	}
-	h := w.next % n
-	w.next++
-	return h
-}
-
-// ProcDown re-wires the failed processor's stacks onto live processors
-// (round-robin, ascending stack order) and moves its ready queue to the
-// new homes preserving queue order. With no processor left live, the
-// round-robin can wire a stack right back to proc, and it stays queued
-// there.
+// ProcDown re-wires the failed processor's stacks and moves its ready
+// queue to their new homes, preserving queue order.
 func (w *wiredStacks) ProcDown(proc int) {
-	w.avail[proc] = false
-	for s := range w.wire {
-		if w.wire[s] == proc {
-			w.wire[s] = w.nextAvail()
-		}
-	}
-	w.runq[proc].Filter(func(s int) bool {
-		if w.wire[s] == proc {
-			return true
-		}
-		w.runq[w.wire[s]].Push(s)
-		return false
-	})
+	w.tab.down(proc)
+	spill(w.runq, proc, w.stackHome)
 }
 
 // ProcUp wires the processor's original stacks back and pulls their
 // queued entries home.
 func (w *wiredStacks) ProcUp(proc int) {
-	w.avail[proc] = true
-	moved := false
-	for s := range w.wire {
-		if w.wire0[s] == proc && w.wire[s] != proc {
-			w.wire[s] = proc
-			moved = true
-		}
-	}
-	if !moved {
-		return
-	}
-	for q := range w.runq {
-		if q == proc {
-			continue
-		}
-		w.runq[q].Filter(func(s int) bool {
-			if w.wire[s] == proc {
-				w.runq[proc].Push(s)
-				return false
-			}
-			return true
-		})
+	if w.tab.up(proc) {
+		pull(w.runq, proc, w.stackHome)
 	}
 }
 
-func (w *wiredStacks) PreferredProc(stack int) int { return w.wire[stack] }
+func (w *wiredStacks) PreferredProc(stack int) int { return w.tab.cur[stack] }
 
 // mruStacks: a central FIFO of ready stacks; placement prefers a stack's
 // most-recently-used processor, and an idle processor prefers a stack

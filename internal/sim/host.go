@@ -55,6 +55,7 @@ type Host struct {
 
 	disp  sched.PacketDispatcher // Locking
 	sdisp sched.StackDispatcher  // IPS / Hybrid
+	place sched.Placement        // whichever of the two the paradigm uses
 
 	procs       []procState
 	jobs        []Job // jobs[p]: processor p's current service interval
@@ -272,8 +273,10 @@ func NewHost(p Params, clk Clock) *Host {
 		h.disp = sched.NewPacketDispatcherFull(p.Policy, p.Processors, schedRNG, p.MRULookahead,
 			sched.HashConfig{Rebalance: p.FDRebalance, Identity: p.hashIdentity},
 			sched.StealConfig{StealParams: p.Steal, Now: clk.Now})
+		h.place = h.disp
 	} else {
 		h.sdisp = sched.NewStackDispatcherLookahead(p.Policy, p.Stacks, p.Processors, schedRNG, p.MRULookahead)
+		h.place = h.sdisp
 		h.stacks = make([]stackState, p.Stacks)
 		if p.Paradigm == Hybrid {
 			h.rng = des.Stream(p.Seed, "hybrid-overflow")
@@ -353,16 +356,10 @@ func (h *Host) decide(point obs.DecisionPoint, pkt sched.Packet, cands []int, ch
 		}
 	}
 	h.candScratch = cs
-	var preferred int
-	if h.p.Paradigm == Locking {
-		preferred = h.disp.PreferredProc(pkt.Entity)
-	} else {
-		preferred = h.sdisp.PreferredProc(pkt.Entity)
-	}
 	h.drec.RecordDecision(obs.Decision{
 		T: float64(h.now), Point: point, Seq: pkt.Seq,
 		Stream: pkt.Stream, Entity: pkt.Entity,
-		Chosen: chosen, Preferred: preferred,
+		Chosen: chosen, Preferred: h.place.PreferredProc(pkt.Entity),
 		ChosenCost: chosenCost, BestCost: best, Candidates: cs,
 	})
 }
@@ -618,11 +615,7 @@ func (h *Host) procDown(proc int) {
 		h.emit(obs.Event{T: float64(now), Kind: obs.KindProcDown,
 			Proc: proc, Stream: -1, Entity: -1})
 	}
-	if h.p.Paradigm == Locking {
-		h.disp.ProcDown(proc)
-	} else {
-		h.sdisp.ProcDown(proc)
-	}
+	h.place.ProcDown(proc)
 	// Re-homed work may be runnable on other processors right now.
 	h.kickIdle()
 }
@@ -646,11 +639,7 @@ func (h *Host) procUp(proc int) {
 		h.emit(obs.Event{T: float64(now), Kind: obs.KindProcUp,
 			Proc: proc, Stream: -1, Entity: -1, Dur: float64(now - ps.downSince)})
 	}
-	if h.p.Paradigm == Locking {
-		h.disp.ProcUp(proc)
-	} else {
-		h.sdisp.ProcUp(proc)
-	}
+	h.place.ProcUp(proc)
 	h.kickIdle()
 }
 
@@ -871,11 +860,7 @@ func (h *Host) settleCompletion(pkt sched.Packet, proc int, protoExec float64) {
 		// A completion draining off a failed processor must not refresh
 		// affinity: its cache is lost at recovery, and ThreadPools would
 		// otherwise migrate the stream's home onto the dead processor.
-		if h.p.Paradigm == Locking {
-			h.disp.RanOn(pkt.Entity, proc)
-		} else {
-			h.sdisp.RanOn(pkt.Entity, proc)
-		}
+		h.place.RanOn(pkt.Entity, proc)
 	}
 	h.service.Add(protoExec)
 	if h.rec != nil {
@@ -1133,11 +1118,7 @@ func (h *Host) Results() Results {
 			res.PerProcDownTime[i] = dt
 		}
 	}
-	if h.p.Paradigm == Locking {
-		res.AffinityHits, res.Placements = h.disp.AffinityStats()
-	} else {
-		res.AffinityHits, res.Placements = h.sdisp.AffinityStats()
-	}
+	res.AffinityHits, res.Placements = h.place.AffinityStats()
 	if total := h.service.N(); total > 0 {
 		res.WarmFraction = float64(h.warm) / float64(total)
 	}

@@ -458,7 +458,7 @@ type Results struct {
 
 	// AffinityHits counts scheduling decisions that landed work on the
 	// processor holding the entity's warm state, out of Placements
-	// total decisions (see sched.PacketDispatcher.AffinityStats).
+	// total decisions (see sched.Placement.AffinityStats).
 	AffinityHits uint64
 	Placements   uint64
 
