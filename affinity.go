@@ -78,26 +78,9 @@ func NewModel() *Model { return core.NewModel() }
 // SGIChallengeXL returns the paper's experimental platform description.
 func SGIChallengeXL() Platform { return core.SGIChallengeXL() }
 
-// MVSWorkload returns the published MVS-trace workload constants.
-func MVSWorkload() WorkloadParams { return core.MVSWorkload() }
-
 // PaperCalibration returns the calibration used throughout the
 // reproduction (t_cold anchored on the paper's 284.3 µs).
 func PaperCalibration() Calibration { return core.PaperCalibration() }
-
-// SendCalibration returns the send-side fast-path calibration (paper
-// extension (i)); NewSendModel returns the default model using it.
-func SendCalibration() Calibration { return core.SendCalibration() }
-
-// NewSendModel returns the default model with send-side calibration.
-func NewSendModel() *Model { return core.NewSendModel() }
-
-// TCPCalibration returns the TCP/IP receive fast-path calibration
-// (experiment E21); NewTCPModel returns the default model using it.
-func TCPCalibration() Calibration { return core.TCPCalibration() }
-
-// NewTCPModel returns the default model with TCP calibration.
-func NewTCPModel() *Model { return core.NewTCPModel() }
 
 // Simulation types.
 type (
@@ -178,10 +161,6 @@ type Topology = topo.Topology
 // S > 1), or "SxC:same,cross" with both multipliers explicit.
 func ParseTopology(s string) (*Topology, error) { return topo.Parse(s) }
 
-// FlatTopology returns the n-core single-socket machine — the explicit
-// spelling of the default flat model.
-func FlatTopology(n int) *Topology { return topo.Flat(n) }
-
 // Traffic models.
 type (
 	// Poisson arrivals at a fixed mean rate.
@@ -201,13 +180,6 @@ type (
 	// ArrivalSpec is any per-stream arrival process description.
 	ArrivalSpec = traffic.Spec
 )
-
-// RetargetRate returns a copy of an arrival spec scaled to a new mean
-// packet rate, preserving its shape (burst length, train geometry,
-// ON/OFF duty cycle).
-func RetargetRate(s ArrivalSpec, rate float64) (ArrivalSpec, error) {
-	return traffic.WithRate(s, rate)
-}
 
 // Workload-spec types (internal/workload): a declarative JSON
 // description of an Internet-realistic client mix — named classes each
@@ -243,12 +215,6 @@ func RecordArrivals(per []ArrivalSpec) ([]ArrivalSpec, *ArrivalTrace) {
 // verbatim: the same arrivals, bit-for-bit, on either backend.
 func ReplayArrivals(t *ArrivalTrace) []ArrivalSpec { return workload.Replay(t) }
 
-// SynthesizeTrace draws a trace offline from per-stream specs exactly
-// as a run with the given seed would, covering the horizon.
-func SynthesizeTrace(per []ArrivalSpec, seed int64, horizon Time) *ArrivalTrace {
-	return workload.Synthesize(per, seed, horizon)
-}
-
 // WriteArrivalTrace writes a trace in its text format; ReadArrivalTrace
 // parses it back bit-identically.
 func WriteArrivalTrace(w io.Writer, t *ArrivalTrace) error { return workload.WriteTrace(w, t) }
@@ -269,17 +235,6 @@ func ParseFaultPlan(s string) (*FaultPlan, error) { return faults.Parse(s) }
 // Run executes one simulation and returns its metrics.
 func Run(p Params) Results { return sim.Run(p) }
 
-// RunLive executes one run on the live goroutine backend: the same
-// dispatch policies and cost model as the DES, but with one worker
-// goroutine per simulated processor, each parked until a virtual clock
-// releases it and contending on a real dispatch mutex. Where no two
-// events share an instant
-// (Poisson arrivals, for example) its Results equal the DES's bit for
-// bit, EventsFired aside; where events tie, the two backends may order
-// the tie differently and agree statistically. See internal/live and
-// DESIGN.md §10.
-func RunLive(p Params) Results { return live.Run(p) }
-
 // Backend selects an execution engine for RunBackend.
 type Backend int
 
@@ -287,8 +242,14 @@ const (
 	// BackendDES is the sequential discrete-event simulator
 	// (deterministic: same Params+Seed, same Results).
 	BackendDES Backend = iota
-	// BackendLive is the concurrent goroutine backend: bit-identical
-	// to the DES on tie-free runs, EventsFired aside (see RunLive).
+	// BackendLive is the concurrent goroutine backend: the same
+	// dispatch policies and cost model as the DES, with one worker
+	// goroutine per simulated processor, each parked until a virtual
+	// clock releases it and contending on a real dispatch mutex. Where
+	// no two events share an instant (Poisson arrivals, for example)
+	// its Results equal the DES's bit for bit, EventsFired aside; where
+	// events tie, the two backends may order the tie differently and
+	// agree statistically. See internal/live and DESIGN.md §10.
 	BackendLive
 )
 
@@ -325,13 +286,6 @@ func RunBackend(b Backend, p Params) Results {
 	return sim.Run(p)
 }
 
-// RunMany executes independent simulations concurrently (workers ≤ 0
-// selects GOMAXPROCS) and returns results in input order; determinism is
-// preserved because each run derives all randomness from its own seed.
-func RunMany(params []Params, workers int) []Results {
-	return sim.RunMany(params, workers)
-}
-
 // Pool is a memoizing simulation worker pool: it bounds how many
 // simulations execute concurrently and serves repeated Params from a
 // cache (runs with a Recorder attached are never cached). One Pool can
@@ -343,17 +297,10 @@ type Pool = sim.Pool
 // (workers ≤ 0 selects GOMAXPROCS).
 func NewPool(workers int) *Pool { return sim.NewPool(workers) }
 
-// DefaultBackground returns the paper's loaded host (V = 1), and
-// IdleBackground the idle host (V = 0) used for upper-bound curves.
-func DefaultBackground() NonProtocol { return workload.Default() }
-
-// IdleBackground returns the V = 0 host.
-func IdleBackground() NonProtocol { return workload.Idle() }
-
 // BackgroundWithIntensity returns the default background workload at
 // intensity v in [0, 1], with the preempt cost scaled linearly so the
-// V sweep is continuous through 0: intensity 0 is exactly
-// IdleBackground and intensity 1 exactly DefaultBackground.
+// V sweep is continuous through 0: intensity 1 is the paper's loaded
+// host and intensity 0 the idle host used for upper-bound curves.
 func BackgroundWithIntensity(v float64) NonProtocol { return workload.WithIntensity(v) }
 
 // Calibrate reruns the controlled-cache-state measurements on the cache
@@ -455,12 +402,6 @@ func NewTimeSeriesRecorder(w io.Writer, intervalUs float64, procs int) *TimeSeri
 	return obs.NewTimeSeries(w, intervalUs, procs)
 }
 
-// MultiDecisionRecorder fans decisions out to several recorders (nils
-// are skipped; returns nil when none remain).
-func MultiDecisionRecorder(recs ...DecisionRecorder) DecisionRecorder {
-	return obs.DecisionMulti(recs...)
-}
-
 // WritePrometheus renders a metrics snapshot in Prometheus text
 // exposition format; WriteMetricsJSON renders it as indented JSON.
 func WritePrometheus(w io.Writer, s ObsSnapshot) error { return obs.WritePrometheus(w, s) }
@@ -468,32 +409,22 @@ func WritePrometheus(w io.Writer, s ObsSnapshot) error { return obs.WritePrometh
 // WriteMetricsJSON writes a metrics snapshot as indented JSON.
 func WriteMetricsJSON(w io.Writer, s ObsSnapshot) error { return obs.WriteMetricsJSON(w, s) }
 
-// Ledger analysis types: offline reports over recorded event and
-// decision streams (see examples/schedtrace).
+// Ledger analysis types: the offline regret report over a recorded
+// decision ledger (see examples/schedtrace).
 type (
 	// LedgerReport summarizes a decision ledger: counts by decision
 	// point, regret statistics and histogram, and per-stream movement.
 	LedgerReport = obs.LedgerReport
 	// StreamDecisions is one stream's row in a LedgerReport.
 	StreamDecisions = obs.StreamDecisions
-	// StreamReorder reports one stream's out-of-order completions.
-	StreamReorder = obs.StreamReorder
 )
 
 // ReadDecisionCSV parses a decision ledger written by a
 // DecisionCSVRecorder back into decisions.
 func ReadDecisionCSV(r io.Reader) ([]Decision, error) { return obs.ReadDecisionCSV(r) }
 
-// ReadEventsCSV parses an event stream written by a CSVRecorder back
-// into events.
-func ReadEventsCSV(r io.Reader) ([]ObsEvent, error) { return obs.ReadEventsCSV(r) }
-
 // AnalyzeLedger builds the regret report over a decision ledger.
 func AnalyzeLedger(ds []Decision) LedgerReport { return obs.AnalyzeLedger(ds) }
-
-// ReorderingByStream reconstructs each stream's arrival order from an
-// event stream and reports its out-of-order completions.
-func ReorderingByStream(events []ObsEvent) []StreamReorder { return obs.ReorderingByStream(events) }
 
 // Policy-search and counterfactual-replay types
 // (internal/policysearch): record a run's full decision ledger, replay
@@ -511,9 +442,6 @@ type (
 	SearchReport = policysearch.Report
 	// SearchCandidate is one evaluated configuration.
 	SearchCandidate = policysearch.Candidate
-	// Substitution forces one decision ordinal to a given processor
-	// during a replay.
-	Substitution = policysearch.Substitution
 	// Counterfactual is one substituted replay: the decision, its
 	// one-step predicted gain (regret) and the realized ground-truth
 	// gain from full re-simulation.
@@ -523,28 +451,10 @@ type (
 	LedgerRecorder = obs.LedgerRecorder
 )
 
-// NewLedgerRecorder returns an empty unbounded decision ledger; set it
-// as Params.DecisionRecorder (or let FactualRun wire it) to capture
-// every scheduling decision with its full candidate set.
-func NewLedgerRecorder() *LedgerRecorder { return obs.NewLedgerRecorder() }
-
 // FactualRun executes p on the DES backend while recording its
 // complete decision ledger. An existing Params.DecisionRecorder still
 // sees every decision (the ledger tees).
 func FactualRun(p Params) (Results, *LedgerRecorder) { return policysearch.Factual(p) }
-
-// ReplayRun re-executes p with the given substitutions forced in;
-// ordinals or processors that never arise are no-ops. With no
-// substitutions the replay is bit-identical to the factual run.
-func ReplayRun(p Params, subs []Substitution) (Results, *LedgerRecorder) {
-	return policysearch.Replay(p, subs)
-}
-
-// ReplayFactual replays every recorded choice verbatim — the
-// zero-perturbation identity check (bit-identical Results).
-func ReplayFactual(p Params, ledger *LedgerRecorder) Results {
-	return policysearch.ReplayFactual(p, ledger)
-}
 
 // TopCounterfactuals substitutes the cheapest alternative into each of
 // the k highest-regret decisions, one at a time, returning predicted
@@ -568,10 +478,6 @@ func DefaultSearchSpace() SearchSpace { return policysearch.DefaultSpace() }
 // fairness and goodput guardrails.
 func DefaultSearchWeights() SearchWeights { return policysearch.DefaultWeights() }
 
-// PolicyFitness scores a run's Results under the given weights (lower
-// is better).
-func PolicyFitness(r Results, w SearchWeights) float64 { return policysearch.Fitness(r, w) }
-
 // Experiment types: the per-table/per-figure reproduction suite.
 type (
 	// Experiment reproduces one paper table or figure.
@@ -581,9 +487,6 @@ type (
 	// ResultTable is an experiment's rendered output.
 	ResultTable = exp.Table
 )
-
-// Experiments returns the full reproduction suite in presentation order.
-func Experiments() []Experiment { return exp.All() }
 
 // ExperimentByID looks up one experiment (e.g. "E5", "T2").
 func ExperimentByID(id string) (Experiment, bool) { return exp.ByID(id) }

@@ -35,7 +35,7 @@ func TestPublicModel(t *testing.T) {
 	if affinity.SGIChallengeXL().Processors != 8 {
 		t.Fatal("platform mismatch")
 	}
-	if affinity.MVSWorkload().B == 0 {
+	if m.Workload.B == 0 {
 		t.Fatal("workload constants missing")
 	}
 }
@@ -48,31 +48,17 @@ func TestPublicCalibrate(t *testing.T) {
 }
 
 func TestPublicBackgrounds(t *testing.T) {
-	if affinity.DefaultBackground().Intensity != 1 {
-		t.Fatal("default background intensity")
+	if affinity.BackgroundWithIntensity(1).Intensity != 1 {
+		t.Fatal("loaded background intensity")
 	}
-	if affinity.IdleBackground().Intensity != 0 {
+	if affinity.BackgroundWithIntensity(0).Intensity != 0 {
 		t.Fatal("idle background intensity")
 	}
 }
 
 func TestPublicExperimentRegistry(t *testing.T) {
-	all := affinity.Experiments()
-	if len(all) != 38 {
-		t.Fatalf("Experiments() = %d entries, want 38", len(all))
-	}
-	seen := map[string]bool{}
-	for _, e := range all {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
-			t.Fatalf("incomplete experiment %+v", e)
-		}
-		if seen[e.ID] {
-			t.Fatalf("duplicate experiment ID %s", e.ID)
-		}
-		seen[e.ID] = true
-	}
-	if _, ok := affinity.ExperimentByID("e5"); !ok {
-		t.Fatal("case-insensitive lookup failed")
+	if e, ok := affinity.ExperimentByID("e5"); !ok || e.ID != "E5" || e.Run == nil {
+		t.Fatalf("case-insensitive lookup = %+v, %v", e, ok)
 	}
 	if _, ok := affinity.ExperimentByID("E99"); ok {
 		t.Fatal("unknown ID resolved")
@@ -119,8 +105,8 @@ func TestPublicTopology(t *testing.T) {
 	if _, err := affinity.ParseTopology("2x4:2,1"); err == nil {
 		t.Fatal("inverted multipliers accepted")
 	}
-	flat := affinity.FlatTopology(4)
-	if flat.Sockets != 1 || flat.CoresPerSocket != 4 {
-		t.Fatalf("FlatTopology = %+v", flat)
+	flat, err := affinity.ParseTopology("1x4")
+	if err != nil || flat.Sockets != 1 || flat.CoresPerSocket != 4 {
+		t.Fatalf("ParseTopology(\"1x4\") = %+v, %v", flat, err)
 	}
 }

@@ -229,79 +229,26 @@ func main() {
 	var recs []affinity.Recorder
 	var cleanup []func()
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fail("creating trace file: %v", err)
-		}
-		ct := affinity.NewChromeTrace(f)
-		recs = append(recs, ct)
-		cleanup = append(cleanup, func() {
-			if err := ct.Close(); err != nil {
-				fail("writing trace: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				fail("closing trace file: %v", err)
-			}
-		})
+		recs = append(recs, fileSink(&cleanup, *traceOut, "trace", affinity.NewChromeTrace))
 	}
 	if *csvOut != "" {
-		f, err := os.Create(*csvOut)
-		if err != nil {
-			fail("creating csv file: %v", err)
-		}
-		cr := affinity.NewCSVRecorder(f)
-		recs = append(recs, cr)
-		cleanup = append(cleanup, func() {
-			if err := cr.Close(); err != nil {
-				fail("writing csv: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				fail("closing csv file: %v", err)
-			}
-		})
+		recs = append(recs, fileSink(&cleanup, *csvOut, "csv", affinity.NewCSVRecorder))
 	}
 	if *tsOut != "" {
-		f, err := os.Create(*tsOut)
-		if err != nil {
-			fail("creating timeseries file: %v", err)
-		}
-		ts := affinity.NewTimeSeriesRecorder(f, *tsIv, defaulted.Processors)
-		recs = append(recs, ts)
-		cleanup = append(cleanup, func() {
-			if err := ts.Close(); err != nil {
-				fail("writing timeseries: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				fail("closing timeseries file: %v", err)
-			}
-		})
+		recs = append(recs, fileSink(&cleanup, *tsOut, "timeseries", func(w io.Writer) *affinity.TimeSeriesRecorder {
+			return affinity.NewTimeSeriesRecorder(w, *tsIv, defaulted.Processors)
+		}))
 	}
 	if *obsOut || *metOut != "" {
 		recs = append(recs, affinity.NewMetricsRecorder())
 	}
 	p.Recorder = affinity.MultiRecorder(recs...)
 	if *decOut != "" {
-		f, err := os.Create(*decOut)
-		if err != nil {
-			fail("creating decisions file: %v", err)
-		}
-		var dr interface {
-			affinity.DecisionRecorder
-			Close() error
-		}
-		if strings.HasSuffix(*decOut, ".jsonl") {
-			dr = affinity.NewDecisionJSONLRecorder(f)
-		} else {
-			dr = affinity.NewDecisionCSVRecorder(f)
-		}
-		p.DecisionRecorder = dr
-		cleanup = append(cleanup, func() {
-			if err := dr.Close(); err != nil {
-				fail("writing decisions: %v", err)
+		p.DecisionRecorder = fileSink(&cleanup, *decOut, "decisions", func(w io.Writer) decisionSink {
+			if strings.HasSuffix(*decOut, ".jsonl") {
+				return affinity.NewDecisionJSONLRecorder(w)
 			}
-			if err := f.Close(); err != nil {
-				fail("closing decisions file: %v", err)
-			}
+			return affinity.NewDecisionCSVRecorder(w)
 		})
 	}
 
@@ -372,6 +319,32 @@ func main() {
 	if res.Saturated {
 		os.Exit(2)
 	}
+}
+
+// decisionSink is a decision ledger written to a file: CSV or JSON lines.
+type decisionSink interface {
+	affinity.DecisionRecorder
+	io.Closer
+}
+
+// fileSink creates path, wraps the file in the sink open returns, and
+// appends to cleanup a step that closes the sink, then the file. what
+// names the sink in error messages.
+func fileSink[S io.Closer](cleanup *[]func(), path, what string, open func(io.Writer) S) S {
+	f, err := os.Create(path)
+	if err != nil {
+		fail("creating %s file: %v", what, err)
+	}
+	s := open(f)
+	*cleanup = append(*cleanup, func() {
+		if err := s.Close(); err != nil {
+			fail("writing %s: %v", what, err)
+		}
+		if err := f.Close(); err != nil {
+			fail("closing %s file: %v", what, err)
+		}
+	})
+	return s
 }
 
 func printObs(s *affinity.ObsSnapshot) {

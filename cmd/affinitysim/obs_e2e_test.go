@@ -100,6 +100,30 @@ func TestCLIDecisionLedgerBothBackends(t *testing.T) {
 	}
 }
 
+// TestSchedtraceGolden pins examples/schedtrace's output byte for byte:
+// its default demo (a DES run, seed 7), and its regret report over the
+// decision ledger of a fixed affinitysim run. Running the examples
+// elsewhere checks only that they exit 0. Regenerate with -update.
+func TestSchedtraceGolden(t *testing.T) {
+	demo, err := exec.Command(schedtraceBinary(t)).Output()
+	if err != nil {
+		t.Fatalf("schedtrace: %v", err)
+	}
+	checkGolden(t, "schedtrace_demo.golden", string(demo))
+
+	ledger := filepath.Join(t.TempDir(), "ledger.csv")
+	if _, stderr, code := run(t, "-paradigm", "locking", "-policy", "mru",
+		"-rate", "1000", "-packets", "1000", "-seed", "1",
+		"-decisions", ledger); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	report, err := exec.Command(schedtraceBinary(t), "-decisions", ledger).Output()
+	if err != nil {
+		t.Fatalf("schedtrace -decisions: %v", err)
+	}
+	checkGolden(t, "schedtrace_decisions.golden", string(report))
+}
+
 // TestCLIObsFlagsDoNotChangeOutput pins the observation-only contract at
 // the CLI boundary: the text report is byte-identical with and without
 // every new observability flag.

@@ -5,14 +5,12 @@
 // Cold starts and migrations — the events affinity scheduling exists to
 // avoid — are flagged.
 //
-// It also analyzes recorded runs offline:
+// It also analyzes a recorded decision ledger offline:
 //
 //	affinitysim -decisions ledger.csv ... && schedtrace -decisions ledger.csv
-//	affinitysim -tracecsv events.csv ...  && schedtrace -events events.csv
 //
-// -decisions prints the decision-regret report (counts by decision
-// point, regret histogram, top migrating streams); -events prints
-// per-stream reordering derived from the event stream.
+// prints the decision-regret report: counts by decision point, regret
+// histogram, top migrating streams.
 package main
 
 import (
@@ -43,17 +41,11 @@ func (f *firstStarts) Record(e affinity.ObsEvent) {
 func main() {
 	traceOut := flag.String("trace", "", "also write a Chrome trace-event JSON of the whole run (open it at https://ui.perfetto.dev: one track per processor, one per stream)")
 	ledgerIn := flag.String("decisions", "", "analyze a decision ledger CSV (from affinitysim -decisions) instead of running the demo")
-	eventsIn := flag.String("events", "", "analyze an event-stream CSV (from affinitysim -tracecsv) instead of running the demo")
 	topN := flag.Int("top", 5, "streams to list in the top-migrating-streams report")
 	flag.Parse()
 
-	if *ledgerIn != "" || *eventsIn != "" {
-		if *ledgerIn != "" {
-			analyzeLedger(*ledgerIn, *topN)
-		}
-		if *eventsIn != "" {
-			analyzeEvents(*eventsIn)
-		}
+	if *ledgerIn != "" {
+		analyzeLedger(*ledgerIn, *topN)
 		return
 	}
 
@@ -151,35 +143,6 @@ func analyzeLedger(path string, topN int) {
 		}
 		fmt.Printf("%-7d %-10d %-7d %.1f\n", s.Stream, s.Decisions, s.Moves, s.Regret)
 	}
-}
-
-// analyzeEvents prints the per-stream reordering report for a recorded
-// event stream.
-func analyzeEvents(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fail("%v", err)
-	}
-	defer f.Close()
-	events, err := affinity.ReadEventsCSV(f)
-	if err != nil {
-		fail("reading events: %v", err)
-	}
-	rows := affinity.ReorderingByStream(events)
-
-	total, reordered := 0, 0
-	fmt.Println("reordering by stream (completions finishing after a later arrival of the same stream):")
-	fmt.Printf("%-7s %-12s %-10s %s\n", "stream", "completions", "reordered", "max distance")
-	for _, r := range rows {
-		fmt.Printf("%-7d %-12d %-10d %d\n", r.Stream, r.Completions, r.Reordered, r.MaxDistance)
-		total += r.Completions
-		reordered += r.Reordered
-	}
-	frac := 0.0
-	if total > 0 {
-		frac = float64(reordered) / float64(total)
-	}
-	fmt.Printf("total: %d/%d completions reordered (%.2f%%)\n", reordered, total, 100*frac)
 }
 
 func fail(format string, args ...any) {

@@ -242,32 +242,6 @@ func TestCalibrationValidate(t *testing.T) {
 	}
 }
 
-func TestDisplacingRefs(t *testing.T) {
-	m := NewModel()
-	// 1000 µs at full intensity on a 20 refs/µs machine.
-	if got := m.DisplacingRefs(1000, 1); math.Abs(got-20000) > 1e-9 {
-		t.Fatalf("DisplacingRefs = %v, want 20000", got)
-	}
-	if m.DisplacingRefs(1000, 0) != 0 {
-		t.Fatal("zero intensity must displace nothing")
-	}
-	if m.DisplacingRefs(-1, 1) != 0 {
-		t.Fatal("negative interval must displace nothing")
-	}
-	// Half intensity halves the displacement.
-	if got := m.DisplacingRefs(1000, 0.5); math.Abs(got-10000) > 1e-9 {
-		t.Fatalf("half-intensity refs = %v, want 10000", got)
-	}
-}
-
-func TestExecTimeAfterIdleWithZeroIntensity(t *testing.T) {
-	// V = 0: idle time displaces nothing, so service stays warm forever.
-	m := NewModel()
-	if got := m.ExecTimeAfter(1e9, 0); got != m.Calib.TWarm {
-		t.Fatalf("V=0 exec time = %v, want warm %v", got, m.Calib.TWarm)
-	}
-}
-
 func TestF1SplitVersusUnified(t *testing.T) {
 	// With the equal-split assumption off, all references hammer one
 	// cache, displacing faster at equal per-side geometry.

@@ -102,18 +102,6 @@ func (m *Model) Validate() error {
 	return m.Calib.Validate()
 }
 
-// DisplacingRefs converts an interval of displacing execution into a
-// memory-reference count: busyMicros of execution at intensity (fraction
-// of full speed) intensity. Other-stream protocol processing displaces at
-// intensity 1; idle-time non-protocol activity displaces at the
-// configured workload intensity V ∈ [0, 1].
-func (m *Model) DisplacingRefs(busyMicros, intensity float64) float64 {
-	if busyMicros <= 0 || intensity <= 0 {
-		return 0
-	}
-	return busyMicros * intensity * m.Platform.RefsPerMicrosecond()
-}
-
 // F1 returns the fraction of the protocol footprint displaced from the
 // split L1 by refs intervening references. Under the equal-split
 // assumption each side of the split cache sees half the references; the
@@ -163,12 +151,6 @@ func (m *Model) ExecTime(refs float64) float64 {
 		return c.TCold
 	}
 	return c.TWarm + float64(m.F1(refs)*(c.TL1Cold-c.TWarm)) + float64(m.F2(refs)*(c.TCold-c.TL1Cold))
-}
-
-// ExecTimeAfter is a convenience wrapper: execution time after busyMicros
-// of displacing execution at the given intensity.
-func (m *Model) ExecTimeAfter(busyMicros, intensity float64) float64 {
-	return m.ExecTime(m.DisplacingRefs(busyMicros, intensity))
 }
 
 // FlushHalfLife returns the displacing-execution interval (µs at

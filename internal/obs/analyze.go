@@ -9,82 +9,11 @@ import (
 	"strings"
 )
 
-// Offline analysis over recorded streams: parsers that invert the CSV
-// sinks row-for-row, a ledger report (decision counts, regret
-// histogram, top migrating streams), and a per-stream reordering report
-// derived from the event stream. These run in tools (schedtrace), never
-// on the simulation hot path, so they favor clarity over allocation
-// discipline.
-
-// ReadEventsCSV parses an event stream written by the CSV sink back
-// into Events. Drop rows recover their DropReason* value from the
-// readable reason column.
-func ReadEventsCSV(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	var events []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if line == 1 || text == "" { // header
-			continue
-		}
-		f := strings.Split(text, ",")
-		if len(f) != 10 {
-			return nil, fmt.Errorf("events csv line %d: got %d fields, want 10", line, len(f))
-		}
-		var e Event
-		var err error
-		if e.T, err = strconv.ParseFloat(f[0], 64); err != nil {
-			return nil, fmt.Errorf("events csv line %d: t_us: %v", line, err)
-		}
-		k, ok := ParseKind(f[1])
-		if !ok {
-			return nil, fmt.Errorf("events csv line %d: unknown kind %q", line, f[1])
-		}
-		e.Kind = k
-		if e.Proc, err = strconv.Atoi(f[2]); err != nil {
-			return nil, fmt.Errorf("events csv line %d: proc: %v", line, err)
-		}
-		if e.Stream, err = strconv.Atoi(f[3]); err != nil {
-			return nil, fmt.Errorf("events csv line %d: stream: %v", line, err)
-		}
-		if e.Entity, err = strconv.Atoi(f[4]); err != nil {
-			return nil, fmt.Errorf("events csv line %d: entity: %v", line, err)
-		}
-		if e.Seq, err = strconv.ParseUint(f[5], 10, 64); err != nil {
-			return nil, fmt.Errorf("events csv line %d: seq: %v", line, err)
-		}
-		if f[6] != "" {
-			if e.Dur, err = strconv.ParseFloat(f[6], 64); err != nil {
-				return nil, fmt.Errorf("events csv line %d: dur_us: %v", line, err)
-			}
-		}
-		if f[7] != "" {
-			if e.Val, err = strconv.ParseFloat(f[7], 64); err != nil {
-				return nil, fmt.Errorf("events csv line %d: value: %v", line, err)
-			}
-		}
-		fl, ok := ParseFlags(f[8])
-		if !ok {
-			return nil, fmt.Errorf("events csv line %d: unknown flags %q", line, f[8])
-		}
-		e.Flags = fl
-		if e.Kind == KindDrop {
-			v, ok := ParseDropReason(f[9])
-			if !ok {
-				return nil, fmt.Errorf("events csv line %d: unknown drop reason %q", line, f[9])
-			}
-			e.Val = v
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return events, nil
-}
+// Offline analysis of a recorded decision ledger: a parser that inverts
+// the DecisionCSV sink row for row, and a report of decision counts, a
+// regret histogram and the top migrating streams. These run in tools
+// (schedtrace), never on the simulation hot path, so they favor clarity
+// over allocation discipline.
 
 // ReadDecisionCSV parses a ledger written by the DecisionCSV sink back
 // into Decisions (candidate sets owned by the result).
@@ -274,83 +203,4 @@ func AnalyzeLedger(ds []Decision) LedgerReport {
 		return a.Stream < b.Stream
 	})
 	return rep
-}
-
-// StreamReorder is one stream's reordering aggregate derived from an
-// event stream: completions that finished before an earlier-arrived
-// packet of the same stream, and the worst displacement (in packets of
-// that stream) any completion suffered.
-type StreamReorder struct {
-	Stream      int
-	Completions int
-	Reordered   int
-	MaxDistance uint64
-}
-
-// ReorderingByStream replays an event stream and reports per-stream
-// reordering, ascending by stream id. Ranks within a stream come from
-// arrival events (arrival order is ascending global seq); streams with
-// completions but no recorded arrivals rank by their completions' seqs
-// instead, which is equivalent when the trace is complete.
-func ReorderingByStream(events []Event) []StreamReorder {
-	seqsOf := make(map[int][]uint64)
-	for _, e := range events {
-		if e.Kind == KindArrival && e.Stream >= 0 {
-			seqsOf[e.Stream] = append(seqsOf[e.Stream], e.Seq)
-		}
-	}
-	for _, e := range events {
-		if e.Kind == KindExecEnd && e.Stream >= 0 {
-			if _, ok := seqsOf[e.Stream]; !ok {
-				// No arrivals recorded for this stream: fall back to the
-				// completion seqs themselves.
-				for _, e2 := range events {
-					if e2.Kind == KindExecEnd && e2.Stream == e.Stream {
-						seqsOf[e.Stream] = append(seqsOf[e.Stream], e2.Seq)
-					}
-				}
-			}
-		}
-	}
-	rank := make(map[int]map[uint64]uint64, len(seqsOf))
-	for s, seqs := range seqsOf {
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		m := make(map[uint64]uint64, len(seqs))
-		for i, q := range seqs {
-			m[q] = uint64(i)
-		}
-		rank[s] = m
-	}
-
-	agg := make(map[int]*StreamReorder)
-	maxDone := make(map[int]uint64) // stream → max completed rank + 1
-	for _, e := range events {
-		if e.Kind != KindExecEnd || e.Stream < 0 {
-			continue
-		}
-		a := agg[e.Stream]
-		if a == nil {
-			a = &StreamReorder{Stream: e.Stream}
-			agg[e.Stream] = a
-		}
-		a.Completions++
-		rk, ok := rank[e.Stream][e.Seq]
-		if !ok {
-			continue
-		}
-		if rk+1 > maxDone[e.Stream] {
-			maxDone[e.Stream] = rk + 1
-		} else {
-			a.Reordered++
-			if d := maxDone[e.Stream] - 1 - rk; d > a.MaxDistance {
-				a.MaxDistance = d
-			}
-		}
-	}
-	out := make([]StreamReorder, 0, len(agg))
-	for _, a := range agg {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stream < out[j].Stream })
-	return out
 }

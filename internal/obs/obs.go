@@ -104,16 +104,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind inverts Kind.String.
-func ParseKind(s string) (Kind, bool) {
-	for i, name := range kindNames {
-		if name == s {
-			return Kind(i), true
-		}
-	}
-	return 0, false
-}
-
 // dropReasonNames maps DropReason* values to the readable strings the
 // CSV sink emits in its reason column.
 var dropReasonNames = [2]string{"queue", "loss"}
@@ -126,17 +116,6 @@ func DropReasonString(v float64) string {
 		return dropReasonNames[i]
 	}
 	return ""
-}
-
-// ParseDropReason inverts DropReasonString, returning the DropReason*
-// value for a reason column string.
-func ParseDropReason(s string) (float64, bool) {
-	for i, name := range dropReasonNames {
-		if name == s {
-			return float64(i), true
-		}
-	}
-	return 0, false
 }
 
 // Gauge reports whether k is a periodic gauge sample.
@@ -178,16 +157,6 @@ func (f Flags) String() string {
 		return flagNames[f]
 	}
 	return flagNames[f&15]
-}
-
-// ParseFlags inverts Flags.String.
-func ParseFlags(s string) (Flags, bool) {
-	for i, name := range flagNames {
-		if name == s {
-			return Flags(i), true
-		}
-	}
-	return 0, false
 }
 
 // Event is one observation. Fields that do not apply to the Kind are

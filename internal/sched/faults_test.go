@@ -274,84 +274,154 @@ func TestLastProcessorDownKeepsQueuedWork(t *testing.T) {
 	}
 }
 
+// queuedItem is one unit of queued work in the all-down tests: a packet
+// (entity, seq) or, under IPS-Wired, a ready stack (seq 0).
+type queuedItem struct{ entity, seq int }
+
+const allDownProcs, allDownEntities = 3, 6
+
+// allDown builds k's dispatcher on 3 processors and takes processor 2,
+// then 0, then 1 down, queuing a round of work for its 6 entities (IPS-
+// Wired: 2 of its 6 stacks) before each failure. It returns the work
+// queued, and take, which dispatches the next item on a processor.
+func allDown(k Kind) (Placement, map[queuedItem]bool, func(proc int) (queuedItem, bool)) {
+	var d Placement
+	var add func(round, seq int) []queuedItem
+	var take func(proc int) (queuedItem, bool)
+	if k == IPSWired {
+		sd := newSD(k, allDownEntities, allDownProcs)
+		d = sd
+		add = func(round, _ int) []queuedItem {
+			s := []queuedItem{{2 * round, 0}, {2*round + 1, 0}}
+			sd.EnqueueStack(s[0].entity)
+			sd.EnqueueStack(s[1].entity)
+			return s
+		}
+		take = func(proc int) (queuedItem, bool) {
+			s := sd.DispatchStack(proc)
+			return queuedItem{s, 0}, s >= 0
+		}
+	} else {
+		pd := idPD(k, allDownProcs, 0)
+		d = pd
+		add = func(_, seq int) []queuedItem {
+			var queued []queuedItem
+			for e := range allDownEntities {
+				pd.Enqueue(Packet{Stream: e, Entity: e, Seq: uint64(seq + e)})
+				queued = append(queued, queuedItem{e, seq + e})
+			}
+			return queued
+		}
+		take = func(proc int) (queuedItem, bool) {
+			p, ok := pd.Dispatch(proc)
+			return queuedItem{p.Entity, int(p.Seq)}, ok
+		}
+	}
+	want := map[queuedItem]bool{}
+	for round, proc := range []int{2, 0, 1} {
+		for _, it := range add(round, round*allDownEntities) {
+			want[it] = true
+		}
+		d.ProcDown(proc)
+	}
+	return d, want, take
+}
+
+// drainOnce dispatches everything on each of procs in turn: every
+// queued item must come out exactly once, in per-entity FIFO order.
+func drainOnce(t *testing.T, procs []int, want map[queuedItem]bool, take func(int) (queuedItem, bool)) {
+	t.Helper()
+	lastSeq := map[int]int{}
+	for _, proc := range procs {
+		for {
+			it, ok := take(proc)
+			if !ok {
+				break
+			}
+			if !want[it] {
+				t.Fatalf("dispatched %+v on %d, which is not queued (or twice)", it, proc)
+			}
+			delete(want, it)
+			if s, seen := lastSeq[it.entity]; seen && it.seq < s {
+				t.Errorf("entity %d: seq %d dispatched after %d", it.entity, it.seq, s)
+			}
+			lastSeq[it.entity] = it.seq
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("%d queued items never dispatched on %v: %v", len(want), procs, want)
+	}
+}
+
 // When the last live processor fails, every static-home policy leaves
 // its slots and queued work on it: once all are down, each entity's
 // preferred processor is the one that failed last. After all recover,
 // every queued item dispatches exactly once, in per-entity FIFO order.
 func TestLastProcessorRuleStaticHomes(t *testing.T) {
-	const procs, entities = 3, 6
-	downOrder := []int{2, 0, 1}
-	type item struct{ entity, seq int }
 	for _, k := range []Kind{WiredStreams, ThreadPools, RSS, FlowDirector, IPSWired} {
 		t.Run(k.String(), func(t *testing.T) {
-			var d Placement
-			var add func(round, seq int) []item // queues one round of work
-			var take func(proc int) (item, bool)
-			if k == IPSWired {
-				sd := newSD(k, entities, procs)
-				d = sd
-				add = func(round, _ int) []item {
-					s := []item{{2 * round, 0}, {2*round + 1, 0}}
-					sd.EnqueueStack(s[0].entity)
-					sd.EnqueueStack(s[1].entity)
-					return s
-				}
-				take = func(proc int) (item, bool) {
-					s := sd.DispatchStack(proc)
-					return item{s, 0}, s >= 0
-				}
-			} else {
-				pd := idPD(k, procs, 0)
-				d = pd
-				add = func(_, seq int) []item {
-					var queued []item
-					for e := range entities {
-						pd.Enqueue(Packet{Stream: e, Entity: e, Seq: uint64(seq + e)})
-						queued = append(queued, item{e, seq + e})
-					}
-					return queued
-				}
-				take = func(proc int) (item, bool) {
-					p, ok := pd.Dispatch(proc)
-					return item{p.Entity, int(p.Seq)}, ok
-				}
-			}
-			want := map[item]bool{}
-			for round, proc := range downOrder {
-				for _, it := range add(round, round*entities) {
-					want[it] = true
-				}
-				d.ProcDown(proc)
-			}
-			last := downOrder[len(downOrder)-1]
-			for e := range entities {
+			d, want, take := allDown(k)
+			const last = 1
+			for e := range allDownEntities {
 				if got := d.PreferredProc(e); got != last {
 					t.Errorf("entity %d prefers %d with every processor down, want %d (failed last)", e, got, last)
 				}
 			}
-			for proc := range procs {
+			for proc := range allDownProcs {
 				d.ProcUp(proc)
 			}
-			lastSeq := map[int]int{}
-			for proc := range procs {
-				for {
-					it, ok := take(proc)
-					if !ok {
-						break
-					}
-					if !want[it] {
-						t.Fatalf("dispatched %+v, which is not queued (or twice)", it)
-					}
-					delete(want, it)
-					if s, seen := lastSeq[it.entity]; seen && it.seq < s {
-						t.Errorf("entity %d: seq %d dispatched after %d", it.entity, it.seq, s)
-					}
-					lastSeq[it.entity] = it.seq
+			drainOnce(t, []int{0, 1, 2}, want, take)
+		})
+	}
+}
+
+// The first processor back after all failed takes every slot and all
+// queued work, even when it is not the one that failed last: nothing
+// waits on a processor that is still down while another is up.
+func TestFirstRecoveryAdoptsStrandedWork(t *testing.T) {
+	for _, k := range []Kind{WiredStreams, ThreadPools, RSS, FlowDirector, IPSWired} {
+		t.Run(k.String(), func(t *testing.T) {
+			d, want, take := allDown(k)
+			d.ProcUp(0) // failed second; processor 1 failed last
+			for e := range allDownEntities {
+				if got := d.PreferredProc(e); got != 0 {
+					t.Errorf("entity %d prefers %d, want 0, the only processor up", e, got)
 				}
 			}
-			if len(want) != 0 {
-				t.Errorf("%d queued items never dispatched: %v", len(want), want)
-			}
+			drainOnce(t, []int{0}, want, take)
 		})
+	}
+}
+
+// Flow Director's overrides follow the same rule as its buckets: a flow
+// that rebalancing moved onto the processor that failed last goes to the
+// first processor back, with its queued packets.
+func TestFirstRecoveryAdoptsFlowDirectorOverrides(t *testing.T) {
+	d := idPD(FlowDirector, 3, 1)
+	d.Enqueue(Packet{Entity: 0, Seq: 1}) // entity 0's home queue reaches the trigger
+	if got := d.PickProcessor(Packet{Entity: 0, Seq: 2}, []int{1}); got != 1 {
+		t.Fatalf("rebalancing placed entity 0 on %d, want 1", got)
+	}
+	d.Enqueue(Packet{Entity: 0, Seq: 2})
+	for _, proc := range []int{2, 0, 1} {
+		d.ProcDown(proc)
+	}
+	d.ProcUp(0)
+	if got := d.PreferredProc(0); got != 0 {
+		t.Fatalf("entity 0 prefers %d, want 0, the only processor up", got)
+	}
+	seen := map[uint64]bool{}
+	for {
+		p, ok := d.Dispatch(0)
+		if !ok {
+			break
+		}
+		if seen[p.Seq] {
+			t.Fatalf("seq %d dispatched twice", p.Seq)
+		}
+		seen[p.Seq] = true
+	}
+	if !seen[1] || !seen[2] || d.Queued() != 0 {
+		t.Errorf("dispatched %v on processor 0, %d still queued; want seqs 1 and 2, none queued", seen, d.Queued())
 	}
 }

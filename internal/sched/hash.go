@@ -213,9 +213,15 @@ func (h *hashed) ProcDown(proc int) {
 // ProcUp restores the processor and fails the table back to its
 // canonical entries, with the displaced flows' queued packets.
 // FlowDirector overrides stay where rebalancing put them — recovery
-// does not undo ATR placement.
+// does not undo ATR placement — unless every processor was down: then
+// this one adopts them too, as it does the buckets.
 func (h *hashed) ProcUp(proc int) {
-	if h.tab.up(proc) {
+	first := h.tab.nlive == 0
+	moved := h.tab.up(proc)
+	if first && h.tab.adopt(h.override, proc) {
+		moved = true
+	}
+	if moved {
 		pull(h.queues, proc, h.packetHome)
 	}
 }

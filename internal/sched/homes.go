@@ -74,8 +74,11 @@ func (t *homeTable) rehome(slots []int, proc int) {
 }
 
 // up returns proc to the live set and moves every slot whose failback
-// processor is proc back to it, reporting whether any slot moved.
+// processor is proc back to it, reporting whether any slot moved. The
+// first processor back after all failed also takes every slot still on
+// a down processor (see adopt).
 func (t *homeTable) up(proc int) bool {
+	first := t.nlive == 0
 	if !t.live[proc] {
 		t.live[proc] = true
 		t.nlive++
@@ -84,6 +87,25 @@ func (t *homeTable) up(proc int) bool {
 	for i, h := range t.home {
 		if h == proc && t.cur[i] != proc {
 			t.cur[i] = proc
+			moved = true
+		}
+	}
+	if first && t.adopt(t.cur, proc) {
+		moved = true
+	}
+	return moved
+}
+
+// adopt moves every set entry of slots that names a down processor to
+// proc, reporting whether any moved. While a processor stays live no
+// entry names a down one; once all fail, every entry waits on the one
+// that failed last, and the first to recover, whichever it is, takes
+// them all rather than leave them stranded there.
+func (t *homeTable) adopt(slots []int, proc int) bool {
+	moved := false
+	for i, p := range slots {
+		if p >= 0 && !t.live[p] {
+			slots[i] = proc
 			moved = true
 		}
 	}

@@ -115,6 +115,43 @@ func TestPermanentFailureNoStranding(t *testing.T) {
 	}
 }
 
+// Once every processor has failed, the first one back must serve all
+// the queued work, not only the streams whose failback home it is: here
+// processor 1 fails last and never recovers, so processor 0 alone
+// drains the backlog and the run ends with nothing queued.
+func TestFirstRecoveryAfterAllDownDrainsBacklog(t *testing.T) {
+	for _, c := range []struct {
+		paradigm Paradigm
+		policy   sched.Kind
+	}{
+		{Locking, sched.WiredStreams},
+		{Locking, sched.ThreadPools},
+		{Locking, sched.RSS},
+		{Locking, sched.FlowDirector},
+		{IPS, sched.IPSWired},
+	} {
+		p := Params{
+			Paradigm: c.paradigm, Policy: c.policy,
+			Processors: 3, Streams: 6,
+			Arrival:         traffic.Poisson{PacketsPerSec: 100},
+			MeasuredPackets: 3000,
+			Seed:            1,
+			Faults: (&faults.Plan{}).
+				Down(100*des.Millisecond, 2).
+				Down(200*des.Millisecond, 0).
+				Down(300*des.Millisecond, 1).
+				Up(400*des.Millisecond, 0),
+		}
+		res := Run(p)
+		label := res.Paradigm + "/" + res.Policy
+		conserved(t, label, res)
+		if res.QueueAtEnd != 0 || res.Saturated {
+			t.Errorf("%s: %d packets queued at the end (saturated %v) with processor 0 back up",
+				label, res.QueueAtEnd, res.Saturated)
+		}
+	}
+}
+
 // Wired-Streams re-homing is visible in the results: the failure window
 // forces migrations (packets of re-homed streams complete elsewhere),
 // which a fault-free wired run never shows.

@@ -221,12 +221,3 @@ func specSideEffecting(s traffic.Spec) bool {
 	se, ok := s.(interface{ HasSideEffects() bool })
 	return ok && se.HasSideEffects()
 }
-
-// RunMany executes independent simulations concurrently on up to
-// workers goroutines (0 selects GOMAXPROCS) and returns results in input
-// order. Each run is deterministic given its own Params.Seed, so the
-// output is identical to running them sequentially; duplicate
-// configurations in params are simulated once and share their Results.
-func RunMany(params []Params, workers int) []Results {
-	return NewPool(workers).RunAll(params)
-}

@@ -274,8 +274,8 @@ func TestPoolRecorderRunsNotCached(t *testing.T) {
 	}
 }
 
-// RunMany (now pool-backed) must return results in input order,
-// identical to serial execution, at any worker count.
+// Running many params through a pool must return results in input
+// order, identical to serial execution, at any worker count.
 func TestRunManyMatchesSerial(t *testing.T) {
 	params := []Params{poolParams(1), poolParams(2), poolParams(3), poolParams(1)}
 	serial := make([]Results, len(params))
@@ -283,7 +283,7 @@ func TestRunManyMatchesSerial(t *testing.T) {
 		serial[i] = Run(p)
 	}
 	for _, workers := range []int{1, 4} {
-		got := RunMany(params, workers)
+		got := NewPool(workers).RunAll(params)
 		if !reflect.DeepEqual(got, serial) {
 			t.Errorf("workers=%d: results differ from serial", workers)
 		}

@@ -571,7 +571,7 @@ func TestRunManyMatchesSequential(t *testing.T) {
 		p.MeasuredPackets = 1500
 		params = append(params, p)
 	}
-	parallel := RunMany(params, 4)
+	parallel := NewPool(4).RunAll(params)
 	for i, p := range params {
 		seq := Run(p)
 		if !reflect.DeepEqual(parallel[i], seq) {
@@ -583,11 +583,11 @@ func TestRunManyMatchesSequential(t *testing.T) {
 func TestRunManyWorkerClamping(t *testing.T) {
 	params := []Params{quick(IPS, sched.IPSWired)}
 	params[0].MeasuredPackets = 500
-	res := RunMany(params, 64) // more workers than work
+	res := NewPool(64).RunAll(params) // more workers than work
 	if len(res) != 1 || res[0].Completed != 500 {
 		t.Fatalf("results = %+v", res)
 	}
-	res = RunMany(params, 0) // GOMAXPROCS default
+	res = NewPool(0).RunAll(params) // GOMAXPROCS default
 	if res[0].Completed != 500 {
 		t.Fatal("default-worker run failed")
 	}

@@ -10,7 +10,7 @@ import (
 func TestAccumulatorEmptyDerived(t *testing.T) {
 	var a Accumulator
 	for name, got := range map[string]float64{
-		"Mean": a.Mean(), "Sum": a.Sum(), "Variance": a.Variance(),
+		"Mean": a.Mean(), "Variance": a.Variance(),
 		"StdDev": a.StdDev(), "Min": a.Min(), "Max": a.Max(),
 	} {
 		if got != 0 {
@@ -33,8 +33,8 @@ func TestAccumulatorSingleNegative(t *testing.T) {
 	if a.Variance() != 0 || a.StdDev() != 0 {
 		t.Errorf("single sample variance %v stddev %v, want 0", a.Variance(), a.StdDev())
 	}
-	if a.Mean() != -3.5 || a.Sum() != -3.5 {
-		t.Errorf("mean %v sum %v, want -3.5", a.Mean(), a.Sum())
+	if a.Mean() != -3.5 {
+		t.Errorf("mean %v, want -3.5", a.Mean())
 	}
 }
 

@@ -17,7 +17,6 @@ type Accumulator struct {
 	m2   float64
 	min  float64
 	max  float64
-	sum  float64
 }
 
 // Add records one observation.
@@ -33,10 +32,24 @@ func (a *Accumulator) Add(x float64) {
 			a.max = x
 		}
 	}
-	a.sum += x
 	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	if math.Abs(d) <= math.MaxFloat64 {
+		a.mean += d / float64(a.n)
+		a.m2 += d * (x - a.mean)
+		return
+	}
+	// d*d overflows too, so the sum of squares saturates.
+	a.mean = welfordHalved(a.mean, x, a.n)
+	a.m2 = math.Inf(1)
+}
+
+// welfordHalved is Welford's mean update for an observation whose
+// difference from the mean overflows, which needs x and the mean at
+// opposite ends of the float64 range. Adding d/n would make the mean
+// ±Inf and, one observation later, NaN; halving both operands keeps
+// every step finite, and the result lies between the mean and x.
+func welfordHalved(mean, x float64, n uint64) float64 {
+	return mean + (x/2-mean/2)/float64(n)*2
 }
 
 // N returns the observation count.
@@ -44,9 +57,6 @@ func (a *Accumulator) N() uint64 { return a.n }
 
 // Mean returns the sample mean, or 0 with no observations.
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Sum returns the running total.
-func (a *Accumulator) Sum() float64 { return a.sum }
 
 // Variance returns the unbiased sample variance.
 func (a *Accumulator) Variance() float64 {
@@ -75,7 +85,11 @@ type Mean struct {
 func (m *Mean) Add(x float64) {
 	m.n++
 	d := x - m.mean
-	m.mean += d / float64(m.n)
+	if math.Abs(d) <= math.MaxFloat64 {
+		m.mean += d / float64(m.n)
+		return
+	}
+	m.mean = welfordHalved(m.mean, x, m.n)
 }
 
 // N returns the observation count.
