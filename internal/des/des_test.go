@@ -15,11 +15,6 @@ func after(s *Simulator, delay Time, fn func()) {
 
 func runFunc(arg any) { arg.(func())() }
 
-// acquire requests a unit of r through AcquireArg, like after.
-func acquire(r *Resource, grant func()) {
-	r.AcquireArg(runFunc, grant)
-}
-
 func TestClockStartsAtZero(t *testing.T) {
 	s := NewSimulator()
 	if s.Now() != 0 {
@@ -297,64 +292,6 @@ func TestGeometricAlwaysPositive(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestResourceImmediateGrant(t *testing.T) {
-	r := NewResource(2)
-	granted := 0
-	acquire(r, func() { granted++ })
-	acquire(r, func() { granted++ })
-	if granted != 2 {
-		t.Fatalf("granted = %d, want 2", granted)
-	}
-	acquire(r, func() { granted++ })
-	if granted != 2 {
-		t.Fatal("third acquire granted while both units are held")
-	}
-	r.Release()
-	if granted != 3 {
-		t.Fatalf("granted = %d after release, want 3", granted)
-	}
-}
-
-func TestResourceFIFO(t *testing.T) {
-	r := NewResource(1)
-	var order []int
-	acquire(r, func() {}) // hold the unit
-	for i := 0; i < 5; i++ {
-		i := i
-		acquire(r, func() { order = append(order, i) })
-	}
-	if len(order) != 0 {
-		t.Fatalf("%d waiters granted while the unit is held", len(order))
-	}
-	for i := 0; i < 5; i++ {
-		r.Release()
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("grant order[%d] = %d, want %d", i, got, i)
-		}
-	}
-}
-
-func TestResourceReleaseIdlePanics(t *testing.T) {
-	r := NewResource(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on releasing idle resource")
-		}
-	}()
-	r.Release()
-}
-
-func TestResourceInvalidCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for zero capacity")
-		}
-	}()
-	NewResource(0)
 }
 
 func TestRNGDrawHelpers(t *testing.T) {

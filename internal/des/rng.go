@@ -54,7 +54,7 @@ func (g *RNG) Geometric(mean float64) int {
 		return 1
 	}
 	p := 1 / mean
-	u := g.r.Float64()
+	u := float64(g.r.Float64())
 	// Inverse transform: smallest k ≥ 1 with 1-(1-p)^k ≥ u.
 	k := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
 	if k < 1 {

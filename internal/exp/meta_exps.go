@@ -139,8 +139,8 @@ func FigE24(c Config) *Table {
 	for _, scale := range scales {
 		calib := core.Calibration{
 			TWarm:   base.TWarm,
-			TL1Cold: base.TWarm + (base.TL1Cold-base.TWarm)*scale,
-			TCold:   base.TWarm + (base.TCold-base.TWarm)*scale,
+			TL1Cold: base.TWarm + float64((base.TL1Cold-base.TWarm)*scale),
+			TCold:   base.TWarm + float64((base.TCold-base.TWarm)*scale),
 		}
 		mk := func(pol sched.Kind) *Point {
 			m := core.NewModel()

@@ -72,7 +72,7 @@ const unkeyed = 1 << 63
 //
 // A release is the only way a parked goroutine becomes runnable again,
 // and the release itself counts it runnable, under mu. So a goroutine
-// that hands work to another (Serve, a lock grant) does not wake it: it
+// that hands work to another (a new job, a lock grant) does not wake it: it
 // schedules the other's sleeper, and the clock releases that sleeper
 // when its instant comes like any other.
 type clock struct {

@@ -5,7 +5,6 @@ import (
 
 	"affinity/internal/des"
 	"affinity/internal/faults"
-	"affinity/internal/fifo"
 	"affinity/internal/sim"
 	"affinity/internal/traffic"
 )
@@ -46,24 +45,11 @@ type live struct {
 
 	mu sync.Mutex // the dispatch/queue lock
 
-	// workers[p] is processor p's wake slot. The host writes p's job
-	// slot (Host.Job) under mu before Serve schedules the worker; the
-	// worker reads it after the release.
+	// workers[p] is processor p's wake slot. The host asks for p's next
+	// interval under mu (After), and the worker reports its end under mu.
 	workers []*waiter
 
-	// Virtual shared-stack lock (Locking & Hybrid overflow path): FIFO
-	// grant order like des.Resource, waiters parked on the clock.
-	lockHeld bool
-	lockQ    fifo.Queue[lockRequest]
-
 	wg sync.WaitGroup
-}
-
-// lockRequest is one processor queued for the shared-stack lock since
-// the instant at.
-type lockRequest struct {
-	proc int
-	at   des.Time
 }
 
 // live is the host's Clock; the host calls it under mu.
@@ -72,12 +58,11 @@ func (r *live) Stop()         { r.clk.stop() }
 func (r *live) Pending() int  { return r.clk.Pending() }
 func (r *live) Fired() uint64 { return r.clk.Fired() }
 
-// Serve hands the job to its processor's worker, which is parked or
-// parks before it next touches the clock: the job's first interval,
-// Pre, is scheduled on the worker's behalf, so the clock releases it
-// when Pre has elapsed, as the DES fires the job's first event.
-func (r *live) Serve(j *sim.Job) {
-	r.clk.schedule(r.workers[j.Proc], j.Pre)
+// After schedules the interval on processor proc's worker, which is
+// parked or parks before it next touches the clock: the clock releases
+// it when d has elapsed, as the DES fires the processor's timer.
+func (r *live) After(proc int, d des.Time) {
+	r.clk.schedule(r.workers[proc], d)
 }
 
 // run spawns the whole cast — one worker per processor, one arrival
@@ -196,62 +181,16 @@ func (r *live) gaugeLoop(w *waiter) {
 }
 
 // worker is one simulated processor. It parks until the clock releases
-// it at the end of a job's Pre interval (Serve scheduled it). A locked
-// job then takes the shared-stack lock and sleeps its critical section,
-// or queues and parks until a release grants the lock and schedules the
-// critical section for it. The worker then completes the job under the
-// dispatch lock, where the host picks the processor's next work.
+// it at the end of an interval the host asked for (After), then reports
+// the end to the host under the dispatch lock, where the host takes or
+// releases the shared-stack lock and picks the processor's next work.
 func (r *live) worker(proc int) {
 	defer r.wg.Done()
 	defer r.clk.exit()
-	w, j := r.workers[proc], r.host.Job(proc)
-	for {
-		if !r.clk.park(w) {
-			return
-		}
-		if j.Locked && !r.holdLock(proc, j.Crit) {
-			return
-		}
-		r.mu.Lock()
-		now := r.clk.Now()
-		if j.Locked {
-			r.releaseLockLocked(now)
-		}
-		r.host.Complete(now, j)
-		r.mu.Unlock()
-	}
-}
-
-// holdLock takes the virtual shared-stack lock for processor proc and
-// plays its critical section, crit, out on the clock. A free lock is
-// taken at once, with no wait; a held one queues the request FIFO, like
-// des.Resource, and parks the worker until releaseLockLocked grants it.
-// It returns false when the run stopped first.
-func (r *live) holdLock(proc int, crit des.Time) bool {
 	w := r.workers[proc]
-	r.mu.Lock()
-	if r.lockHeld {
-		r.lockQ.Push(lockRequest{proc: proc, at: r.clk.Now()})
+	for r.clk.park(w) {
+		r.mu.Lock()
+		r.host.Elapsed(r.clk.Now(), proc)
 		r.mu.Unlock()
-		return r.clk.park(w)
 	}
-	r.lockHeld = true
-	r.host.LockWaited(0)
-	r.mu.Unlock()
-	return r.clk.sleep(w, crit)
-}
-
-// releaseLockLocked releases the virtual shared-stack lock at now. Like
-// des.Resource.Release it grants the lock inside the release: the
-// oldest queued request gets it, its wait is recorded, and its critical
-// section is scheduled on the requester's behalf. With nobody queued
-// the lock goes free. Called under mu.
-func (r *live) releaseLockLocked(now des.Time) {
-	req, ok := r.lockQ.Pop()
-	if !ok {
-		r.lockHeld = false
-		return
-	}
-	r.host.LockWaited(now - req.at)
-	r.clk.schedule(r.workers[req.proc], r.host.Job(req.proc).Crit)
 }

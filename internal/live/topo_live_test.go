@@ -25,6 +25,10 @@ func unbrand(r sim.Results) sim.Results {
 }
 
 func TestLiveFlatTopologyIsNoOp(t *testing.T) {
+	flat, err := topo.Parse("1x8")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, policy := range []sched.Kind{sched.FCFS, sched.MRU, sched.WiredStreams} {
 		p := sim.Params{
 			Paradigm: sim.Locking, Policy: policy, Streams: 8, Processors: 8,
@@ -34,7 +38,7 @@ func TestLiveFlatTopologyIsNoOp(t *testing.T) {
 		}
 		base := live.Run(p)
 		for name, tp := range map[string]*topo.Topology{
-			"flat":      topo.Flat(8),
+			"flat":      flat,
 			"numa-unit": {Sockets: 2, CoresPerSocket: 4, SameSocketTransient: 1, CrossSocketTransient: 1},
 		} {
 			p2 := p

@@ -51,6 +51,6 @@ func Fitness(r sim.Results, w Weights) float64 {
 	if unfair < 0 {
 		unfair = 0
 	}
-	return w.MeanDelay*r.MeanDelay + w.P95Delay*r.P95Delay +
-		w.Unfairness*unfair + w.GoodputShortfall*shortfall
+	return float64(w.MeanDelay*r.MeanDelay) + float64(w.P95Delay*r.P95Delay) +
+		float64(w.Unfairness*unfair) + float64(w.GoodputShortfall*shortfall)
 }

@@ -84,7 +84,7 @@ func ErlangC(c int, a float64) float64 {
 // MMcWait returns the mean queueing delay of an M/M/c queue:
 // Wq = C(c, a) · s / (c − a).
 func MMcWait(c int, lambda, s float64) float64 {
-	a := lambda * s
+	a := float64(lambda * s)
 	pWait := ErlangC(c, a)
 	return pWait * s / (float64(c) - a)
 }
@@ -128,7 +128,7 @@ func BatchGeoMD1Wait(lambda, s, meanBatch float64) float64 {
 	eb2 := m * (2*m - 1)
 	lambdaBatch := lambda / m
 	batchQueue := lambdaBatch * eb2 * s * s / (2 * (1 - r))
-	withinBatch := s * (eb2/m - 1) / 2
+	withinBatch := float64(s * (eb2/m - 1) / 2)
 	return batchQueue + withinBatch
 }
 

@@ -31,7 +31,7 @@ import (
 // under its dispatch mutex. The packet lifecycle is allocation-free in
 // steady state: displacement marks are flat slices indexed by entity,
 // every queue reuses its blocks (internal/fifo), and each processor's
-// Job is built in place in jobs and handed to the backend by pointer.
+// job is built in place in jobs, where it stays until it completes.
 // TestRunnerSteadyStateZeroAllocs pins this on the DES with recorders
 // disabled.
 type Host struct {
@@ -41,7 +41,7 @@ type Host struct {
 	rate float64    // displacing references per µs of full-speed execution
 
 	// now is the instant of the entry-point call in progress (Arrive,
-	// Complete, Fault), passed in by the backend, which already knows it.
+	// Elapsed, Fault), passed in by the backend, which already knows it.
 	// Time cannot advance inside one host call — a DES handler runs at
 	// one instant, and the live clock waits while the caller is runnable
 	// — so internal methods read it here instead of asking the clock.
@@ -58,7 +58,7 @@ type Host struct {
 	place sched.Placement        // whichever of the two the paradigm uses
 
 	procs       []procState
-	jobs        []Job // jobs[p]: processor p's current service interval
+	jobs        []job // jobs[p]: processor p's job in service
 	stacks      []stackState
 	overflow    fifo.Queue[sched.Packet] // Hybrid: packets spilled to the shared path
 	rng         *des.RNG                 // Hybrid overflow placement
@@ -72,6 +72,12 @@ type Host struct {
 	// so the mask costs a run no allocation.
 	idle     []uint64
 	idleWord [1]uint64
+
+	// The shared-stack lock (Locking, and Hybrid's overflow path):
+	// lockHeld while a job is in its critical section, lockQ the
+	// processors waiting for it, granted in request order.
+	lockHeld bool
+	lockQ    fifo.Queue[lockRequest]
 
 	delays    *stats.BatchMeans
 	delayHist *stats.Histogram
@@ -148,32 +154,35 @@ type Clock interface {
 	Pending() int
 	// Fired returns the number of events executed so far.
 	Fired() uint64
-	// Serve plays out one service interval (see Job) and then calls
-	// Host.Complete with the instant the interval ends. The job is the
-	// host's slot for j.Proc: it stays put and unchanged until that
-	// Complete, which may rebuild it for the processor's next job.
-	Serve(j *Job)
+	// After times one interval of d on processor proc, then calls
+	// Host.Elapsed with proc and the instant the interval ends. A
+	// processor has at most one interval pending.
+	After(proc int, d des.Time)
 }
 
-// Job is one packet's service interval, bound when a processor starts
-// the packet. The backend plays it out on Proc: Pre elapses first; a
-// Locked job then queues FIFO for the shared-stack lock, reports its
-// wait through Host.LockWaited, holds the lock for Crit and releases
-// it. The backend then hands the job back to Host.Complete.
-type Job struct {
-	Proc   int
-	Locked bool
-	Pre    des.Time // until completion, or until the lock request if Locked
-	Crit   des.Time // critical section under the shared-stack lock
-
+// job is one packet's service on a processor, bound when the processor
+// starts the packet. An unlocked job is one interval. A locked job is
+// two: the first ends in a request for the shared-stack lock, and the
+// second, crit, is the critical section held under it.
+type job struct {
+	locked  bool
+	holding bool     // the interval being timed is crit
+	crit    des.Time // critical section under the shared-stack lock
 	pkt     sched.Packet
 	exec    float64 // charged execution time (model + data touch)
 	warmHit bool
 	done    completionKind
 }
 
-// completionKind selects the continuation Complete runs — an enum
-// carried in the Job rather than a captured function value, so
+// lockRequest is one processor waiting for the shared-stack lock since
+// the instant at.
+type lockRequest struct {
+	proc int
+	at   des.Time
+}
+
+// completionKind selects the continuation a completion runs — an enum
+// carried in the job rather than a captured function value, so
 // beginService stays allocation-free.
 type completionKind uint8
 
@@ -230,7 +239,7 @@ func NewHost(p Params, clk Clock) *Host {
 		exec:       p.Model.Compile(),
 		rate:       p.Model.Platform.RefsPerMicrosecond(),
 		procs:      make([]procState, p.Processors),
-		jobs:       make([]Job, p.Processors),
+		jobs:       make([]job, p.Processors),
 		lastProcOf: make([]int, entities),
 		delays:     stats.NewBatchMeans(uint64(max(p.MeasuredPackets/30, 1))),
 		delayHist:  stats.NewHistogram(0, 100_000, 10_000), // 10 µs bins to 100 ms
@@ -694,7 +703,7 @@ func (h *Host) topoScaled(texec float64, entity, proc int) float64 {
 	if last := h.lastProcOf[entity]; last >= 0 && last != proc {
 		if s := h.topo.TransientScale(last, proc); s != 1 {
 			w := h.exec.Warm()
-			texec = w + s*(texec-w)
+			texec = w + float64(s*(texec-w))
 		}
 	}
 	return texec
@@ -709,15 +718,15 @@ func (h *Host) xRefs(e, proc int) float64 {
 	}
 	dNP := ps.dispNP - ps.markNP[e]
 	dProto := ps.dispProto - ps.markProto[e]
-	return dNP + (1-h.p.CodeSharedFrac)*dProto
+	return dNP + float64((1-h.p.CodeSharedFrac)*dProto)
 }
 
 // beginService runs pkt on proc. fromIdle marks a processor that was
 // running the background workload (its idle displacement is settled and
 // the preemption cost applies). locked selects the shared-stack path,
 // which pays the lock overhead and serializes its critical section; done
-// selects the completion continuation. The charged interval is built in
-// proc's Job slot and goes to the backend by pointer.
+// selects the completion continuation. The job is built in proc's slot,
+// and the backend times its first interval.
 func (h *Host) beginService(pkt sched.Packet, proc int, fromIdle, locked bool, done completionKind) {
 	now := h.now
 	ps := &h.procs[proc]
@@ -730,7 +739,7 @@ func (h *Host) beginService(pkt sched.Packet, proc int, fromIdle, locked bool, d
 	preempt := 0.0
 	if fromIdle {
 		// Settle the idle period's background displacement.
-		ps.dispNP += h.p.Background.Intensity * h.rate * float64(now-ps.idleSince)
+		ps.dispNP += float64(h.p.Background.Intensity * h.rate * float64(now-ps.idleSince))
 		ps.busy = true
 		ps.busySince = now
 		h.setIdle(proc, false)
@@ -759,7 +768,7 @@ func (h *Host) beginService(pkt sched.Packet, proc int, fromIdle, locked bool, d
 	if cold {
 		h.coldStarts++
 	}
-	// Warm hits are counted at completion (Complete), alongside the
+	// Warm hits are counted at completion (Elapsed), alongside the
 	// service accumulator that forms WarmFraction's denominator, so
 	// packets still in flight when the run stops never enter the ratio.
 	warmHit := !cold && f1 < 0.5
@@ -801,48 +810,72 @@ func (h *Host) beginService(pkt sched.Packet, proc int, fromIdle, locked bool, d
 	}
 
 	j := &h.jobs[proc]
-	j.Proc, j.Locked, j.pkt, j.exec, j.warmHit, j.done = proc, locked, pkt, exec, warmHit, done
-	if locked {
-		j.Pre = des.Time(preempt + h.p.LockOverhead + (1-h.p.LockCritFrac)*exec)
-		j.Crit = des.Time(h.p.LockCritFrac * exec)
-	} else {
-		j.Pre, j.Crit = des.Time(preempt+exec), 0
+	j.locked, j.pkt, j.exec, j.warmHit, j.done = locked, pkt, exec, warmHit, done
+	if !locked {
+		h.clk.After(proc, des.Time(preempt+exec))
+		return
 	}
-	h.clk.Serve(j)
+	j.crit = des.Time(h.p.LockCritFrac * exec)
+	h.clk.After(proc, des.Time(preempt+h.p.LockOverhead+float64((1-h.p.LockCritFrac)*exec)))
 }
 
-// Job returns processor proc's job slot, the one Serve hands over for
-// proc. The pointer is fixed for the Host's life.
-func (h *Host) Job(proc int) *Job { return &h.jobs[proc] }
-
-// LockWaited records how long a Locked job queued for the shared-stack
-// lock; the backend calls it at the instant the lock is granted.
-func (h *Host) LockWaited(d des.Time) { h.lockWait.Add(float64(d)) }
-
-// Complete settles a Job that finished at instant now — the warm-hit
-// counter, displacement marks, affinity state and delay statistics —
-// and runs the paradigm's continuation, which picks the processor's
-// next work. The protocol execution that displaces other footprints
-// includes the lock overhead but not the spin wait. j is the slot Serve
-// was handed; the continuation may rebuild it for the next job, so
-// Complete reads it only before the continuation starts.
-func (h *Host) Complete(now des.Time, j *Job) {
+// Elapsed ends the interval the backend timed for processor proc at
+// instant now. A locked job's first interval ends in a request for the
+// shared-stack lock: a free lock is granted at once, and a held one
+// queues the request. Its critical section ends in the release, which
+// grants the lock to the longest-waiting request, if any, and then the
+// job completes, as an unlocked job does when its one interval ends.
+//
+// Completing settles the warm-hit counter, displacement marks, affinity
+// state and delay statistics, then runs the paradigm's continuation,
+// which picks the processor's next work. The protocol execution that
+// displaces other footprints includes the lock overhead but not the
+// spin wait.
+func (h *Host) Elapsed(now des.Time, proc int) {
 	h.now = now
+	j := &h.jobs[proc]
+	if j.locked {
+		if !j.holding {
+			if h.lockHeld {
+				h.lockQ.Push(lockRequest{proc: proc, at: now})
+			} else {
+				h.grant(proc, 0)
+			}
+			return
+		}
+		j.holding = false
+		if req, ok := h.lockQ.Pop(); ok {
+			h.grant(req.proc, now-req.at)
+		} else {
+			h.lockHeld = false
+		}
+	}
 	if j.warmHit {
 		h.warm++
 	}
 	protoExec := j.exec
-	if j.Locked {
+	if j.locked {
 		protoExec += h.p.LockOverhead
 	}
+	// The continuation may rebuild j for the processor's next job.
 	switch j.done {
 	case compLocking:
-		h.completeLocking(j.pkt, j.Proc, protoExec)
+		h.completeLocking(j.pkt, proc, protoExec)
 	case compOverflow:
-		h.completeOverflow(j.pkt, j.Proc, protoExec)
+		h.completeOverflow(j.pkt, proc, protoExec)
 	default:
-		h.completeIPS(j.pkt, j.Proc, protoExec)
+		h.completeIPS(j.pkt, proc, protoExec)
 	}
+}
+
+// grant hands the shared-stack lock to processor proc, records how
+// long its request waited, and times proc's critical section.
+func (h *Host) grant(proc int, waited des.Time) {
+	h.lockHeld = true
+	h.lockWait.Add(float64(waited))
+	j := &h.jobs[proc]
+	j.holding = true
+	h.clk.After(proc, j.crit)
 }
 
 // settleCompletion updates displacement marks, affinity state and delay
@@ -851,7 +884,7 @@ func (h *Host) Complete(now des.Time, j *Job) {
 func (h *Host) settleCompletion(pkt sched.Packet, proc int, protoExec float64) {
 	now := h.now
 	ps := &h.procs[proc]
-	ps.dispProto += h.rate * protoExec
+	ps.dispProto += float64(h.rate * protoExec)
 	ps.seen[pkt.Entity] = true
 	ps.markNP[pkt.Entity] = ps.dispNP
 	ps.markProto[pkt.Entity] = ps.dispProto
@@ -1159,7 +1192,7 @@ func JainIndex(xs []float64) float64 {
 			continue
 		}
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 		n++
 	}
 	if n == 0 || sumSq == 0 {

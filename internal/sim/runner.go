@@ -9,20 +9,17 @@ import (
 // runner is the discrete-event backend: the host core (host.go) under
 // the DES clock. Each arrival stream and each processor is a des.Timer,
 // an event source with at most one firing pending; fault events and
-// gauge samples are one-shot heap events; the shared-stack lock is a
-// des.Resource.
+// gauge samples are one-shot heap events.
 //
 // The event loop is allocation-free in steady state: timers are made
 // once at start, one-shot event nodes are pooled inside des.Simulator,
-// and a processor's service state is its server record plus the host's
-// Job slot, read by pointer through non-capturing des.ArgHandler
-// functions (no per-packet closures or copies).
+// and every handler is a non-capturing des.ArgHandler that reads its
+// record by pointer (no per-packet closures or copies).
 // TestRunnerSteadyStateZeroAllocs pins the disabled-recorder path at
 // zero allocations per event.
 type runner struct {
 	*Host
-	sim  *des.Simulator
-	lock *des.Resource // Locking & Hybrid: the shared-stack lock
+	sim *des.Simulator
 
 	sources  []arrivalSource // one per stream
 	servers  []server        // one per processor
@@ -32,18 +29,15 @@ type runner struct {
 func newRunner(p Params) *runner {
 	r := &runner{sim: des.NewSimulator()}
 	r.Host = NewHost(p, r)
-	if p.Paradigm != IPS {
-		r.lock = des.NewResource(1)
-	}
 	return r
 }
 
 // The runner is the host's Clock.
-func (r *runner) Now() des.Time { return r.sim.Now() }
-func (r *runner) Stop()         { r.sim.Stop() }
-func (r *runner) Pending() int  { return r.sim.Pending() }
-func (r *runner) Fired() uint64 { return r.sim.Fired() }
-func (r *runner) Serve(j *Job)  { r.sim.Arm(r.servers[j.Proc].t, j.Pre) }
+func (r *runner) Now() des.Time              { return r.sim.Now() }
+func (r *runner) Stop()                      { r.sim.Stop() }
+func (r *runner) Pending() int               { return r.sim.Pending() }
+func (r *runner) Fired() uint64              { return r.sim.Fired() }
+func (r *runner) After(proc int, d des.Time) { r.sim.Arm(r.servers[proc].t, d) }
 
 // arrivalSource drives one stream's arrival process from its timer.
 type arrivalSource struct {
@@ -94,7 +88,7 @@ func (r *runner) start() {
 	r.servers = make([]server, r.p.Processors)
 	for i := range r.servers {
 		sv := &r.servers[i]
-		sv.r, sv.job = r, r.Job(i)
+		sv.r, sv.proc = r, i
 		sv.t = r.sim.NewTimer(serverFire, sv)
 	}
 	r.sources = make([]arrivalSource, r.p.Streams)
@@ -124,44 +118,15 @@ func (r *runner) start() {
 	}
 }
 
-// server plays one processor's jobs out on its timer. The timer ends
-// Pre; a Locked job then queues for the shared-stack lock, and the
-// grant arms the timer again for Crit.
+// server is one processor's timer, which times the intervals the host
+// asks for with After.
 type server struct {
-	r         *runner
-	t         *des.Timer
-	job       *Job     // the host's job slot for this processor
-	holding   bool     // the timer is timing the critical section
-	requested des.Time // lock-wait start (locked path)
+	r    *runner
+	t    *des.Timer
+	proc int
 }
 
-// serverFire ends the processor's current interval: an unlocked job's
-// service, a locked job's non-critical section (it then requests the
-// lock), or its critical section (it then releases the lock). A
-// finished job goes back to the host, whose continuation may start the
-// next one at once and so re-arm this timer.
 func serverFire(a any) {
 	sv := a.(*server)
-	r, j := sv.r, sv.job
-	if j.Locked {
-		if !sv.holding {
-			sv.requested = r.sim.Now()
-			r.lock.AcquireArg(serverLockGranted, sv)
-			return
-		}
-		sv.holding = false
-		r.lock.Release()
-	}
-	r.Complete(r.sim.Now(), j)
-}
-
-// serverLockGranted runs when the lock is granted, inside the request or
-// inside another processor's release: record the spin wait and time the
-// critical section.
-func serverLockGranted(a any) {
-	sv := a.(*server)
-	r := sv.r
-	sv.holding = true
-	r.LockWaited(r.sim.Now() - sv.requested)
-	r.sim.Arm(sv.t, sv.job.Crit)
+	sv.r.Elapsed(sv.r.sim.Now(), sv.proc)
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // The topology model's backward-compatibility contract: a flat machine
-// — no Topology, topo.Flat, or any shape whose transient multipliers
-// are both 1 — must leave every run bit-for-bit identical to the
+// — no Topology, the one-socket "1xN", or any shape whose transient
+// multipliers are both 1 — must leave every run bit-for-bit identical to the
 // pre-topology simulator. The runner guarantees this structurally (it
 // only stores the topology pointer when a multiplier differs from 1),
 // and these tests pin the guarantee behaviorally across paradigms.
@@ -25,6 +25,10 @@ func normalizePolicy(r Results) Results {
 }
 
 func TestFlatTopologyIsNoOp(t *testing.T) {
+	flat, err := topo.Parse("1x8")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		paradigm Paradigm
 		policy   sched.Kind
@@ -39,7 +43,7 @@ func TestFlatTopologyIsNoOp(t *testing.T) {
 		p.Processors = 8
 		base := Run(p)
 		for name, tp := range map[string]*topo.Topology{
-			"flat":      topo.Flat(8),
+			"flat":      flat,
 			"numa-unit": {Sockets: 2, CoresPerSocket: 4, SameSocketTransient: 1, CrossSocketTransient: 1},
 		} {
 			p2 := p

@@ -35,7 +35,7 @@ func (a *Accumulator) Add(x float64) {
 	d := x - a.mean
 	if math.Abs(d) <= math.MaxFloat64 {
 		a.mean += d / float64(a.n)
-		a.m2 += d * (x - a.mean)
+		a.m2 += float64(d * (x - a.mean))
 		return
 	}
 	// d*d overflows too, so the sum of squares saturates.
@@ -49,7 +49,7 @@ func (a *Accumulator) Add(x float64) {
 // ±Inf and, one observation later, NaN; halving both operands keeps
 // every step finite, and the result lies between the mean and x.
 func welfordHalved(mean, x float64, n uint64) float64 {
-	return mean + (x/2-mean/2)/float64(n)*2
+	return mean + float64((float64(x/2)-float64(mean/2))/float64(n)*2)
 }
 
 // N returns the observation count.
@@ -116,7 +116,7 @@ func (w *TimeWeighted) Set(now, value float64) {
 	if now < w.last {
 		panic(fmt.Sprintf("stats: time went backwards: %v < %v", now, w.last))
 	}
-	w.area += (now - w.last) * w.value
+	w.area += float64((now - w.last) * w.value)
 	w.last = now
 	w.value = value
 }
@@ -132,7 +132,7 @@ func (w *TimeWeighted) Mean(now float64) float64 {
 	if !w.primed || now <= w.start {
 		return 0
 	}
-	area := w.area + (now-w.last)*w.value
+	area := w.area + float64((now-w.last)*w.value)
 	return area / (now - w.start)
 }
 
@@ -252,7 +252,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q >= 1 {
 		return h.hi
 	}
-	target := q * float64(h.total)
+	target := float64(q * float64(h.total))
 	cum := float64(h.under)
 	if cum >= target {
 		return h.lo
@@ -261,7 +261,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		next := cum + float64(c)
 		if next >= target && c > 0 {
 			frac := (target - cum) / float64(c)
-			return h.lo + (float64(i)+frac)*h.width
+			return h.lo + float64((float64(i)+frac)*h.width)
 		}
 		cum = next
 	}

@@ -32,7 +32,7 @@ import (
 
 // Topology is a symmetric sockets × cores machine shape with the
 // per-level reload-transient multipliers. The zero value is invalid;
-// use Flat or Parse, or fill every field.
+// use Parse, or fill every field.
 type Topology struct {
 	// Sockets and CoresPerSocket define the shape: processor p lives on
 	// socket p / CoresPerSocket (processors number the cores
@@ -47,13 +47,6 @@ type Topology struct {
 	// between sockets (≥ SameSocketTransient; the refill crosses the
 	// interconnect).
 	CrossSocketTransient float64
-}
-
-// Flat returns the paper's machine shape: one socket holding n cores,
-// every migration paying the unscaled transient. It is the identity
-// topology — TransientScale is 1 everywhere.
-func Flat(n int) *Topology {
-	return &Topology{Sockets: 1, CoresPerSocket: n, SameSocketTransient: 1, CrossSocketTransient: 1}
 }
 
 // Processors returns the total core count.

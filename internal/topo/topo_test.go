@@ -6,10 +6,15 @@ import (
 	"testing"
 )
 
+// The paper's machine shape: one socket holding every core, each
+// migration paying the unscaled transient.
 func TestFlatIsIdentity(t *testing.T) {
-	f := Flat(8)
-	if f.Processors() != 8 || f.Sockets != 1 {
-		t.Fatalf("Flat(8) = %+v", f)
+	f, err := Parse("1x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *f != (Topology{1, 8, 1, 1}) {
+		t.Fatalf("Parse(\"1x8\") = %+v", f)
 	}
 	if err := f.Validate(8); err != nil {
 		t.Fatal(err)
@@ -17,7 +22,7 @@ func TestFlatIsIdentity(t *testing.T) {
 	for from := 0; from < 8; from++ {
 		for to := 0; to < 8; to++ {
 			if s := f.TransientScale(from, to); s != 1 {
-				t.Fatalf("Flat scale(%d,%d) = %g", from, to, s)
+				t.Fatalf("flat scale(%d,%d) = %g", from, to, s)
 			}
 		}
 	}

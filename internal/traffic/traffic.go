@@ -174,7 +174,7 @@ func (t Train) String() string {
 // long-run rate: the mean cycle inter + (len−1)·intraGap must deliver
 // len packets, so inter = len/rate − (len−1)·intraGap.
 func (t Train) interTrain() des.Time {
-	return des.Time(t.MeanTrainLen*1e6/t.PacketsPerSec) - des.Time(t.MeanTrainLen-1)*t.IntraGap
+	return des.Time(t.MeanTrainLen*1e6/t.PacketsPerSec) - des.Time(des.Time(t.MeanTrainLen-1)*t.IntraGap)
 }
 
 // Validate implements Spec. It rejects infeasible parameterizations —

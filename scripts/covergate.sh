@@ -7,7 +7,7 @@
 # internal/live (the concurrent backend, whose differential harness is
 # the cross-validation story), internal/obs (the recorder/ledger
 # layer, whose zero-overhead and round-trip contracts are pure test
-# surface), internal/des (the event heap, lock resource and named
+# surface), internal/des (the event heap, timer tree and named
 # RNG substreams every simulation runs on, whose event-order and
 # determinism guarantees rest on their unit and fuzz tests),
 # internal/topo (the NUMA topology model, whose flat-machine no-op
