@@ -180,26 +180,48 @@ func rearmTimer(a any) {
 	tb.next++
 }
 
-func BenchmarkSimulationPerPacket(b *testing.B) {
-	// Cost of one simulated packet through the DES + model + policies.
-	n := b.N
-	if n < 100 {
-		n = 100
-	}
-	p := affinity.Params{
+// perPacketParams is the per-packet benchmarks' run: Locking/MRU on 8
+// Poisson streams at 2,000 pkt/s each, measuring b.N packets (at least
+// 100). The streams offer 16,000 pkt/s, so a horizon of 1 s plus 1 ms
+// per packet leaves room for every measured packet: the run ends at the
+// last one, and its length grows with b.N.
+func perPacketParams(b *testing.B) affinity.Params {
+	n := max(b.N, 100)
+	return affinity.Params{
 		Paradigm:        affinity.Locking,
 		Policy:          affinity.MRU,
 		Streams:         8,
 		Arrival:         affinity.Poisson{PacketsPerSec: 2000},
 		Seed:            1,
 		MeasuredPackets: n,
+		MaxTime:         des.Second + des.Time(n)*des.Millisecond,
 	}
+}
+
+// runPerPacket times one run of p on backend and fails unless every
+// measured packet completed: a run cut short by its horizon would be a
+// fixed cost divided by b.N.
+func runPerPacket(b *testing.B, backend affinity.Backend, p affinity.Params) affinity.Results {
 	b.ResetTimer()
-	res := affinity.Run(p)
+	res := affinity.RunBackend(backend, p)
 	b.StopTimer()
-	if res.Completed == 0 {
-		b.Fatal("no packets completed")
+	if res.Completed != uint64(p.MeasuredPackets) {
+		b.Fatalf("%d of %d measured packets completed", res.Completed, p.MeasuredPackets)
 	}
+	return res
+}
+
+func BenchmarkSimulationPerPacket(b *testing.B) {
+	// Cost of one simulated packet through the DES + model + policies.
+	runPerPacket(b, affinity.BackendDES, perPacketParams(b))
+}
+
+func BenchmarkLivePerPacket(b *testing.B) {
+	// The same packets on the live backend: its virtual clock, firing
+	// arrival sources and releasing processor goroutines, in place of the
+	// DES's event loop. A run allocates nothing per packet.
+	b.ReportAllocs()
+	runPerPacket(b, affinity.BackendLive, perPacketParams(b))
 }
 
 func BenchmarkWorkloadSpecPerPacket(b *testing.B) {
@@ -243,24 +265,10 @@ func BenchmarkDecisionLedgerPerPacket(b *testing.B) {
 	// must stay at the amortized-startup level — decision emission
 	// itself is allocation-free (pinned by the sim alloc tests, gated
 	// here against drift).
-	n := b.N
-	if n < 100 {
-		n = 100
-	}
-	p := affinity.Params{
-		Paradigm:         affinity.Locking,
-		Policy:           affinity.MRU,
-		Streams:          8,
-		Arrival:          affinity.Poisson{PacketsPerSec: 2000},
-		Seed:             1,
-		MeasuredPackets:  n,
-		DecisionRecorder: affinity.NewFlightRecorder(0, 0),
-	}
+	p := perPacketParams(b)
+	p.DecisionRecorder = affinity.NewFlightRecorder(0, 0)
 	b.ReportAllocs()
-	b.ResetTimer()
-	res := affinity.Run(p)
-	b.StopTimer()
-	if res.DecisionsRecorded == 0 {
+	if res := runPerPacket(b, affinity.BackendDES, p); res.DecisionsRecorded == 0 {
 		b.Fatal("no decisions recorded")
 	}
 }

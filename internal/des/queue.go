@@ -9,7 +9,7 @@ import (
 // earliest time first and, among equal times, the smaller tie word. It
 // is the one event list of both backends: the Simulator keys its
 // pending events by (at, seq), and the live backend's clock keys its
-// sleepers the same way with keyed-first folded into the tie word.
+// sleepers the same way with sources-first folded into the tie word.
 //
 // It is a 4-ary min-heap whose entries carry their key inline, so a
 // compare reads no payload. A time is stored as its IEEE 754 bit

@@ -74,10 +74,6 @@ func FigE35(c Config) *Table {
 			"the family's corners reduce to FCFS, MRU and Wired-Streams (corner-equivalence tests), so the search can never do worse than those three rows",
 		},
 	}
-	pool := c.Pool
-	if pool == nil {
-		pool = sim.NewPool(1)
-	}
 	paper := []struct {
 		name     string
 		paradigm sim.Paradigm
@@ -105,7 +101,7 @@ func FigE35(c Config) *Table {
 			Paradigm: sim.Locking, Workload: e35Workload(s), DataTouch: 10,
 			Seed: c.Seed, MeasuredPackets: c.packets(),
 		}
-		rep := policysearch.Search(pool, base, e35Space(), e35Weights())
+		rep := policysearch.Search(g.pool, base, e35Space(), e35Weights())
 		bestPaper, bestName := math.Inf(1), ""
 		beatsAll := true
 		for j, pp := range paper {

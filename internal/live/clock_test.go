@@ -2,6 +2,7 @@ package live
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,13 +30,25 @@ func startGroup(c *clock, bodies ...func(w *waiter)) {
 	wg.Wait()
 }
 
+// sleep is a worker's timed wait: it schedules the caller's own
+// sleeper d from now, then parks until the clock releases it.
+func sleep(c *clock, w *waiter, d des.Time) bool {
+	c.schedule(w, d)
+	return c.park(w)
+}
+
+// sourceFunc is a source whose firing is the function itself.
+type sourceFunc func(now des.Time) (des.Time, bool)
+
+func (f sourceFunc) fire(now des.Time) (des.Time, bool) { return f(now) }
+
 func TestClockReleasesSleepersInTimeOrder(t *testing.T) {
 	c := newClock(des.Second)
 	var mu sync.Mutex
 	var order []des.Time
 	sleepAndLog := func(d des.Time) func(*waiter) {
 		return func(w *waiter) {
-			if !c.sleep(w, d) {
+			if !sleep(c, w, d) {
 				t.Error("sleep stopped early")
 				return
 			}
@@ -81,7 +94,7 @@ func TestClockReleasesSameInstantTogether(t *testing.T) {
 	bodies := make([]func(*waiter), n)
 	for i := range bodies {
 		bodies[i] = func(w *waiter) {
-			if !c.sleep(w, 500) {
+			if !sleep(c, w, 500) {
 				t.Error("sleep stopped early")
 				barrier.Done()
 				return
@@ -102,7 +115,7 @@ func TestClockReleasesSameInstantTogether(t *testing.T) {
 func TestClockHorizonStopsRun(t *testing.T) {
 	c := newClock(100)
 	startGroup(c, func(w *waiter) {
-		if c.sleep(w, 101) {
+		if sleep(c, w, 101) {
 			t.Error("sleep beyond horizon returned true, want stop")
 		}
 	})
@@ -117,7 +130,7 @@ func TestClockQuiescenceStopsAtHorizon(t *testing.T) {
 	// horizon.
 	c := newClock(1000)
 	startGroup(c, func(w *waiter) {
-		if !c.sleep(w, 10) {
+		if !sleep(c, w, 10) {
 			t.Error("sleep stopped early")
 		}
 	})
@@ -138,7 +151,7 @@ func TestClockParkedGoroutineDoesNotHoldClock(t *testing.T) {
 			}
 		},
 		func(w *waiter) {
-			if !c.sleep(w, 10) {
+			if !sleep(c, w, 10) {
 				t.Error("sleep stopped early")
 			}
 		},
@@ -168,7 +181,7 @@ func TestClockScheduleReleasesParkedGoroutine(t *testing.T) {
 		},
 		func(w *waiter) {
 			ready.Wait()
-			if !c.sleep(w, 5) {
+			if !sleep(c, w, 5) {
 				t.Error("sleep stopped early")
 				return
 			}
@@ -185,9 +198,9 @@ func TestClockScheduleReleasesParkedGoroutine(t *testing.T) {
 
 func TestClockScheduleBeforePark(t *testing.T) {
 	// A goroutine may be scheduled before it parks, as a worker whose
-	// Complete serves its own next job is: the sleeper waits in the heap
-	// until its goroutine parks, and the runnable count stays balanced,
-	// so a later timer still fires.
+	// Elapsed starts its own next interval is: the sleeper waits in the
+	// heap until its goroutine parks, and the runnable count stays
+	// balanced, so a later timer still fires.
 	c := newClock(des.Second)
 	startGroup(c, func(w *waiter) {
 		c.schedule(w, 4)
@@ -198,7 +211,7 @@ func TestClockScheduleBeforePark(t *testing.T) {
 		if got := c.Now(); got != 4 {
 			t.Errorf("Now() = %v after self-scheduled park, want 4", got)
 		}
-		if !c.sleep(w, 10) {
+		if !sleep(c, w, 10) {
 			t.Error("timer starved after a self-scheduled park")
 		}
 	})
@@ -207,51 +220,79 @@ func TestClockScheduleBeforePark(t *testing.T) {
 	}
 }
 
-func TestClockKeyedSleepersReleaseOneAtATime(t *testing.T) {
-	// Same-instant keyed sleepers release serially in registration
-	// order, each running to its next park first, and ahead of an
-	// unkeyed sleeper due at the same instant.
+func TestClockFiresSourcesOneAtATime(t *testing.T) {
+	// Same-instant sources fire one at a time in registration order, at
+	// their instant, ahead of a worker due at the same instant; a source
+	// that fires again re-registers at its next delay.
 	c := newClock(des.Second)
-	var running atomic.Int32
-	var mu sync.Mutex
 	var order []int
-	keyed := make([]*waiter, 3)
-	for i := range keyed {
-		keyed[i] = c.newWaiter()
-		c.preSleep(keyed[i], 10)
-	}
-	var wg sync.WaitGroup
-	for i, w := range keyed {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !w.wait() {
-				t.Error("keyed sleeper stopped early")
-				return
+	for i := range 3 {
+		c.fireAt(10, sourceFunc(func(now des.Time) (des.Time, bool) {
+			if got := c.Now(); got != now {
+				t.Errorf("source %d: Now() = %v while firing at %v", i, got, now)
 			}
-			defer c.exit()
-			if running.Add(1) != 1 {
-				t.Error("two keyed sleepers ran at once")
-			}
-			mu.Lock()
 			order = append(order, i)
-			mu.Unlock()
-			running.Add(-1)
-		}()
+			return 5, i == 1 && now == 10
+		}))
 	}
 	startGroup(c, func(w *waiter) {
-		if !c.sleep(w, 10) {
+		if !sleep(c, w, 10) {
 			t.Error("sleep stopped early")
 			return
 		}
-		mu.Lock()
 		order = append(order, -1)
-		mu.Unlock()
+		if !sleep(c, w, 10) {
+			t.Error("sleep stopped early")
+		}
 	})
-	wg.Wait()
-	if want := []int{0, 1, 2, -1}; len(order) != len(want) ||
-		order[0] != 0 || order[1] != 1 || order[2] != 2 || order[3] != -1 {
-		t.Errorf("release order %v, want %v", order, want)
+	if want := []int{0, 1, 2, -1, 1}; !slices.Equal(order, want) {
+		t.Errorf("firing order %v, want %v", order, want)
+	}
+	if got := c.Fired(); got != 6 {
+		t.Errorf("Fired() = %d, want 6 (four firings, two releases)", got)
+	}
+}
+
+func TestClockSourceHoldsClockWhileFiring(t *testing.T) {
+	// A firing source holds the clock at its instant, so it can hand
+	// work to a parked worker as a runnable goroutine does; a source
+	// that stops the run stops it at the source's instant.
+	c := newClock(des.Second)
+	var woke des.Time
+	var target *waiter
+	c.fireAt(7, sourceFunc(func(des.Time) (des.Time, bool) {
+		c.schedule(target, 3)
+		return 0, false
+	}))
+	c.fireAt(20, sourceFunc(func(des.Time) (des.Time, bool) {
+		c.stop()
+		return 0, false
+	}))
+	var ready sync.WaitGroup
+	ready.Add(1)
+	startGroup(c,
+		func(w *waiter) {
+			target = w
+			ready.Done()
+			if !c.park(w) {
+				t.Error("park stopped early")
+				return
+			}
+			woke = c.Now()
+			if c.park(w) {
+				t.Error("park after the stopping source returned true")
+			}
+		},
+		func(w *waiter) {
+			ready.Wait()
+			c.park(w)
+		},
+	)
+	if woke != 10 {
+		t.Errorf("worker scheduled by a source woke at %v, want 10", woke)
+	}
+	if got := c.Now(); got != 20 {
+		t.Errorf("Now() = %v after a source stopped the run, want 20", got)
 	}
 }
 
@@ -267,7 +308,7 @@ func TestClockStopUnblocksEveryone(t *testing.T) {
 	var stopped atomic.Int32
 	startGroup(c,
 		func(w *waiter) {
-			if !c.sleep(w, 100) {
+			if !sleep(c, w, 100) {
 				stopped.Add(1)
 			}
 		},
@@ -285,13 +326,13 @@ func TestClockStopUnblocksEveryone(t *testing.T) {
 		},
 		func(w *waiter) {
 			ready.Wait()
-			if !c.sleep(w, 5) {
+			if !sleep(c, w, 5) {
 				t.Error("sleep stopped before stop()")
 				return
 			}
 			c.schedule(scheduled, 50)
 			c.stop()
-			if !c.sleep(w, 1) {
+			if !sleep(c, w, 1) {
 				stopped.Add(1)
 			}
 		},
@@ -315,12 +356,12 @@ func TestClockStopWithReleasePending(t *testing.T) {
 	bodies := make([]func(*waiter), n)
 	for i := range bodies {
 		bodies[i] = func(w *waiter) {
-			if !c.sleep(w, 10) {
+			if !sleep(c, w, 10) {
 				t.Error("same-instant sleeper missed its release")
 				return
 			}
 			stopOnce.Do(c.stop)
-			if !c.sleep(w, 10) {
+			if !sleep(c, w, 10) {
 				after.Add(1)
 			}
 		}
@@ -329,21 +370,4 @@ func TestClockStopWithReleasePending(t *testing.T) {
 	if got := after.Load(); got != n {
 		t.Errorf("%d goroutines saw the stop after their release, want %d", got, n)
 	}
-}
-
-func TestClockSleepUntilClampsToNow(t *testing.T) {
-	c := newClock(des.Second)
-	startGroup(c, func(w *waiter) {
-		if !c.sleep(w, 50) {
-			t.Error("sleep stopped early")
-			return
-		}
-		if !c.sleepUntil(w, 10) { // already past: must fire at now
-			t.Error("sleepUntil stopped early")
-			return
-		}
-		if got := c.Now(); got != 50 {
-			t.Errorf("Now() = %v after past-due sleepUntil, want 50", got)
-		}
-	})
 }

@@ -23,17 +23,17 @@ import (
 
 // delayTolerance is the documented DES↔live relative mean-delay bound
 // for the tie-heavy rows of toleranceCases. Both backends run the same
-// host core (internal/sim), and keyed sleepers (clock.go) make the live
-// backend fire same-instant arrivals in the DES's deterministic order,
-// so wherever no two events share an instant the backends agree bit for
-// bit (differCase.exact). The one residual divergence is an arrival
-// tying exactly with a completion: the live clock releases the keyed
-// arrival first, while the DES goes by global insertion order. That
-// happens on every run of same-rate CBR under Locking/MRU and of batch
-// arrivals under Locking/FCFS. The worst divergence measured is 0.19%
-// (batch/FCFS at this harness's 3,000 packets, seeds 1–3, 100 live runs
-// per seed), so 0.5% is about 2.5x headroom; DESIGN.md §10 gives the
-// figures.
+// host core (internal/sim), and the live clock fires its event sources
+// (arrival streams, fault-plan events, the gauge sampler) itself, one
+// at a time in the DES's (time, seq) order (clock.go), so wherever no
+// two events share an instant the backends agree bit for bit
+// (differCase.exact). The one residual divergence is a source tying
+// exactly with a completion: the live clock fires the source first,
+// while the DES goes by global insertion order. That happens on every
+// run of same-rate CBR under Locking/MRU and of batch arrivals under
+// Locking/FCFS. The worst divergence measured is 0.19% (batch/FCFS at
+// this harness's 3,000 packets, seeds 1–3, 100 live runs per seed), so
+// 0.5% is about 2.5x headroom; DESIGN.md §10 gives the figures.
 const delayTolerance = 0.005
 
 var differSeeds = []int64{1, 2, 3}

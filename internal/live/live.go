@@ -65,125 +65,88 @@ func (r *live) After(proc int, d des.Time) {
 	r.clk.schedule(r.workers[proc], d)
 }
 
-// run spawns the whole cast — one worker per processor, one arrival
-// source per stream, the fault injector and the gauge sampler — and
-// blocks until the run stops (measurement target, horizon, or
-// quiescence) and every goroutine has unwound.
+// run registers the event sources in the DES runner's order — every
+// fault-plan event at its instant, the gauge sampler when a recorder is
+// attached, then each stream's first arrival in stream order — and
+// starts one worker per processor. It blocks until the run stops
+// (measurement target, horizon, or quiescence) and every worker has
+// unwound.
 func (r *live) run() {
-	n := r.p.Processors
-	var evs []faults.Event
-	var faultW, gaugeW *waiter
-	if !r.p.Faults.Empty() {
-		evs = r.p.Faults.Sorted()
-		faultW = r.clk.newWaiter()
-		n++
+	for _, ev := range r.p.Faults.Sorted() {
+		r.clk.fireAt(ev.At, &fault{r, ev})
 	}
 	if r.p.Recorder != nil {
-		gaugeW = r.clk.newWaiter()
-		n++
+		r.clk.fireAt(sim.GaugePeriod, gauge{r})
+	}
+	for s := 0; s < r.p.Streams; s++ {
+		a := &arrival{r: r, stream: s, proc: r.host.ArrivalProcess(s)}
+		var d des.Time
+		d, a.batch = a.proc.Next()
+		r.clk.fireAt(d, a)
 	}
 	r.workers = make([]*waiter, r.p.Processors)
 	for proc := range r.workers {
 		r.workers[proc] = r.clk.newWaiter()
 	}
-	// Draw every stream's first gap and pre-register its keyed sleeper
-	// here, in stream order, before anything runs: exactly how the DES
-	// runner seeds its event heap, and the base case of the keyed-sleeper
-	// ordering (see clock.go) that makes same-instant arrivals fire in
-	// the DES's deterministic order. The sources start life asleep, so
-	// they are never counted in the runnable spawn below.
-	type armedArrival struct {
-		proc  traffic.Process
-		batch int
-		w     *waiter
-	}
-	arr := make([]armedArrival, r.p.Streams)
-	for s := range arr {
-		proc := r.host.ArrivalProcess(s)
-		d, b := proc.Next()
-		arr[s] = armedArrival{proc: proc, batch: b, w: r.clk.newWaiter()}
-		r.clk.preSleep(arr[s].w, d)
-	}
-	r.clk.spawn(n)
-	r.wg.Add(n + r.p.Streams)
-	for proc := 0; proc < r.p.Processors; proc++ {
+	r.clk.spawn(r.p.Processors)
+	r.wg.Add(r.p.Processors)
+	for proc := range r.workers {
 		go r.worker(proc)
-	}
-	for s := range arr {
-		go r.arrivalLoop(s, arr[s].proc, arr[s].batch, arr[s].w)
-	}
-	if faultW != nil {
-		go r.faultLoop(evs, faultW)
-	}
-	if gaugeW != nil {
-		go r.gaugeLoop(gaugeW)
 	}
 	r.wg.Wait()
 }
 
-// arrivalLoop drives one stream: deliver the pending batch under the
-// dispatch lock, draw the next gap, sleep it on the virtual clock — the
-// same draw-then-deliver cycle as the DES arrival source, on the same
-// seed-derived stream, so both backends see identical arrivals. The
-// sleeps are keyed (serialized, deterministically ordered at virtual-
-// time ties); the first was pre-registered by run() in stream order.
-func (r *live) arrivalLoop(stream int, proc traffic.Process, batch int, w *waiter) {
-	defer r.wg.Done()
-	// Until the pre-registered first sleep releases, this source is a
-	// sleeper, not a runnable: a run that stops first just unwinds with
-	// no exit accounting.
-	if !w.wait() {
-		return
-	}
-	defer r.clk.exit()
-	for {
-		r.mu.Lock()
-		for j := 0; j < batch; j++ {
-			r.host.Arrive(r.clk.Now(), stream)
-		}
-		r.mu.Unlock()
-		var d des.Time
-		d, batch = proc.Next()
-		if !r.clk.sleepKeyed(w, d) {
-			return
-		}
-	}
+// arrival is one stream's source: it delivers the batch drawn on its
+// previous firing under the dispatch lock, then draws the next gap —
+// the DES arrival source's draw-then-deliver cycle on the same
+// seed-derived stream, so both backends see identical arrivals.
+type arrival struct {
+	r      *live
+	stream int
+	proc   traffic.Process
+	batch  int
 }
 
-// faultLoop plays the deterministic fault plan against the virtual
-// clock, applying each event under the dispatch lock.
-func (r *live) faultLoop(evs []faults.Event, w *waiter) {
-	defer r.wg.Done()
-	defer r.clk.exit()
-	for _, ev := range evs {
-		if !r.clk.sleepUntil(w, ev.At) {
-			return
-		}
-		r.mu.Lock()
-		r.host.Fault(r.clk.Now(), ev)
-		r.mu.Unlock()
+func (a *arrival) fire(now des.Time) (des.Time, bool) {
+	a.r.mu.Lock()
+	for j := 0; j < a.batch; j++ {
+		a.r.host.Arrive(now, a.stream)
 	}
+	a.r.mu.Unlock()
+	var d des.Time
+	d, a.batch = a.proc.Next()
+	return d, true
 }
 
-// gaugeLoop publishes the periodic gauges every sim.GaugePeriod; it
-// runs only when a recorder is attached, like the DES sampler.
-func (r *live) gaugeLoop(w *waiter) {
-	defer r.wg.Done()
-	defer r.clk.exit()
-	for {
-		if !r.clk.sleep(w, sim.GaugePeriod) {
-			return
-		}
-		r.mu.Lock()
-		r.host.SampleGauges()
-		r.mu.Unlock()
-	}
+// fault applies one fault-plan event under the dispatch lock.
+type fault struct {
+	r  *live
+	ev faults.Event
+}
+
+func (f *fault) fire(now des.Time) (des.Time, bool) {
+	f.r.mu.Lock()
+	f.r.host.Fault(now, f.ev)
+	f.r.mu.Unlock()
+	return 0, false
+}
+
+// gauge publishes the periodic gauges every sim.GaugePeriod; it is
+// registered only when a recorder is attached, like the DES sampler.
+type gauge struct{ r *live }
+
+func (g gauge) fire(des.Time) (des.Time, bool) {
+	g.r.mu.Lock()
+	g.r.host.SampleGauges()
+	g.r.mu.Unlock()
+	return sim.GaugePeriod, true
 }
 
 // worker is one simulated processor. It parks until the clock releases
 // it at the end of an interval the host asked for (After), then reports
 // the end to the host under the dispatch lock, where the host takes or
 // releases the shared-stack lock and picks the processor's next work.
+// While it parks, the clock may fire due sources on it.
 func (r *live) worker(proc int) {
 	defer r.wg.Done()
 	defer r.clk.exit()

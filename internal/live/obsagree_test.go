@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"testing"
 
 	"affinity/internal/des"
@@ -27,15 +28,46 @@ func (k *kindCounter) Record(e obs.Event) {
 	k.counts[e.Kind]++
 }
 
-// arrivalOrder records the exact firing order of arrival events:
-// (virtual time, stream, packet serial) per admitted packet.
+// arrivalOrder records the exact firing order of arrival and drop
+// events: (kind, virtual time, stream, packet serial) per packet.
 type arrivalOrder struct {
 	evs []obs.Event
 }
 
 func (a *arrivalOrder) Record(e obs.Event) {
-	if e.Kind == obs.KindArrival {
-		a.evs = append(a.evs, obs.Event{T: e.T, Stream: e.Stream, Seq: e.Seq})
+	if e.Kind == obs.KindArrival || e.Kind == obs.KindDrop {
+		a.evs = append(a.evs, obs.Event{T: e.T, Kind: e.Kind, Stream: e.Stream, Seq: e.Seq})
+	}
+}
+
+// requireSameOrder runs params on both backends and asserts that they
+// record the same arrivals and drops in the same order and drop the
+// same number of packets.
+func requireSameOrder(t *testing.T, name string, params func() sim.Params) {
+	t.Helper()
+	var do, lo arrivalOrder
+	pd := params()
+	pd.Recorder = &do
+	dres := sim.Run(pd)
+	pl := params()
+	pl.Recorder = &lo
+	lres := Run(pl)
+	n := min(len(do.evs), len(lo.evs))
+	for i := 0; i < n; i++ {
+		if do.evs[i] != lo.evs[i] {
+			t.Errorf("%s: event %d: DES %+v, live %+v — same-instant order diverged",
+				name, i, do.evs[i], lo.evs[i])
+			break
+		}
+	}
+	if len(do.evs) != len(lo.evs) {
+		t.Errorf("%s: DES recorded %d arrivals and drops, live %d", name, len(do.evs), len(lo.evs))
+	}
+	if dres.Dropped != lres.Dropped {
+		t.Errorf("%s: DES dropped %d packets, live %d", name, dres.Dropped, lres.Dropped)
+	}
+	if len(do.evs) == 0 {
+		t.Errorf("%s: no arrivals recorded — agreement is vacuous", name)
 	}
 }
 
@@ -43,9 +75,9 @@ func (a *arrivalOrder) Record(e obs.Event) {
 // tie-heavy arrival processes (same-rate CBR streams collide at every
 // instant; batch streams deliver same-instant bursts) the live backend
 // must admit packets in exactly the DES's order — same (time, stream)
-// sequence, same serial numbers — because keyed sleepers (clock.go)
-// serialize same-instant arrivals in the DES's (stream, seq) order
-// instead of letting goroutine scheduling race them.
+// sequence, same serial numbers — because its clock fires same-instant
+// arrival sources one at a time in the DES's (time, seq) schedule order
+// (clock.go) instead of letting goroutine scheduling race them.
 func TestArrivalOrderAgreesWithDES(t *testing.T) {
 	cases := []struct {
 		name string
@@ -57,40 +89,40 @@ func TestArrivalOrderAgreesWithDES(t *testing.T) {
 	}
 	for _, cs := range cases {
 		for _, seed := range []int64{1, 2, 3} {
-			params := func() sim.Params {
+			requireSameOrder(t, fmt.Sprintf("%s seed=%d", cs.name, seed), func() sim.Params {
 				p := quick(sim.Locking, sched.MRU)
 				p.Streams = 8
 				p.Arrival = cs.arr
 				p.MeasuredPackets = 500
 				p.Seed = seed
 				return p
-			}
-			var do, lo arrivalOrder
-			pd := params()
-			pd.Recorder = &do
-			sim.Run(pd)
-			pl := params()
-			pl.Recorder = &lo
-			Run(pl)
-			n := len(do.evs)
-			if len(lo.evs) < n {
-				n = len(lo.evs)
-			}
-			for i := 0; i < n; i++ {
-				if do.evs[i] != lo.evs[i] {
-					t.Errorf("%s seed=%d: arrival %d: DES %+v, live %+v — same-instant order diverged",
-						cs.name, seed, i, do.evs[i], lo.evs[i])
-					break
-				}
-			}
-			if len(do.evs) != len(lo.evs) {
-				t.Errorf("%s seed=%d: DES admitted %d arrivals, live %d",
-					cs.name, seed, len(do.evs), len(lo.evs))
-			}
-			if len(do.evs) == 0 {
-				t.Errorf("%s seed=%d: no arrivals recorded — agreement is vacuous", cs.name, seed)
-			}
+			})
 		}
+	}
+}
+
+// TestFaultOnArrivalInstantAgreesWithDES: a fault-plan event due at the
+// instant of arrivals applies before them on both backends, because the
+// fault plan is scheduled before the streams' first arrivals, as the
+// DES runner schedules it. Eight in-phase CBR streams put eight
+// arrivals on the instant of a loss event that drops every packet from
+// then on, so all eight must be lost.
+func TestFaultOnArrivalInstantAgreesWithDES(t *testing.T) {
+	plan, err := faults.Parse("loss:1@100ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		requireSameOrder(t, fmt.Sprintf("seed=%d", seed), func() sim.Params {
+			p := quick(sim.Locking, sched.MRU)
+			p.Streams = 8
+			p.Arrival = traffic.Deterministic{PacketsPerSec: 1000}
+			p.MeasuredPackets = 500
+			p.MaxTime = 150 * des.Millisecond
+			p.Faults = plan
+			p.Seed = seed
+			return p
+		})
 	}
 }
 

@@ -18,7 +18,9 @@
 # verdict; interleaved, it lands on both sides alike. Every benchmark
 # runs at GOMAXPROCS 1 (-cpu 1): the gated set is single-goroutine
 # except BenchmarkFigE5LockingDelay, whose grid runs on a concurrent
-# sim.Pool and allocates a varying amount at more than one P.
+# sim.Pool and allocates a varying amount at more than one P, and
+# BenchmarkLivePerPacket, whose processor goroutines then take turns on
+# the one P.
 #
 # Usage:
 #   scripts/benchgate.sh <base-ref>          # e.g. origin/main or a SHA
@@ -37,7 +39,7 @@
 set -euo pipefail
 
 base_ref=${1:?usage: scripts/benchgate.sh <base-ref>}
-bench=${BENCHGATE_BENCH:-'^(BenchmarkFigE5LockingDelay|BenchmarkDESScheduleFire|BenchmarkDESEventQueue|BenchmarkDESTimers|BenchmarkSimulationPerPacket|BenchmarkDecisionLedgerPerPacket|BenchmarkModelExecTime|BenchmarkExecTimeCompiled|BenchmarkWorkloadSpecPerPacket|BenchmarkDispatch)$'}
+bench=${BENCHGATE_BENCH:-'^(BenchmarkFigE5LockingDelay|BenchmarkDESScheduleFire|BenchmarkDESEventQueue|BenchmarkDESTimers|BenchmarkSimulationPerPacket|BenchmarkLivePerPacket|BenchmarkDecisionLedgerPerPacket|BenchmarkModelExecTime|BenchmarkExecTimeCompiled|BenchmarkWorkloadSpecPerPacket|BenchmarkDispatch)$'}
 count=${BENCHGATE_COUNT:-6}
 max_regress=${BENCHGATE_MAX_TIME_REGRESSION:-10}
 
