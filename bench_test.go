@@ -49,14 +49,31 @@ func BenchmarkModelExecTime(b *testing.B) {
 }
 
 // BenchmarkExecTimeCompiled times the compiled model, the evaluator
-// the simulator calls once per packet.
+// the simulator calls once per packet. The calls do not depend on each
+// other, so they overlap: this is its throughput.
 func BenchmarkExecTimeCompiled(b *testing.B) {
 	e := core.NewModel().Compile()
 	sum := 0.0
 	for i := 0; i < b.N; i++ {
-		sum += e.ExecTime(float64(i%200000) * 10)
+		t, _ := e.ExecTimeF1(float64(i%200000) * 10)
+		sum += t
 	}
 	_ = sum
+}
+
+// BenchmarkExecTimeCompiledChain times the compiled model on the
+// reference counts BenchmarkExecTimeCompiled uses, but each derived
+// from the previous call's result, as in a simulation, where a
+// packet's displacing references follow from earlier service times.
+// No call can start before the last one ends: this is its latency.
+func BenchmarkExecTimeCompiledChain(b *testing.B) {
+	e := core.NewModel().Compile()
+	refs := 0.0
+	for i := 0; i < b.N; i++ {
+		t, _ := e.ExecTimeF1(refs)
+		refs = float64(i%200000)*10 + t
+	}
+	_ = refs
 }
 
 func BenchmarkModelDisplacedFraction(b *testing.B) {

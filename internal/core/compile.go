@@ -1,23 +1,27 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"affinity/internal/xmath"
+)
 
 // Exec is a compiled execution-time evaluator: Model.ExecTime with every
 // constant-argument transcendental hoisted out of the per-packet path
 // and the cache levels evaluated in lockstep.
 //
-// UniqueLines spends most of its time in math.Pow/math.Log10 calls whose
-// arguments depend only on the workload constants and the cache line
-// size — W·L^a and log10(d)·log10(L) are the same numbers every packet.
-// Compile evaluates them once per cache level, and runs the steps of
-// math.Pow(·, b) that depend on the constant b alone once. Per call,
-// each level takes ln(refs) once and feeds it to log10(refs) and to both
-// powers, each power is math.Pow's own Exp with the exponent-field steps
-// around it done on the bits (see powSplit and powJoin), and the levels
-// are walked in lockstep (see fractions). What remains is exactly the
-// tail of the original expression, evaluated in the same order, so the
-// compiled evaluator is bit-for-bit identical to the interpreted one
-// (TestCompileBitIdentical locks this in). When the
+// UniqueLines spends most of its time in xmath.Pow/xmath.Log10 calls
+// whose arguments depend only on the workload constants and the cache
+// line size — W·L^a and log10(d)·log10(L) are the same numbers every
+// packet. Compile evaluates them once per cache level, and runs the
+// steps of xmath.Pow(·, b) that depend on the constant b alone once. Per
+// call, each level takes ln(refs) once and feeds it to log10(refs) and
+// to both powers, each power is xmath.Pow's own Exp with the
+// exponent-field steps around it done on the bits (see powSplit and
+// powJoin), and the levels are walked in lockstep (see fractions). What
+// remains is exactly the tail of the original expression, evaluated in
+// the same order, so the compiled evaluator is bit-for-bit identical to
+// the interpreted one (TestCompileBitIdentical locks this in). When the
 // L1I and L1D configurations coincide — as on the paper's R4400 — the
 // two split-cache halves of F1 are the same computation, so Compile
 // keeps one level for both ((x+x)/2 ≡ x in IEEE arithmetic).
@@ -55,8 +59,8 @@ type levelExec struct {
 func compileLevel(w WorkloadParams, cfg CacheConfig, half bool) levelExec {
 	l := float64(cfg.LineBytes)
 	return levelExec{
-		c0:    w.W * math.Pow(l, w.A),
-		kl:    w.LogD * math.Log10(l),
+		c0:    w.W * xmath.Pow(l, w.A),
+		kl:    w.LogD * xmath.Log10(l),
 		sets:  float64(cfg.Sets()),
 		assoc: cfg.Assoc,
 		half:  half,
@@ -64,7 +68,7 @@ func compileLevel(w WorkloadParams, cfg CacheConfig, half bool) levelExec {
 }
 
 // powB is powSplit of the temporal-locality exponent b, which every
-// call raises refs to: x^b is math.Pow(x, b) when call is set, and
+// call raises refs to: x^b is xmath.Pow(x, b) when call is set, and
 // otherwise Exp(yf·ln x) joined with x^yi.
 type powB struct {
 	b, yf float64
@@ -72,9 +76,9 @@ type powB struct {
 	call  bool
 }
 
-// ln10 is math.Log(10), the logarithm math.Pow(10, y) recomputes on
+// ln10 is xmath.Log(10), the logarithm xmath.Pow(10, y) recomputes on
 // every call.
-var ln10 = math.Log(10)
+var ln10 = xmath.Log(10)
 
 // Compile returns the compiled evaluator for the model's current
 // platform, workload and calibration. The result does not track later
@@ -112,17 +116,10 @@ func (m *Model) Compile() *Exec {
 // T(x) − Warm() of a migrating packet, never the warm service floor.
 func (e *Exec) Warm() float64 { return e.tWarm }
 
-// ExecTime returns the packet execution time, identical to
-// Model.ExecTime.
-func (e *Exec) ExecTime(refs float64) float64 {
-	t, _ := e.ExecTimeF1(refs)
-	return t
-}
-
-// ExecTimeF1 returns the execution time together with the F1 value it
-// used, so a caller needing both (the simulator tests F1 < 0.5 for its
-// warm-hit counter) evaluates the model once per packet instead of
-// twice.
+// ExecTimeF1 returns the packet execution time, identical to
+// Model.ExecTime, together with the F1 value it used, so a caller
+// needing both (the simulator tests F1 < 0.5 for its warm-hit counter)
+// evaluates the model once per packet instead of twice.
 func (e *Exec) ExecTimeF1(refs float64) (t, f1 float64) {
 	if refs <= 0 {
 		return e.tWarm, 0
@@ -140,7 +137,7 @@ type levelRun struct {
 	eb, e10 float64 // the Exps of refs^b and 10^y
 	y       float64 // kl·log10(refs), the exponent of 10
 	yi      int64   // powSplit(y)'s integer part
-	join10  bool    // 10^y is powJoin of e10, not math.Pow
+	join10  bool    // 10^y is powJoin of e10, not xmath.Pow
 	lam     float64 // the Poisson mean u/S
 }
 
@@ -152,8 +149,8 @@ type levelRun struct {
 // other, so issued back to back they overlap, where one level after
 // another each would wait on the last. The operations and their order
 // within a level match the originals exactly: Log10(refs) is
-// Log(refs)·(1/Ln10), and each power is math.Pow's Exp(yf·ln x) between
-// its exponent steps.
+// Log(refs)·(1/Ln10), and each power is xmath.Pow's Exp(yf·ln x)
+// between its exponent steps.
 func (e *Exec) fractions(refs float64) (f1, f2 float64) {
 	if math.IsInf(refs, 1) {
 		return 1, 1
@@ -172,7 +169,7 @@ func (e *Exec) fractions(refs float64) (f1, f2 float64) {
 			x = 1
 		}
 		rs[i].x = x
-		rs[i].lnx = math.Log(x)
+		rs[i].lnx = xmath.Log(x)
 	}
 	for i := range rs {
 		r := &rs[i]
@@ -181,14 +178,14 @@ func (e *Exec) fractions(refs float64) (f1, f2 float64) {
 		}
 		r.eb = 1
 		if e.b.yf != 0 {
-			r.eb = math.Exp(e.b.yf * r.lnx)
+			r.eb = xmath.Exp(e.b.yf * r.lnx)
 		}
 		r.y = e.lv[i].kl * (r.lnx * (1 / math.Ln10))
 		yf, yi, ok := powSplit(r.y)
 		r.yi, r.join10 = yi, ok
 		r.e10 = 1
 		if yf != 0 {
-			r.e10 = math.Exp(yf * ln10)
+			r.e10 = xmath.Exp(yf * ln10)
 		}
 	}
 	for i := range rs {
@@ -199,10 +196,10 @@ func (e *Exec) fractions(refs float64) (f1, f2 float64) {
 		var pb float64
 		switch {
 		case e.b.call || r.x != r.x:
-			// A NaN base takes math.Pow too, for its NaN's bits.
-			pb = math.Pow(r.x, e.b.b)
+			// A NaN base takes xmath.Pow too, for its NaN's bits.
+			pb = xmath.Pow(r.x, e.b.b)
 		case e.b.yi == 1 && e.b.b > 0:
-			// math.Pow returns Ldexp(eb·x1, xe) for x = x1·2^xe, and a
+			// xmath.Pow returns Ldexp(eb·x1, xe) for x = x1·2^xe, and a
 			// product rounds alike at every power-of-two scale: with
 			// |yf| ≤ ½ and x ≥ 1, eb·x1 is normal and eb·x overflows
 			// exactly where the Ldexp does.
@@ -215,7 +212,7 @@ func (e *Exec) fractions(refs float64) (f1, f2 float64) {
 		if r.join10 {
 			p10 = powJoin(r.e10, 0.625, 4, r.yi, r.y < 0) // 10 = 0.625·2⁴
 		} else {
-			p10 = math.Pow(10, r.y)
+			p10 = xmath.Pow(10, r.y)
 		}
 		u := e.lv[i].c0 * pb * p10
 		if u > r.x {
@@ -233,7 +230,7 @@ func (e *Exec) fractions(refs float64) (f1, f2 float64) {
 	var tail [maxLevels]float64
 	for i := range rs {
 		if rs[i].x != 0 {
-			tail[i] = math.Exp(-rs[i].lam)
+			tail[i] = xmath.Exp(-rs[i].lam)
 		}
 	}
 	var f [maxLevels]float64
@@ -249,10 +246,10 @@ func (e *Exec) fractions(refs float64) (f1, f2 float64) {
 	return f1, f[e.n-1]
 }
 
-// powSplit runs the steps of math.Pow(x, y) that depend on y alone. It
-// reports ok = false for every exponent pow special-cases (0, ±0.5, 1,
-// NaN, ±Inf, |y| ≥ 2⁶³); otherwise it returns Modf(|y|) after pow's
-// yf > 0.5 fold, so that for x > 0, x ≠ 1, math.Pow(x, y) is
+// powSplit runs the steps of xmath.Pow(x, y) that depend on y alone. It
+// reports ok = false for every exponent Pow special-cases (0, ±0.5, 1,
+// NaN, ±Inf, |y| ≥ 2⁶³); otherwise it returns Modf(|y|) after Pow's
+// yf > 0.5 fold, so that for x > 0, x ≠ 1, xmath.Pow(x, y) is
 // powJoin(Exp(yf·ln x), Frexp(x), yi, y < 0), with Exp(0) = 1 when
 // yf = 0. Below 2⁶³, int64 truncation is Modf's integer part.
 func powSplit(y float64) (yf float64, yi int64, ok bool) {
@@ -269,8 +266,8 @@ func powSplit(y float64) (yf float64, yi int64, ok bool) {
 	return yf, yi, true
 }
 
-// powJoin finishes math.Pow(x, y) for x = x1·2^xe from a1 = Exp(yf·ln x)
-// and powSplit's yi: pow's square-and-multiply loop over the bits of
+// powJoin finishes xmath.Pow(x, y) for x = x1·2^xe from a1 = Exp(yf·ln x)
+// and powSplit's yi: Pow's square-and-multiply loop over the bits of
 // yi, the reciprocal for y < 0 (neg) and the final Ldexp.
 func powJoin(a1, x1 float64, xe int, yi int64, neg bool) float64 {
 	ae := 0

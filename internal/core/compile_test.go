@@ -4,10 +4,12 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"affinity/internal/xmath"
 )
 
 // withB returns the default model with the temporal-locality exponent
-// replaced, so the powers refs^b take math.Pow (b ∈ {0, ±0.5, 1}), the
+// replaced, so the powers refs^b take xmath.Pow (b ∈ {0, ±0.5, 1}), the
 // exact Exp·refs form (integer part 1 after pow's fold, b > 0) or
 // powJoin's integer-part loop (every other b).
 func withB(b float64) *Model {
@@ -72,7 +74,7 @@ func TestCompileBitIdentical(t *testing.T) {
 	assoc4 := NewModel()
 	assoc4.Platform.L2 = CacheConfig{SizeBytes: 1 << 20, LineBytes: 128, Assoc: 4}
 	models["l2assoc4"] = assoc4
-	// LogD = 0 makes every 10^y a 10^0, which math.Pow special-cases.
+	// LogD = 0 makes every 10^y a 10^0, which xmath.Pow special-cases.
 	logD0 := NewModel()
 	logD0.Workload.LogD = 0
 	models["logD=0"] = logD0
@@ -121,25 +123,25 @@ func TestCompileBitIdentical(t *testing.T) {
 	}
 }
 
-// powLn is math.Pow(x, y) given lnx = math.Log(x), composed from the
+// powLn is xmath.Pow(x, y) given lnx = xmath.Log(x), composed from the
 // pass's stages the way fractions composes each power: powSplit, the
-// Exp, frexp and powJoin, with every input pow special-cases handed to
-// math.Pow.
+// Exp, frexp and powJoin, with every input Pow special-cases handed to
+// xmath.Pow.
 func powLn(x, lnx, y float64) float64 {
 	yf, yi, ok := powSplit(y)
 	if !ok || x == 1 || !(x > 0) || math.IsInf(x, 1) {
-		return math.Pow(x, y)
+		return xmath.Pow(x, y)
 	}
 	a1 := 1.0
 	if yf != 0 {
-		a1 = math.Exp(yf * lnx)
+		a1 = xmath.Exp(yf * lnx)
 	}
 	x1, xe := frexp(x)
 	return powJoin(a1, x1, xe, yi, y < 0)
 }
 
-// powLn must return math.Pow's exact bits, on the special cases it
-// hands to math.Pow, on the general path the pass runs and on the
+// powLn must return xmath.Pow's exact bits, on the special cases it
+// hands to xmath.Pow, on the general path the pass runs and on the
 // fallbacks of that path: subnormal bases go through math.Frexp, and
 // results that leave the normal range through math.Ldexp.
 func TestPowLnMatchesPow(t *testing.T) {
@@ -153,7 +155,7 @@ func TestPowLnMatchesPow(t *testing.T) {
 		0.7, 1.3, 3, -3}
 	for _, x := range xs {
 		for _, y := range ys {
-			got, want := powLn(x, math.Log(x), y), math.Pow(x, y)
+			got, want := powLn(x, xmath.Log(x), y), xmath.Pow(x, y)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("powLn(%v, Log(%v), %v) = %v, want %v", x, x, y, got, want)
 			}
@@ -162,7 +164,7 @@ func TestPowLnMatchesPow(t *testing.T) {
 	err := quick.Check(func(x, y float64) bool {
 		x = math.Abs(x)
 		y = math.Mod(y, 64)
-		return math.Float64bits(powLn(x, math.Log(x), y)) == math.Float64bits(math.Pow(x, y))
+		return math.Float64bits(powLn(x, xmath.Log(x), y)) == math.Float64bits(xmath.Pow(x, y))
 	}, &quick.Config{MaxCount: 20000})
 	if err != nil {
 		t.Error(err)

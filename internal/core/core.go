@@ -31,7 +31,8 @@ package core
 
 import (
 	"fmt"
-	"math"
+
+	"affinity/internal/xmath"
 )
 
 // CacheConfig describes one cache level.
@@ -45,9 +46,6 @@ type CacheConfig struct {
 func (c CacheConfig) Sets() int {
 	return c.SizeBytes / (c.LineBytes * c.Assoc)
 }
-
-// Lines returns the total number of cache lines.
-func (c CacheConfig) Lines() int { return c.SizeBytes / c.LineBytes }
 
 // Validate reports a descriptive error for a malformed configuration.
 func (c CacheConfig) Validate() error {
@@ -139,9 +137,9 @@ func (w WorkloadParams) UniqueLines(refs float64, lineBytes int) float64 {
 		refs = 1
 	}
 	l := float64(lineBytes)
-	logL := math.Log10(l)
-	logR := math.Log10(refs)
-	u := w.W * math.Pow(l, w.A) * math.Pow(refs, w.B) * math.Pow(10, w.LogD*logL*logR)
+	logL := xmath.Log10(l)
+	logR := xmath.Log10(refs)
+	u := w.W * xmath.Pow(l, w.A) * xmath.Pow(refs, w.B) * xmath.Pow(10, w.LogD*logL*logR)
 	if u > refs {
 		u = refs
 	}
@@ -172,7 +170,7 @@ func poissonTail(lambda float64, k int) float64 {
 	if lambda <= 0 {
 		return 0
 	}
-	return poissonTailFrom(math.Exp(-lambda), lambda, k)
+	return poissonTailFrom(xmath.Exp(-lambda), lambda, k)
 }
 
 // poissonTailFrom is poissonTail for lambda > 0 given term = e^{−λ}.

@@ -11,9 +11,6 @@ func TestCacheConfigGeometry(t *testing.T) {
 	if l1.Sets() != 1024 {
 		t.Fatalf("L1 Sets = %d, want 1024", l1.Sets())
 	}
-	if l1.Lines() != 1024 {
-		t.Fatalf("L1 Lines = %d, want 1024", l1.Lines())
-	}
 	l2 := CacheConfig{SizeBytes: 1 << 20, LineBytes: 128, Assoc: 1}
 	if l2.Sets() != 8192 {
 		t.Fatalf("L2 Sets = %d, want 8192", l2.Sets())

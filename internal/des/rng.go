@@ -4,6 +4,8 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+
+	"affinity/internal/xmath"
 )
 
 // RNG is a deterministic random stream. Independent streams for arrivals,
@@ -56,7 +58,7 @@ func (g *RNG) Geometric(mean float64) int {
 	p := 1 / mean
 	u := float64(g.r.Float64())
 	// Inverse transform: smallest k ≥ 1 with 1-(1-p)^k ≥ u.
-	k := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
+	k := int(math.Ceil(xmath.Log(1-u) / xmath.Log(1-p)))
 	if k < 1 {
 		k = 1
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"affinity/internal/xmath"
 )
 
 // Series is one named curve of a chart.
@@ -45,7 +47,7 @@ func (c *Chart) Render(width, height int) string {
 			if y <= 0 {
 				return 0, false
 			}
-			return math.Log10(y), true
+			return xmath.Log10(y), true
 		}
 		return y, true
 	}
@@ -98,7 +100,7 @@ func (c *Chart) Render(width, height int) string {
 	fmt.Fprintf(&b, "%s\n", c.Title)
 	yTop, yBot := maxY, minY
 	if c.LogY {
-		yTop, yBot = math.Pow(10, maxY), math.Pow(10, minY)
+		yTop, yBot = xmath.Pow(10, maxY), xmath.Pow(10, minY)
 	}
 	axisLabel := func(v float64) string {
 		return strconv.FormatFloat(v, 'g', 3, 64)

@@ -2,12 +2,12 @@ package exp
 
 import (
 	"fmt"
-	"math"
 
 	"affinity/internal/des"
 	"affinity/internal/sched"
 	"affinity/internal/sim"
 	"affinity/internal/workload"
+	"affinity/internal/xmath"
 )
 
 // e31Skews are the Zipf popularity exponents E31 sweeps, from uniform
@@ -73,7 +73,7 @@ func FigE31(c Config) *Table {
 func zipfTopShare(s float64, n int) float64 {
 	sum := 0.0
 	for i := 1; i <= n; i++ {
-		sum += math.Pow(float64(i), -s)
+		sum += xmath.Pow(float64(i), -s)
 	}
 	return 1 / sum
 }

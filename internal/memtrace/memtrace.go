@@ -13,10 +13,9 @@
 package memtrace
 
 import (
-	"math"
-
 	"affinity/internal/cachesim"
 	"affinity/internal/des"
+	"affinity/internal/xmath"
 )
 
 // Ref is one memory reference.
@@ -172,7 +171,7 @@ func (w *Workload) Next() Ref {
 	for u == 0 {
 		u = w.rng.Float64()
 	}
-	step := w.minStep * math.Pow(u, -1/w.theta)
+	step := w.minStep * xmath.Pow(u, -1/w.theta)
 	if step > w.span {
 		step = w.span
 	}

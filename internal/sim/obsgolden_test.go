@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -36,17 +35,13 @@ func obsFaultParams() Params {
 	return p
 }
 
-// checkObsGolden compares got with testdata/name. On 386 it reads
-// testdata/386/name instead: there math.Exp and math.Log are the pure-Go
-// routines, whose last-ulp differences from amd64's assembly show in
-// the fixtures' 17-digit times (write them with
-// GOARCH=386 go test ./internal/sim -run TestObsGoldenFaultRun -update).
+// checkObsGolden compares got with testdata/name. The fixtures print
+// times with 17 significant digits, so they hold on every target only
+// because the cost model's Exp and Log are internal/xmath's, which
+// compute the same bits everywhere.
 func checkObsGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	if runtime.GOARCH == "386" {
-		path = filepath.Join("testdata", "386", name)
-	}
 	if *updateObsGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)

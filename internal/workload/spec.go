@@ -8,6 +8,7 @@ import (
 
 	"affinity/internal/des"
 	"affinity/internal/traffic"
+	"affinity/internal/xmath"
 )
 
 // Spec is a declarative, file-loadable description of an
@@ -197,7 +198,7 @@ func zipfWeights(s float64, n int) []float64 {
 	w := make([]float64, n)
 	sum := 0.0
 	for i := range w {
-		w[i] = math.Pow(float64(i+1), -s)
+		w[i] = xmath.Pow(float64(i+1), -s)
 		sum += w[i]
 	}
 	for i := range w {

@@ -39,7 +39,7 @@
 set -euo pipefail
 
 base_ref=${1:?usage: scripts/benchgate.sh <base-ref>}
-bench=${BENCHGATE_BENCH:-'^(BenchmarkFigE5LockingDelay|BenchmarkDESScheduleFire|BenchmarkDESEventQueue|BenchmarkDESTimers|BenchmarkSimulationPerPacket|BenchmarkLivePerPacket|BenchmarkDecisionLedgerPerPacket|BenchmarkModelExecTime|BenchmarkExecTimeCompiled|BenchmarkWorkloadSpecPerPacket|BenchmarkDispatch)$'}
+bench=${BENCHGATE_BENCH:-'^(BenchmarkFigE5LockingDelay|BenchmarkDESScheduleFire|BenchmarkDESEventQueue|BenchmarkDESTimers|BenchmarkSimulationPerPacket|BenchmarkLivePerPacket|BenchmarkDecisionLedgerPerPacket|BenchmarkModelExecTime|BenchmarkExecTimeCompiled|BenchmarkExecTimeCompiledChain|BenchmarkWorkloadSpecPerPacket|BenchmarkDispatch)$'}
 count=${BENCHGATE_COUNT:-6}
 max_regress=${BENCHGATE_MAX_TIME_REGRESSION:-10}
 
