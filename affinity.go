@@ -287,10 +287,10 @@ func RunBackend(b Backend, p Params) Results {
 }
 
 // Pool is a memoizing simulation worker pool: it bounds how many
-// simulations execute concurrently and serves repeated Params from a
-// cache (runs with a Recorder attached are never cached). One Pool can
-// be shared across many concurrent callers — the experiment suite runs
-// all its sweep points through one.
+// simulations execute concurrently, serves repeated Params from a cache
+// (runs with a Recorder attached are never cached) and counts every
+// run (Counts). One Pool can be shared across many concurrent callers —
+// the experiment suite runs every simulation it makes through one.
 type Pool = sim.Pool
 
 // NewPool returns a Pool executing at most workers simulations at once
@@ -451,16 +451,19 @@ type (
 	LedgerRecorder = obs.LedgerRecorder
 )
 
-// FactualRun executes p on the DES backend while recording its
-// complete decision ledger. An existing Params.DecisionRecorder still
-// sees every decision (the ledger tees).
-func FactualRun(p Params) (Results, *LedgerRecorder) { return policysearch.Factual(p) }
+// FactualRun executes p on the DES backend, through pool, while
+// recording its complete decision ledger. An existing
+// Params.DecisionRecorder still sees every decision (the ledger tees).
+func FactualRun(pool *Pool, p Params) (Results, *LedgerRecorder) {
+	return policysearch.FactualOn(pool, p)
+}
 
 // TopCounterfactuals substitutes the cheapest alternative into each of
-// the k highest-regret decisions, one at a time, returning predicted
-// vs realized gains in descending predicted order.
-func TopCounterfactuals(p Params, factual Results, ledger *LedgerRecorder, k int) []Counterfactual {
-	return policysearch.TopK(p, factual, ledger, k)
+// the k highest-regret decisions, one at a time, and re-simulates the k
+// replays together through pool, returning predicted vs realized gains
+// in descending predicted order.
+func TopCounterfactuals(pool *Pool, p Params, factual Results, ledger *LedgerRecorder, k int) []Counterfactual {
+	return policysearch.TopKOn(pool, p, factual, ledger, k)
 }
 
 // SearchStealPolicies grid-searches the AffinitySteal space on base's

@@ -311,7 +311,7 @@ func main() {
 			fail("encoding results: %v", err)
 		}
 	} else {
-		printResults(res)
+		printResults(res, defaulted)
 		if *obsOut && res.Obs != nil {
 			printObs(res.Obs)
 		}
@@ -365,7 +365,9 @@ func printObs(s *affinity.ObsSnapshot) {
 	}
 }
 
-func printResults(r affinity.Results) {
+// printResults prints r, the results of the run p (with defaults
+// applied) describes.
+func printResults(r affinity.Results, p affinity.Params) {
 	fmt.Printf("paradigm        %s\n", r.Paradigm)
 	fmt.Printf("policy          %s\n", r.Policy)
 	fmt.Printf("offered load    %.0f pkt/s\n", r.OfferedRate)
@@ -397,8 +399,16 @@ func printResults(r affinity.Results) {
 	}
 	fmt.Printf("utilization     %.2f\n", r.Utilization)
 	fmt.Printf("completed       %d packets in %v simulated\n", r.Completed, r.SimTime)
-	if r.Saturated {
+	// A run stopped short of its packet target is Saturated, but only a
+	// backlog above Results.Saturated's own bound, 20 packets per
+	// processor, says the load outran the machine; a run that kept up
+	// ran out of horizon before it measured enough packets.
+	switch {
+	case r.QueueAtEnd > 20*p.Processors:
 		fmt.Printf("SATURATED: offered load exceeds sustainable throughput (%d packets still queued)\n", r.QueueAtEnd)
+	case r.Saturated:
+		fmt.Printf("UNDERSAMPLED: reached the %v horizon with %d of %d packets measured (%d queued)\n",
+			p.MaxTime, r.Completed, p.MeasuredPackets, r.QueueAtEnd)
 	}
 }
 

@@ -336,3 +336,29 @@ func TestCLISaturationExitTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestCLIUndersampledExitTwo: a run that keeps up with its load but
+// reaches the horizon before its packet target is not called
+// saturated. It prints the UNDERSAMPLED line instead, and still exits 2
+// because it stopped short of the target, on both backends.
+func TestCLIUndersampledExitTwo(t *testing.T) {
+	for _, backend := range []string{"des", "live"} {
+		for _, c := range []struct{ rate, packets, want string }{
+			{"1e-9", "10", "UNDERSAMPLED: reached the 120.000s horizon with 0 of 10 packets measured (0 queued)\n"},
+			{"1", "1000", "UNDERSAMPLED: reached the 120.000s horizon with 984 of 1000 packets measured (0 queued)\n"},
+		} {
+			stdout, stderr, code := run(t, "-backend", backend,
+				"-rate", c.rate, "-packets", c.packets, "-seed", "1")
+			if code != 2 {
+				t.Errorf("backend %s, rate %s: exit %d, want 2 (stderr: %s)",
+					backend, c.rate, code, stderr)
+			}
+			if strings.Contains(stdout, "SATURATED") {
+				t.Errorf("backend %s, rate %s: an idle run printed the SATURATED banner", backend, c.rate)
+			}
+			if !strings.HasSuffix(stdout, c.want) {
+				t.Errorf("backend %s, rate %s: output\n%s\ndoes not end %q", backend, c.rate, stdout, c.want)
+			}
+		}
+	}
+}

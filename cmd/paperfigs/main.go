@@ -8,13 +8,16 @@
 //	paperfigs                  # run the full suite
 //	paperfigs -only E5,E8      # run selected experiments
 //	paperfigs -quick           # sparser sweeps, fewer packets
-//	paperfigs -parallel 8      # 8 sweep-point simulations at a time
+//	paperfigs -parallel 8      # 8 simulations at a time
 //	paperfigs -outdir results  # also write results/E5.txt, results/E5.csv, …
 //
-// All experiments execute concurrently over a shared sweep-point worker
-// pool; -parallel bounds how many simulations run at once and duplicate
-// configurations across experiments simulate only once. Output is
-// byte-identical at any -parallel value.
+// All experiments execute concurrently, and every simulation they make
+// — sweep points, E29's live runs, E35's search and E36's replays — goes
+// through one shared pool: -parallel bounds how many run at once,
+// duplicate DES configurations across experiments simulate only once,
+// and the closing stderr line counts the runs requested, executed per
+// backend and served from cache. Output is byte-identical at any
+// -parallel value, and so are those counts.
 package main
 
 import (
@@ -25,7 +28,6 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"affinity/internal/exp"
@@ -37,7 +39,7 @@ func main() {
 		only     = flag.String("only", "", "comma-separated experiment IDs (default: all)")
 		charts   = flag.Bool("charts", false, "render sweep experiments as text charts too")
 		mdPath   = flag.String("md", "", "assemble all tables into one markdown report file")
-		par      = flag.Int("parallel", 1, "sweep-point simulations to run concurrently, 0 = GOMAXPROCS (outputs stay ordered)")
+		par      = flag.Int("parallel", 1, "simulations to run concurrently, on either backend, 0 = GOMAXPROCS (outputs stay ordered)")
 		quick    = flag.Bool("quick", false, "sparser sweeps and fewer measured packets")
 		outdir   = flag.String("outdir", "", "directory to write per-experiment .txt and .csv files")
 		seed     = flag.Int64("seed", 1, "base random seed")
@@ -88,41 +90,18 @@ func main() {
 
 	pool := sim.NewPool(*par)
 	cfg := exp.Config{Quick: *quick, Seed: *seed, Pool: pool}
+	if *progress {
+		cfg.Reporter = exp.NewReporter(os.Stderr)
+	}
+	t0 := time.Now()
+	tables := exp.RunSuite(cfg, experiments)
+	wall := time.Since(t0)
 	var md strings.Builder
 	if *mdPath != "" {
 		md.WriteString("# Reproduction results\n\n")
 		md.WriteString("Generated by `paperfigs`; see EXPERIMENTS.md for the paper-vs-measured discussion.\n\n")
 	}
-	// Every experiment runs concurrently: each declares its sweep points
-	// into the shared pool, which bounds how many simulations execute at
-	// once (-parallel) and dedupes configurations repeated across
-	// experiments. Tables render from completed points in declaration
-	// order, so stdout is byte-identical at any -parallel value.
-	tables := make([]*exp.Table, len(experiments))
-	durations := make([]time.Duration, len(experiments))
-	if *progress {
-		cfg.Reporter = exp.NewReporter(os.Stderr)
-	}
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	for i, e := range experiments {
-		i, e := i, e
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if cfg.Reporter != nil {
-				cfg.Reporter.Start(e.ID, e.Title)
-				defer cfg.Reporter.Done(e.ID)
-			}
-			start := time.Now()
-			tables[i] = e.Run(cfg)
-			durations[i] = time.Since(start)
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(t0)
-	for i, e := range experiments {
-		table := tables[i]
+	for _, table := range tables {
 		table.Fprint(os.Stdout)
 		if *charts {
 			if chart := exp.DefaultChart(table); chart != nil {
@@ -131,7 +110,6 @@ func main() {
 			}
 		}
 		fmt.Println()
-		fmt.Fprintf(os.Stderr, "(%s in %.1fs wall)\n", e.ID, durations[i].Seconds())
 		if *mdPath != "" {
 			md.WriteString(table.Markdown())
 			md.WriteString("\n")
@@ -150,9 +128,9 @@ func main() {
 			fail("%v", err)
 		}
 	}
-	hits, misses := cfg.Pool.Stats()
-	fmt.Fprintf(os.Stderr, "suite: %.1fs wall, %d simulations (%d served from cache)\n",
-		wall.Seconds(), hits+misses, hits)
+	c := pool.Counts()
+	fmt.Fprintf(os.Stderr, "suite: %.1fs wall, %d runs requested: %d executed (%d DES, %d live), %d served from cache\n",
+		wall.Seconds(), c.Requested, c.DES+c.Live, c.DES, c.Live, c.Cached)
 }
 
 func writeFiles(dir string, t *exp.Table) error {

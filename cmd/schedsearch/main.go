@@ -5,8 +5,9 @@
 // The search sweeps a penalty × depth × bias grid (which contains the
 // FCFS, MRU and Wired-Streams reduction corners, so the result can
 // never be worse than those fixed policies), then refines the grid
-// winner by coordinate descent. All evaluations run through one
-// memoizing pool; output is deterministic for fixed flags at any
+// winner by coordinate descent. Every run, the search's evaluations and
+// the counterfactual replays alike, goes through one memoizing pool of
+// -parallel slots; output is deterministic for fixed flags at any
 // -parallel width.
 //
 // Examples:
@@ -42,7 +43,7 @@ func main() {
 		dataTouch = flag.Float64("datatouch", 0, "per-packet data-touching cost (µs)")
 		packets   = flag.Int("packets", 15000, "measured packet completions per evaluation")
 		seed      = flag.Int64("seed", 1, "random seed")
-		parallel  = flag.Int("parallel", 0, "concurrent evaluations (0 = GOMAXPROCS); never changes the result")
+		parallel  = flag.Int("parallel", 0, "concurrent runs, evaluations and counterfactual replays alike (0 = GOMAXPROCS); never changes the result")
 		penalties = flag.String("penalties", "", "comma-separated steal-penalty axis in µs, \"inf\" allowed (empty = default space)")
 		depths    = flag.String("depths", "", "comma-separated depth-threshold axis (empty = default space)")
 		biases    = flag.String("biases", "", "comma-separated cold-bias axis in [0,1] (empty = default space)")
@@ -143,8 +144,8 @@ func main() {
 		winner.Policy = affinity.AffinitySteal
 		winner.Steal = report.Best.Steal
 		var ledger *affinity.LedgerRecorder
-		factual, ledger = affinity.FactualRun(winner)
-		cfs = affinity.TopCounterfactuals(winner, factual, ledger, *topK)
+		factual, ledger = affinity.FactualRun(pool, winner)
+		cfs = affinity.TopCounterfactuals(pool, winner, factual, ledger, *topK)
 	}
 
 	if *jsonOut {

@@ -3,7 +3,8 @@
 // model, the RNG streams, the schedulers or the table formatting that
 // shifts a single digit in any experiment table fails this test — the
 // committed golden is the contract that optimization work preserves
-// every reproduced result exactly.
+// every reproduced result exactly. The same runs check the run funnel:
+// every simulation the suite makes must go through its one pool.
 //
 // Regenerate deliberately with:
 //
@@ -17,7 +18,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"affinity/internal/exp"
@@ -29,36 +29,29 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 const goldenPath = "testdata/paperfigs_quick.golden"
 
 // quickSuiteOutput reproduces `paperfigs -quick -parallel N` stdout
-// in-process: every experiment runs concurrently over a shared
-// sweep-point pool, tables print in declaration order, one blank line
-// after each.
-func quickSuiteOutput(parallel int) []byte {
-	experiments := exp.All()
-	cfg := exp.Config{Quick: true, Seed: 1, Pool: sim.NewPool(parallel)}
-	tables := make([]*exp.Table, len(experiments))
-	var wg sync.WaitGroup
-	for i, e := range experiments {
-		i, e := i, e
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tables[i] = e.Run(cfg)
-		}()
-	}
-	wg.Wait()
+// in-process through exp.RunSuite, as paperfigs runs it: tables print
+// in declaration order, one blank line after each. It also returns the
+// pool's counts and the DES events sim.TotalEventsFired saw over the
+// suite.
+func quickSuiteOutput(parallel int) ([]byte, sim.Counts, uint64) {
+	pool := sim.NewPool(parallel)
+	ev0 := sim.TotalEventsFired()
+	tables := exp.RunSuite(exp.Config{Quick: true, Seed: 1, Pool: pool}, exp.All())
+	events := sim.TotalEventsFired() - ev0
 	var buf bytes.Buffer
 	for _, table := range tables {
 		table.Fprint(&buf)
 		buf.WriteByte('\n')
 	}
-	return buf.Bytes()
+	return buf.Bytes(), pool.Counts(), events
 }
 
 func TestPaperfigsQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick suite takes seconds; skipped with -short")
 	}
-	got := quickSuiteOutput(8)
+	got, counts8, events8 := quickSuiteOutput(8)
+	checkFunnel(t, 8, counts8, events8)
 
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
@@ -83,9 +76,34 @@ func TestPaperfigsQuickGolden(t *testing.T) {
 
 	// The pool must yield identical bytes at any worker count — run the
 	// suite again fully serialized and compare against the same golden.
-	if got1 := quickSuiteOutput(1); !bytes.Equal(got1, want) {
+	got1, counts1, events1 := quickSuiteOutput(1)
+	if !bytes.Equal(got1, want) {
 		t.Fatalf("-parallel 1 output diverged from -parallel 8 golden\n%s",
 			diffLines(t, want, got1))
+	}
+	checkFunnel(t, 1, counts1, events1)
+	// A coalesced duplicate counts as served from the cache whatever the
+	// timing, so the counts must not depend on the width either.
+	if counts1 != counts8 {
+		t.Errorf("pool counts differ by width:\n-parallel 1: %+v\n-parallel 8: %+v", counts1, counts8)
+	}
+}
+
+// checkFunnel asserts that every run the suite made went through its
+// pool: the counts balance, E29's live runs are all there, and the pool
+// counted every DES event the process fired over the suite.
+func checkFunnel(t *testing.T, parallel int, c sim.Counts, events uint64) {
+	t.Helper()
+	if c.Requested != c.DES+c.Live+c.Cached {
+		t.Errorf("-parallel %d: %d requested ≠ %d DES + %d live + %d cached",
+			parallel, c.Requested, c.DES, c.Live, c.Cached)
+	}
+	if want := uint64(2 * len(exp.E29Cases())); c.Live != want {
+		t.Errorf("-parallel %d: %d live runs executed, want %d (E29's)", parallel, c.Live, want)
+	}
+	if c.Events != events {
+		t.Errorf("-parallel %d: the pool counted %d DES events, the process fired %d: a run bypassed the pool",
+			parallel, c.Events, events)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"affinity/internal/sim"
 )
@@ -22,15 +23,24 @@ type Config struct {
 	// Seed is the base random seed; every simulation derives its own
 	// streams from it.
 	Seed int64
-	// Pool, when non-nil, is the shared sweep-point worker pool every
-	// experiment's Grid submits to. Sharing one pool across experiments
-	// parallelizes the whole suite at sweep-point granularity and lets
-	// configurations repeated across experiments simulate once. When
-	// nil, each Grid falls back to its own serial single-worker pool.
+	// Pool, when non-nil, is the pool every run an experiment makes goes
+	// through: its grid's points and its policy searches and replays.
+	// Sharing one pool across experiments parallelizes the whole suite
+	// at sweep-point granularity, lets configurations repeated across
+	// experiments simulate once, and counts every run. When nil, each
+	// experiment falls back to a serial single-worker pool of its own.
 	Pool *sim.Pool
 	// Reporter, when non-nil, receives per-experiment and per-point
 	// progress.
 	Reporter *Reporter
+}
+
+// pool returns the pool the experiment's runs go through.
+func (c Config) pool() *sim.Pool {
+	if c.Pool == nil {
+		return sim.NewPool(1)
+	}
+	return c.Pool
 }
 
 // packets returns the measured-packet budget for one simulation.
@@ -184,6 +194,28 @@ func All() []Experiment {
 		{"E35", "Searched affinity-steal policy vs the five paper policies on Zipf burst traffic", FigE35},
 		{"E36", "Counterfactual regret: one-step prediction vs ground-truth re-simulation", FigE36},
 	}
+}
+
+// RunSuite runs the experiments concurrently on cfg.Pool, brackets each
+// with cfg.Reporter's Start and Done, and returns their tables in the
+// order given. Every run they make goes through the pool, so its slots
+// bound the whole suite and its Counts cover every run.
+func RunSuite(cfg Config, experiments []Experiment) []*Table {
+	tables := make([]*Table, len(experiments))
+	var wg sync.WaitGroup
+	for i, e := range experiments {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if cfg.Reporter != nil {
+				cfg.Reporter.Start(e.ID, e.Title)
+				defer cfg.Reporter.Done(e.ID)
+			}
+			tables[i] = e.Run(cfg)
+		}()
+	}
+	wg.Wait()
+	return tables
 }
 
 // ByID returns the experiment with the given ID.

@@ -4,15 +4,16 @@ import (
 	"fmt"
 	"sync"
 
+	"affinity/internal/live"
 	"affinity/internal/sim"
 )
 
 // Grid is the sweep-point execution engine: each experiment declares its
-// full set of simulation runs up front as Points, then Grid.Run executes
-// them all through a shared sim.Pool — concurrently across sweep points
-// AND across experiments when cmd/paperfigs hands every experiment the
-// same pool — before the experiment renders its table from the completed
-// Points. Declaration order is preserved and every run is deterministic
+// simulation runs as Points, then Grid.Run executes them all through the
+// Config's sim.Pool — concurrently across sweep points AND across
+// experiments when RunSuite hands every experiment the same pool —
+// before the experiment renders its table from the completed Points.
+// Declaration order is preserved and every DES run is deterministic
 // given its Params, so the rendered tables are byte-identical at any
 // worker count.
 type Grid struct {
@@ -30,19 +31,15 @@ type Point struct {
 	Label  string
 	Params sim.Params
 
+	live bool // run on the live goroutine backend
 	res  sim.Results
 	done bool
 }
 
 // Grid returns a sweep-point grid for the experiment with the given ID,
-// backed by the Config's shared pool (or a serial single-worker pool
-// when none is configured — tests and library callers).
+// backed by the Config's pool.
 func (c Config) Grid(id string) *Grid {
-	pool := c.Pool
-	if pool == nil {
-		pool = sim.NewPool(1)
-	}
-	return &Grid{id: id, cfg: c, pool: pool}
+	return &Grid{id: id, cfg: c, pool: c.pool()}
 }
 
 // Add declares one run with the experiment defaults applied — the base
@@ -52,6 +49,16 @@ func (g *Grid) Add(label string, p sim.Params) *Point {
 	p.Seed = g.cfg.Seed
 	p.MeasuredPackets = g.cfg.packets()
 	return g.AddExact(label, p)
+}
+
+// AddLive declares one run on the live goroutine backend, with the
+// experiment defaults applied as Add applies them. Its Results vary
+// from one execution to the next, so a table must print only what is
+// stable at the point's margins.
+func (g *Grid) AddLive(label string, p sim.Params) *Point {
+	pt := g.Add(label, p)
+	pt.live = true
+	return pt
 }
 
 // AddExact declares one run with the Params used verbatim — for points
@@ -66,10 +73,10 @@ func (g *Grid) AddExact(label string, p sim.Params) *Point {
 	return pt
 }
 
-// Run executes every declared point. Points are submitted to the shared
-// pool concurrently; the pool bounds how many simulate at once and
-// serves duplicate configurations from its cache. Run returns when all
-// of this grid's points are complete.
+// Run executes every declared point. Points are submitted to the pool
+// concurrently; the pool bounds how many run at once, on either
+// backend, and serves duplicate DES configurations from its cache. Run
+// returns when all of this grid's points are complete.
 func (g *Grid) Run() {
 	if g.ran {
 		panic(fmt.Sprintf("exp: %s ran its grid twice", g.id))
@@ -84,7 +91,11 @@ func (g *Grid) Run() {
 		wg.Add(1)
 		go func(pt *Point) {
 			defer wg.Done()
-			pt.res = g.pool.Run(pt.Params)
+			if pt.live {
+				pt.res = g.pool.RunLive(pt.Params, live.Run)
+			} else {
+				pt.res = g.pool.Run(pt.Params)
+			}
 			pt.done = true
 			if rep != nil {
 				rep.PointDone(g.id, pt.Label)

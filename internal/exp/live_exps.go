@@ -2,9 +2,7 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
-	"affinity/internal/live"
 	"affinity/internal/sched"
 	"affinity/internal/sim"
 	"affinity/internal/traffic"
@@ -66,10 +64,10 @@ func e29Winner(a, b sim.Results) string {
 	return b.Policy
 }
 
-// FigE29 runs the cross-check: DES results through the shared pool,
-// live results on real goroutines, and a verdict per point. Only
-// DES-derived numbers are printed — live delays vary run to run, but at
-// these margins the live winner (and so the verdict column) is stable.
+// FigE29 runs the cross-check: each case on both backends, all on one
+// grid, and a verdict per point. Only DES-derived numbers are printed —
+// live delays vary run to run, but at these margins the live winner
+// (and so the verdict column) is stable.
 func FigE29(c Config) *Table {
 	t := &Table{
 		ID:      "E29",
@@ -80,33 +78,17 @@ func FigE29(c Config) *Table {
 	g := c.Grid("E29")
 	type pointPair struct{ a, b *Point }
 	des := make([]pointPair, len(cases))
-	liveRes := make([][2]sim.Results, len(cases))
+	lv := make([]pointPair, len(cases))
 	for i, cs := range cases {
-		des[i] = pointPair{
-			a: g.Add(cs.Name+" "+cs.A.Policy.String(), cs.A),
-			b: g.Add(cs.Name+" "+cs.B.Policy.String(), cs.B),
-		}
+		a, b := cs.Name+" "+cs.A.Policy.String(), cs.Name+" "+cs.B.Policy.String()
+		des[i] = pointPair{a: g.Add(a, cs.A), b: g.Add(b, cs.B)}
+		lv[i] = pointPair{a: g.AddLive("live "+a, cs.A), b: g.AddLive("live "+b, cs.B)}
 	}
-	// The live runs execute alongside the DES grid; each saturates the
-	// machine with its own worker goroutines, so they run one at a time.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i, cs := range cases {
-			a, b := cs.A, cs.B
-			a.Seed, b.Seed = c.Seed, c.Seed
-			a.MeasuredPackets, b.MeasuredPackets = c.packets(), c.packets()
-			liveRes[i][0] = live.Run(a)
-			liveRes[i][1] = live.Run(b)
-		}
-	}()
 	g.Run()
-	wg.Wait()
 	agreeAll := true
 	for i, cs := range cases {
 		da, db := des[i].a.Results(), des[i].b.Results()
-		la, lb := liveRes[i][0], liveRes[i][1]
+		la, lb := lv[i].a.Results(), lv[i].b.Results()
 		desWin, liveWin := e29Winner(da, db), e29Winner(la, lb)
 		agree := "yes"
 		if desWin != liveWin {

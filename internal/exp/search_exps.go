@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 
 	"affinity/internal/policysearch"
 	"affinity/internal/sched"
@@ -163,10 +164,18 @@ func FigE36(c Config) *Table {
 		Seed:            c.Seed,
 		MeasuredPackets: c.packets(),
 	}
-	factual, ledger := policysearch.Factual(p)
-	zero := policysearch.ReplayFactual(p, ledger)
+	pool := c.pool()
+	factual, ledger := policysearch.FactualOn(pool, p)
+	var zero sim.Results
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		zero = policysearch.ReplayFactual(pool, p, ledger)
+	}()
+	cfs := policysearch.TopKOn(pool, p, factual, ledger, 5)
+	wg.Wait()
 	identical := reflect.DeepEqual(factual, zero)
-	cfs := policysearch.TopK(p, factual, ledger, 5)
 	for i, cf := range cfs {
 		realizedTotal := cf.RealizedGain * float64(factual.Completed)
 		agree := "yes"

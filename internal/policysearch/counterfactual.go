@@ -28,24 +28,37 @@ type Substitution struct {
 	Proc  int
 }
 
-// Factual runs p with a fresh ledger attached (tee'd after any recorder
-// p already carries) and returns the results together with the ledger
-// to replay against.
-func Factual(p sim.Params) (sim.Results, *obs.LedgerRecorder) {
-	led := obs.NewLedgerRecorder()
-	p.DecisionRecorder = obs.DecisionMulti(p.DecisionRecorder, led)
-	return sim.Run(p), led
+// FactualOn runs p through pool with a fresh ledger attached (tee'd
+// after any recorder p already carries) and returns the results
+// together with the ledger to replay against.
+func FactualOn(pool *sim.Pool, p sim.Params) (sim.Results, *obs.LedgerRecorder) {
+	p, led := withLedger(p)
+	return pool.Run(p), led
 }
 
-// Replay re-runs p with subs forced in. Like Factual it attaches a
-// fresh ledger — so a replayed Results is field-for-field comparable
-// to a Factual one, DecisionsRecorded included — and returns it; the
-// replay ledger holds the counterfactual run's own decisions (realized
-// costs under the substitution, not predictions).
+// Factual is FactualOn on a one-slot pool of its own. The benchmark
+// module calls it by this name; ROADMAP item 13 moves that call onto
+// FactualOn and deletes this wrapper.
+func Factual(p sim.Params) (sim.Results, *obs.LedgerRecorder) {
+	return FactualOn(sim.NewPool(1), p)
+}
+
+// Replay re-runs p through pool with subs forced in. Like FactualOn it
+// attaches a fresh ledger — so a replayed Results is field-for-field
+// comparable to a factual one, DecisionsRecorded included — and
+// returns it; the replay ledger holds the counterfactual run's own
+// decisions (realized costs under the substitution, not predictions).
 //
 // p must be the factual run's Params (any DecisionOverride already set
 // is replaced). Duplicate indices in subs keep the last.
-func Replay(p sim.Params, subs []Substitution) (sim.Results, *obs.LedgerRecorder) {
+func Replay(pool *sim.Pool, p sim.Params, subs []Substitution) (sim.Results, *obs.LedgerRecorder) {
+	p, led := replayParams(p, subs)
+	return pool.Run(p), led
+}
+
+// replayParams returns p with subs forced in and a fresh ledger
+// attached, and the ledger.
+func replayParams(p sim.Params, subs []Substitution) (sim.Params, *obs.LedgerRecorder) {
 	forced := make(map[uint64]int, len(subs))
 	for _, s := range subs {
 		forced[s.Index] = s.Proc
@@ -62,22 +75,28 @@ func Replay(p sim.Params, subs []Substitution) (sim.Results, *obs.LedgerRecorder
 		}
 		return chosen // inapplicable: proc was not a candidate this time
 	}
-	led := obs.NewLedgerRecorder()
-	p.DecisionRecorder = obs.DecisionMulti(p.DecisionRecorder, led)
-	return sim.Run(p), led
+	return withLedger(p)
 }
 
-// ReplayFactual replays ledger against p forcing the *factual* choice
-// at every ordinal — the zero-perturbation identity. The returned
-// Results must equal the factual run's bit for bit; the metamorphic
-// test pack pins this, and it is what licenses trusting any other
-// replay's divergence to the substitution alone.
-func ReplayFactual(p sim.Params, ledger *obs.LedgerRecorder) sim.Results {
+// withLedger returns p with a fresh ledger tee'd after its own decision
+// recorder, and the ledger.
+func withLedger(p sim.Params) (sim.Params, *obs.LedgerRecorder) {
+	led := obs.NewLedgerRecorder()
+	p.DecisionRecorder = obs.DecisionMulti(p.DecisionRecorder, led)
+	return p, led
+}
+
+// ReplayFactual replays ledger against p through pool, forcing the
+// *factual* choice at every ordinal — the zero-perturbation identity.
+// The returned Results must equal the factual run's bit for bit; the
+// metamorphic test pack pins this, and it is what licenses trusting
+// any other replay's divergence to the substitution alone.
+func ReplayFactual(pool *sim.Pool, p sim.Params, ledger *obs.LedgerRecorder) sim.Results {
 	subs := make([]Substitution, ledger.Len())
 	for i := range subs {
 		subs[i] = Substitution{Index: uint64(i), Proc: ledger.At(i).Chosen}
 	}
-	res, _ := Replay(p, subs)
+	res, _ := Replay(pool, p, subs)
 	return res
 }
 
@@ -99,13 +118,15 @@ type Counterfactual struct {
 	Replayed     sim.Results
 }
 
-// TopK finds the k highest-regret decisions in the factual ledger,
+// TopKOn finds the k highest-regret decisions in the factual ledger,
 // substitutes each one's cheapest candidate (one at a time), and
-// re-simulates each counterfactual. Results come back in descending
-// predicted-gain order; ties and candidate scans break deterministically
-// toward the lower ordinal / lower processor id. Zero-regret decisions
-// (the choice already was the cheapest) are never substituted.
-func TopK(p sim.Params, factual sim.Results, ledger *obs.LedgerRecorder, k int) []Counterfactual {
+// re-simulates the k counterfactuals together through pool. Results
+// come back in descending predicted-gain order; ties and candidate
+// scans break deterministically toward the lower ordinal / lower
+// processor id. Zero-regret decisions (the choice already was the
+// cheapest) are never substituted. A DecisionRecorder p carries sees
+// the k replays' decisions interleaved.
+func TopKOn(pool *sim.Pool, p sim.Params, factual sim.Results, ledger *obs.LedgerRecorder, k int) []Counterfactual {
 	type pick struct {
 		idx    int
 		regret float64
@@ -125,8 +146,9 @@ func TopK(p sim.Params, factual sim.Results, ledger *obs.LedgerRecorder, k int) 
 	if k > len(picks) {
 		k = len(picks)
 	}
-	out := make([]Counterfactual, 0, k)
-	for _, pk := range picks[:k] {
+	out := make([]Counterfactual, k)
+	replays := make([]sim.Params, k)
+	for i, pk := range picks[:k] {
 		d := ledger.At(pk.idx)
 		best, bestCost := d.Chosen, d.ChosenCost
 		for _, c := range d.Candidates {
@@ -134,15 +156,25 @@ func TopK(p sim.Params, factual sim.Results, ledger *obs.LedgerRecorder, k int) 
 				best, bestCost = c.Proc, c.Cost
 			}
 		}
-		res, _ := Replay(p, []Substitution{{Index: uint64(pk.idx), Proc: best}})
-		out = append(out, Counterfactual{
+		out[i] = Counterfactual{
 			Index:         uint64(pk.idx),
 			Decision:      d,
 			Proc:          best,
 			PredictedGain: pk.regret,
-			RealizedGain:  factual.MeanDelay - res.MeanDelay,
-			Replayed:      res,
-		})
+		}
+		replays[i], _ = replayParams(p, []Substitution{{Index: uint64(pk.idx), Proc: best}})
+	}
+	for i, res := range pool.RunAll(replays) {
+		out[i].RealizedGain = factual.MeanDelay - res.MeanDelay
+		out[i].Replayed = res
 	}
 	return out
+}
+
+// TopK is TopKOn on a one-slot pool of its own, which runs the k
+// replays one after another. The benchmark module calls it by this
+// name; ROADMAP item 13 moves that call onto TopKOn and deletes this
+// wrapper.
+func TopK(p sim.Params, factual sim.Results, ledger *obs.LedgerRecorder, k int) []Counterfactual {
+	return TopKOn(sim.NewPool(1), p, factual, ledger, k)
 }

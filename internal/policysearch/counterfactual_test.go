@@ -54,7 +54,7 @@ func TestReplayFactualIsBitIdentical(t *testing.T) {
 			if ledger.Len() == 0 {
 				t.Fatalf("%s/%v: empty ledger", name, pol)
 			}
-			replayed := ReplayFactual(p, ledger)
+			replayed := ReplayFactual(sim.NewPool(1), p, ledger)
 			if !reflect.DeepEqual(factual, replayed) {
 				t.Errorf("%s/%v: zero-perturbation replay diverged\nfactual:  %+v\nreplayed: %+v",
 					name, pol, factual, replayed)
@@ -70,7 +70,7 @@ func TestReplayFactualStealInterior(t *testing.T) {
 	p.Steal = sched.StealParams{Penalty: 25, DepthThreshold: 2, ColdBias: 1}
 	p.Arrival = traffic.Batch{PacketsPerSec: 1200, MeanBurst: 8}
 	factual, ledger := Factual(p)
-	if got := ReplayFactual(p, ledger); !reflect.DeepEqual(factual, got) {
+	if got := ReplayFactual(sim.NewPool(1), p, ledger); !reflect.DeepEqual(factual, got) {
 		t.Errorf("steal interior zero-perturbation replay diverged\nfactual:  %+v\nreplayed: %+v", factual, got)
 	}
 }
@@ -81,7 +81,7 @@ func TestReplayFactualStealInterior(t *testing.T) {
 func TestReplayNoSubstitutionsEqualsFactual(t *testing.T) {
 	p := base(sched.MRU)
 	factual, _ := Factual(p)
-	replayed, led := Replay(p, nil)
+	replayed, led := Replay(sim.NewPool(1), p, nil)
 	if !reflect.DeepEqual(factual, replayed) {
 		t.Errorf("empty-substitution replay diverged from factual")
 	}
@@ -100,7 +100,7 @@ func TestInapplicableSubstitutionsAreNoOps(t *testing.T) {
 		{Index: uint64(ledger.Len() + 1000), Proc: 0}, // past the end
 		{Index: 0, Proc: 97},                          // never a candidate
 	}
-	replayed, _ := Replay(p, subs)
+	replayed, _ := Replay(sim.NewPool(1), p, subs)
 	if !reflect.DeepEqual(factual, replayed) {
 		t.Errorf("inapplicable substitutions perturbed the replay")
 	}
@@ -130,7 +130,7 @@ func TestSubstitutionForcesTheChoice(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("no multi-candidate decision in the factual ledger")
 	}
-	_, replayLed := Replay(p, []Substitution{{Index: uint64(idx), Proc: alt}})
+	_, replayLed := Replay(sim.NewPool(1), p, []Substitution{{Index: uint64(idx), Proc: alt}})
 	// The replay is bit-identical up to the divergence point, so the
 	// ordinal numbering agrees and decision idx exists in the new ledger.
 	if got := replayLed.At(idx).Chosen; got != alt {
@@ -158,7 +158,7 @@ func TestReplayedRunsConserve(t *testing.T) {
 	for _, idx := range []int{0, n / 3, n / 2, n - 1} {
 		d := ledger.At(idx)
 		for _, c := range d.Candidates {
-			res, _ := Replay(p, []Substitution{{Index: uint64(idx), Proc: c.Proc}})
+			res, _ := Replay(sim.NewPool(1), p, []Substitution{{Index: uint64(idx), Proc: c.Proc}})
 			if err := sim.CheckInvariants(res); err != nil {
 				t.Errorf("substitution idx=%d proc=%d: %v", idx, c.Proc, err)
 			}
@@ -202,6 +202,23 @@ func TestTopKSemantics(t *testing.T) {
 		if err := sim.CheckInvariants(cf.Replayed); err != nil {
 			t.Errorf("counterfactual %d replay: %v", i, err)
 		}
+	}
+}
+
+// TopKOn submits its k replays to the pool together. However the pool
+// orders them, they come back in rank order and equal TopK's
+// one-at-a-time replays, and the pool executes every one: a replay
+// carries a DecisionOverride, so none is served from the cache.
+func TestTopKOnPoolMatchesSerial(t *testing.T) {
+	p := base(sched.FCFS)
+	pool := sim.NewPool(4)
+	factual, ledger := FactualOn(pool, p)
+	got := TopKOn(pool, p, factual, ledger, 4)
+	if want := TopK(p, factual, ledger, 4); len(got) == 0 || !reflect.DeepEqual(want, got) {
+		t.Errorf("TopKOn on a 4-slot pool returned %d counterfactuals unlike TopK's %d", len(got), len(want))
+	}
+	if c := pool.Counts(); c.DES != uint64(1+len(got)) || c.Cached != 0 || c.Requested != c.DES {
+		t.Errorf("pool counts %+v, want %d DES runs executed and none cached", c, 1+len(got))
 	}
 }
 

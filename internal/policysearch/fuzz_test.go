@@ -58,7 +58,7 @@ func FuzzCounterfactualConservation(f *testing.F) {
 			{Index: uint64(idx1) % uint64(ledger.Len()), Proc: int(proc1) % p.Processors},
 			{Index: uint64(idx2) % uint64(2*ledger.Len()), Proc: int(proc2) % p.Processors},
 		}
-		res, _ := Replay(p, subs)
+		res, _ := Replay(sim.NewPool(1), p, subs)
 		if err := sim.CheckInvariants(res); err != nil {
 			t.Fatalf("substituted replay violates invariants (subs %+v): %v", subs, err)
 		}
@@ -66,10 +66,10 @@ func FuzzCounterfactualConservation(f *testing.F) {
 			t.Fatalf("replay leaks packets: arrivals %d, completed %d, in-flight %d, queued %d, dropped %d",
 				res.Arrivals, res.CompletedTotal, res.InFlightAtEnd, res.QueueAtEnd, res.Dropped)
 		}
-		if res2, _ := Replay(p, subs); !reflect.DeepEqual(res, res2) {
+		if res2, _ := Replay(sim.NewPool(1), p, subs); !reflect.DeepEqual(res, res2) {
 			t.Fatal("same substitutions, different replay Results")
 		}
-		if got := ReplayFactual(p, ledger); !reflect.DeepEqual(factual, got) {
+		if got := ReplayFactual(sim.NewPool(1), p, ledger); !reflect.DeepEqual(factual, got) {
 			t.Fatal("zero-perturbation replay diverged from factual")
 		}
 	})

@@ -12,32 +12,47 @@ import (
 	"affinity/internal/traffic"
 )
 
-// Pool executes simulation runs on a bounded number of worker slots and
-// memoizes results by canonical parameters: two submissions whose Params
-// describe the same run (after WithDefaults, comparing pointed-to model
-// and workload contents rather than pointer identity) simulate once and
-// share the Results. Concurrent submissions of the same configuration
-// coalesce — the second waits for the first instead of re-running.
+// Pool is the one place a suite's or a search's runs go through. It
+// executes them on a bounded number of worker slots, memoizes DES
+// results by canonical parameters, and counts every request.
 //
-// Because every run is deterministic given its Params, memoization is
-// observationally equivalent to re-running; callers must only treat the
-// slices and maps inside a shared Results (PerProcBusyTime,
+// Two Run submissions whose Params describe the same run (after
+// WithDefaults, comparing pointed-to model and workload contents
+// rather than pointer identity) simulate once and share the Results.
+// Concurrent submissions of the same configuration coalesce: the
+// second waits for the first instead of re-running, and counts as
+// served from the cache whatever the timing.
+//
+// Because every DES run is deterministic given its Params, memoization
+// is observationally equivalent to re-running; callers must only treat
+// the slices and maps inside a shared Results (PerProcBusyTime,
 // PerStreamDelay, PerStreamReordered) as read-only.
 //
-// Runs with an attached Recorder are executed but never cached: a
-// recorder observes the event stream as a side effect, so sharing one
-// run's Results would silently drop the second observer's events.
+// Runs with an attached Recorder, DecisionRecorder or DecisionOverride
+// are executed but never cached: a recorder observes the run as a side
+// effect, so sharing one run's Results would silently drop the second
+// observer's events. Live runs (RunLive) are never cached either.
 type Pool struct {
 	slots chan struct{}
 	mu    sync.Mutex
 	runs  map[string]*poolRun
 
-	hits, misses atomic.Uint64
+	requested, cached, des, live, events atomic.Uint64
 }
 
 type poolRun struct {
 	once sync.Once
 	res  Results
+}
+
+// Counts is what a pool has done: every run requested of it, how each
+// was served, and the DES events its runs fired. Once every request has
+// returned, Requested is DES + Live + Cached.
+type Counts struct {
+	Requested uint64 // Run and RunLive calls
+	DES, Live uint64 // runs executed, per backend
+	Cached    uint64 // Run calls served from the cache, coalesced duplicates included
+	Events    uint64 // DES events fired by the DES runs executed
 }
 
 // NewPool returns a pool running at most workers simulations at once
@@ -53,14 +68,14 @@ func NewPool(workers int) *Pool {
 	}
 }
 
-// Run executes p (or returns the memoized Results of an identical
-// earlier run). It blocks until a worker slot is free and the run is
-// complete; it is safe for concurrent use.
+// Run executes p on the DES (or returns the memoized Results of an
+// identical earlier run). It blocks until a worker slot is free and the
+// run is complete; it is safe for concurrent use.
 func (pl *Pool) Run(p Params) Results {
+	pl.requested.Add(1)
 	key, cacheable := CacheKey(p)
 	if !cacheable {
-		pl.misses.Add(1)
-		return pl.runLimited(p)
+		return pl.runDES(p)
 	}
 	pl.mu.Lock()
 	r, seen := pl.runs[key]
@@ -70,14 +85,26 @@ func (pl *Pool) Run(p Params) Results {
 	}
 	pl.mu.Unlock()
 	if seen {
-		pl.hits.Add(1)
-	} else {
-		pl.misses.Add(1)
+		pl.cached.Add(1)
 	}
 	r.once.Do(func() {
-		r.res = pl.runLimited(p)
+		r.res = pl.runDES(p)
 	})
 	return r.res
+}
+
+// RunLive executes p with run, the live backend's entry point, in one
+// of the pool's slots, and counts it as a live run. The pool cannot
+// call the live backend itself (that package builds on this one), so
+// the caller supplies it. Its Results are never cached: a live run's
+// interleavings differ from one execution to the next.
+func (pl *Pool) RunLive(p Params, run func(Params) Results) Results {
+	pl.requested.Add(1)
+	pl.slots <- struct{}{}
+	defer func() { <-pl.slots }()
+	res := run(p)
+	pl.live.Add(1)
+	return res
 }
 
 // RunAll executes every Params through the pool concurrently and returns
@@ -96,16 +123,32 @@ func (pl *Pool) RunAll(params []Params) []Results {
 	return results
 }
 
-// Stats reports how many Run submissions were served from the cache
-// (including coalesced in-flight duplicates) and how many simulated.
-func (pl *Pool) Stats() (hits, misses uint64) {
-	return pl.hits.Load(), pl.misses.Load()
+// Counts returns what the pool has done so far.
+func (pl *Pool) Counts() Counts {
+	return Counts{
+		Requested: pl.requested.Load(),
+		DES:       pl.des.Load(),
+		Live:      pl.live.Load(),
+		Cached:    pl.cached.Load(),
+		Events:    pl.events.Load(),
+	}
 }
 
-func (pl *Pool) runLimited(p Params) Results {
+// Stats reports how many requests were served from the cache
+// (including coalesced in-flight duplicates) and how many executed, on
+// either backend.
+func (pl *Pool) Stats() (hits, misses uint64) {
+	c := pl.Counts()
+	return c.Cached, c.DES + c.Live
+}
+
+func (pl *Pool) runDES(p Params) Results {
 	pl.slots <- struct{}{}
 	defer func() { <-pl.slots }()
-	return Run(p)
+	res := Run(p)
+	pl.des.Add(1)
+	pl.events.Add(res.EventsFired)
+	return res
 }
 
 // CacheKey returns a canonical identity for the run p describes:

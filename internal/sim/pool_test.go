@@ -3,7 +3,10 @@ package sim
 import (
 	"math"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"affinity/internal/core"
 	"affinity/internal/des"
@@ -273,6 +276,82 @@ func TestPoolRecorderRunsNotCached(t *testing.T) {
 		t.Error("a recorder saw no events — its run was skipped")
 	}
 }
+
+// The live door: a live run goes through the pool's slots but never its
+// cache, because its interleavings differ from one execution to the
+// next. Two identical live requests both run, neither is served from
+// nor fills the DES cache, and each counts as live. A fake stands in
+// for the live backend, which builds on this package.
+func TestPoolLiveRunsNeverCached(t *testing.T) {
+	pl := NewPool(2)
+	var calls atomic.Int32
+	fake := func(Params) Results {
+		return Results{Completed: uint64(calls.Add(1))}
+	}
+	a := pl.RunLive(poolParams(1), fake)
+	b := pl.RunLive(poolParams(1), fake)
+	if calls.Load() != 2 || a.Completed == b.Completed {
+		t.Errorf("two identical live requests ran %d times", calls.Load())
+	}
+	des := pl.Run(poolParams(1))
+	if des.Completed == 0 {
+		t.Error("a DES request was served from a live run")
+	}
+	want := Counts{Requested: 3, DES: 1, Live: 2, Events: des.EventsFired}
+	if got := pl.Counts(); got != want {
+		t.Errorf("counts = %+v, want %+v", got, want)
+	}
+	if hits, misses := pl.Stats(); hits != 0 || misses != 3 {
+		t.Errorf("stats = (%d hits, %d misses), want (0, 3)", hits, misses)
+	}
+}
+
+// A live run holds a slot for as long as it runs: on a one-slot pool no
+// two live runs overlap, and no DES run fires an event while a live run
+// is in flight, though both kinds are submitted at once.
+func TestPoolLiveRunsHoldASlot(t *testing.T) {
+	pl := NewPool(1)
+	var inFlight, overlaps atomic.Int32
+	fake := func(Params) Results {
+		if inFlight.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		time.Sleep(2 * time.Millisecond) // hold the slot long enough for an overlap to show
+		inFlight.Add(-1)
+		return Results{}
+	}
+	watch := recordFunc(func(obs.Event) {
+		if inFlight.Load() > 0 {
+			overlaps.Add(1)
+		}
+	})
+	var wg sync.WaitGroup
+	for i := range 4 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			pl.RunLive(poolParams(1), fake)
+		}()
+		go func() {
+			defer wg.Done()
+			p := poolParams(int64(i + 1))
+			p.Recorder = watch
+			pl.Run(p)
+		}()
+	}
+	wg.Wait()
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("a live run shared the pool's one slot %d times", n)
+	}
+	if c := pl.Counts(); c.Live != 4 || c.DES != 4 {
+		t.Errorf("counts = %+v, want 4 live and 4 DES runs executed", c)
+	}
+}
+
+// recordFunc adapts a function to obs.Recorder.
+type recordFunc func(obs.Event)
+
+func (f recordFunc) Record(e obs.Event) { f(e) }
 
 // Running many params through a pool must return results in input
 // order, identical to serial execution, at any worker count.
