@@ -368,8 +368,6 @@ type (
 	// DecisionPoint names where in the dispatch path a decision fell
 	// (placement, dispatch, or Hybrid spill).
 	DecisionPoint = obs.DecisionPoint
-	// FlightRecorder keeps the last N decisions in a fixed ring.
-	FlightRecorder = obs.FlightRecorder
 	// DecisionCSVRecorder streams decisions as CSV rows.
 	DecisionCSVRecorder = obs.DecisionCSV
 	// DecisionJSONLRecorder streams decisions as JSON lines.
@@ -379,13 +377,6 @@ type (
 	// drops, reordering) written as CSV.
 	TimeSeriesRecorder = obs.TimeSeries
 )
-
-// NewFlightRecorder returns an in-memory decision ring holding the last
-// capacity decisions with up to maxCands candidates each (≤ 0 selects
-// defaults). Recording is allocation-free.
-func NewFlightRecorder(capacity, maxCands int) *FlightRecorder {
-	return obs.NewFlightRecorder(capacity, maxCands)
-}
 
 // NewDecisionCSVRecorder returns a decision sink streaming CSV rows to
 // w; call Close after the run to flush.

@@ -276,18 +276,50 @@ func BenchmarkWorkloadSpecPerPacket(b *testing.B) {
 }
 
 func BenchmarkDecisionLedgerPerPacket(b *testing.B) {
-	// Same simulation with the decision ledger attached to a flight
-	// recorder: the delta against BenchmarkSimulationPerPacket is the
-	// whole cost of recording every dispatch decision, and allocs/op
-	// must stay at the amortized-startup level — decision emission
-	// itself is allocation-free (pinned by the sim alloc tests, gated
-	// here against drift).
+	// Same simulation with the decision ledger attached to a decision
+	// ring: the delta against BenchmarkSimulationPerPacket is the whole
+	// cost of recording every dispatch decision, and allocs/op must stay
+	// at the amortized-startup level — decision emission itself is
+	// allocation-free (pinned by the sim alloc tests, gated here against
+	// drift).
 	p := perPacketParams(b)
-	p.DecisionRecorder = affinity.NewFlightRecorder(0, 0)
+	p.DecisionRecorder = newDecisionRing(256, 8)
 	b.ReportAllocs()
 	if res := runPerPacket(b, affinity.BackendDES, p); res.DecisionsRecorded == 0 {
 		b.Fatal("no decisions recorded")
 	}
+}
+
+// decisionRing keeps the last decisions in a fixed ring, copying each
+// candidate set into its slot's share of a preallocated arena (cut to
+// maxCands), so recording never allocates: the work any recorder that
+// retains decisions must do.
+type decisionRing struct {
+	slots    []affinity.Decision
+	arena    []affinity.DecisionCandidate
+	maxCands int
+	n        uint64
+}
+
+func newDecisionRing(capacity, maxCands int) *decisionRing {
+	return &decisionRing{
+		slots:    make([]affinity.Decision, capacity),
+		arena:    make([]affinity.DecisionCandidate, capacity*maxCands),
+		maxCands: maxCands,
+	}
+}
+
+func (r *decisionRing) RecordDecision(d affinity.Decision) {
+	i := int(r.n % uint64(len(r.slots)))
+	r.n++
+	cands := d.Candidates
+	if len(cands) > r.maxCands {
+		cands = cands[:r.maxCands]
+	}
+	dst := r.arena[i*r.maxCands : i*r.maxCands+len(cands)]
+	copy(dst, cands)
+	d.Candidates = dst
+	r.slots[i] = d
 }
 
 // BenchmarkDispatch times one dispatcher event, an arrival or a

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"os"
 	"runtime/pprof"
@@ -25,6 +26,7 @@ import (
 	"strings"
 
 	"affinity"
+	"affinity/internal/cli"
 )
 
 var policies = map[string]affinity.Policy{
@@ -75,11 +77,11 @@ func main() {
 		metOut    = flag.String("metrics", "", "write the metrics snapshot after the run (.json extension selects JSON, otherwise Prometheus text format)")
 		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run")
 	)
-	parseFlags()
+	cli.ParseFlags("affinitysim")
 
 	be, err := affinity.ParseBackend(*backend)
 	if err != nil {
-		fail("%v", err)
+		log.Fatal(err)
 	}
 	p := affinity.Params{
 		Streams:         *streams,
@@ -94,14 +96,14 @@ func main() {
 	if *topoSpec != "" {
 		tp, err := affinity.ParseTopology(*topoSpec)
 		if err != nil {
-			fail("%v", err)
+			log.Fatal(err)
 		}
 		p.Topology = tp
 	}
 	if *faultSpec != "" {
 		plan, err := affinity.ParseFaultPlan(*faultSpec)
 		if err != nil {
-			fail("%v", err)
+			log.Fatal(err)
 		}
 		p.Faults = plan
 	}
@@ -111,14 +113,14 @@ func main() {
 		if name := strings.ToLower(*policy); name == "steal" || strings.HasPrefix(name, "steal:") {
 			sp, err := parseSteal(name)
 			if err != nil {
-				fail("%v", err)
+				log.Fatal(err)
 			}
 			p.Policy = affinity.AffinitySteal
 			p.Steal = sp
 		} else {
 			pol, ok := policies[name]
 			if !ok || !pol.ForLocking() {
-				fail("unknown locking policy %q (fcfs|mru|pools|wired|rss|flowdir|steal[:penalty,depth,bias])", *policy)
+				log.Fatalf("unknown locking policy %q (fcfs|mru|pools|wired|rss|flowdir|steal[:penalty,depth,bias])", *policy)
 			}
 			p.Policy = pol
 		}
@@ -126,18 +128,18 @@ func main() {
 		p.Paradigm = affinity.IPS
 		pol, ok := ipsPolicies[strings.ToLower(*policy)]
 		if !ok {
-			fail("unknown ips policy %q (wired|mru|random)", *policy)
+			log.Fatalf("unknown ips policy %q (wired|mru|random)", *policy)
 		}
 		p.Policy = pol
 	case "hybrid":
 		p.Paradigm = affinity.Hybrid
 		pol, ok := ipsPolicies[strings.ToLower(*policy)]
 		if !ok {
-			fail("unknown hybrid policy %q (wired|mru|random)", *policy)
+			log.Fatalf("unknown hybrid policy %q (wired|mru|random)", *policy)
 		}
 		p.Policy = pol
 	default:
-		fail("unknown paradigm %q (locking|ips|hybrid)", *paradigm)
+		log.Fatalf("unknown paradigm %q (locking|ips|hybrid)", *paradigm)
 	}
 	// Arrival selection: a workload spec or a recorded trace replaces
 	// the flag-built single arrival process. Unless -streams was given
@@ -151,17 +153,17 @@ func main() {
 	})
 	switch {
 	case *specPath != "" && *repPath != "":
-		fail("-spec and -replay are mutually exclusive")
+		log.Fatal("-spec and -replay are mutually exclusive")
 	case *recPath != "" && *repPath != "":
-		fail("-record with -replay would only copy the trace")
+		log.Fatal("-record with -replay would only copy the trace")
 	case *specPath != "":
 		data, err := os.ReadFile(*specPath)
 		if err != nil {
-			fail("reading workload spec: %v", err)
+			log.Fatalf("reading workload spec: %v", err)
 		}
 		spec, err := affinity.ParseWorkload(data)
 		if err != nil {
-			fail("%v", err)
+			log.Fatal(err)
 		}
 		p.Workload = spec
 		if !streamsSet {
@@ -170,12 +172,12 @@ func main() {
 	case *repPath != "":
 		f, err := os.Open(*repPath)
 		if err != nil {
-			fail("opening trace: %v", err)
+			log.Fatalf("opening trace: %v", err)
 		}
 		trace, err := affinity.ReadArrivalTrace(f)
 		f.Close()
 		if err != nil {
-			fail("%v", err)
+			log.Fatal(err)
 		}
 		p.ArrivalPerStream = affinity.ReplayArrivals(trace)
 		if !streamsSet {
@@ -200,7 +202,7 @@ func main() {
 	// with a clean error instead of a panic from inside the run.
 	defaulted := p.WithDefaults()
 	if err := defaulted.Validate(); err != nil {
-		fail("%v", err)
+		log.Fatal(err)
 	}
 	// -record rewires the validated per-stream arrivals through tee
 	// wrappers that capture every draw; the trace file is written after
@@ -255,15 +257,15 @@ func main() {
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fail("creating cpu profile: %v", err)
+			log.Fatalf("creating cpu profile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail("starting cpu profile: %v", err)
+			log.Fatalf("starting cpu profile: %v", err)
 		}
 		cleanup = append(cleanup, func() {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {
-				fail("closing cpu profile: %v", err)
+				log.Fatalf("closing cpu profile: %v", err)
 			}
 		})
 	}
@@ -275,22 +277,22 @@ func main() {
 	if recTrace != nil {
 		f, err := os.Create(*recPath)
 		if err != nil {
-			fail("creating trace file: %v", err)
+			log.Fatalf("creating trace file: %v", err)
 		}
 		if err := affinity.WriteArrivalTrace(f, recTrace); err != nil {
-			fail("writing trace: %v", err)
+			log.Fatalf("writing trace: %v", err)
 		}
 		if err := f.Close(); err != nil {
-			fail("closing trace file: %v", err)
+			log.Fatalf("closing trace file: %v", err)
 		}
 	}
 	if *metOut != "" {
 		if res.Obs == nil {
-			fail("metrics snapshot missing after the run")
+			log.Fatal("metrics snapshot missing after the run")
 		}
 		f, err := os.Create(*metOut)
 		if err != nil {
-			fail("creating metrics file: %v", err)
+			log.Fatalf("creating metrics file: %v", err)
 		}
 		if strings.HasSuffix(*metOut, ".json") {
 			err = affinity.WriteMetricsJSON(f, *res.Obs)
@@ -298,17 +300,17 @@ func main() {
 			err = affinity.WritePrometheus(f, *res.Obs)
 		}
 		if err != nil {
-			fail("writing metrics: %v", err)
+			log.Fatalf("writing metrics: %v", err)
 		}
 		if err := f.Close(); err != nil {
-			fail("closing metrics file: %v", err)
+			log.Fatalf("closing metrics file: %v", err)
 		}
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			fail("encoding results: %v", err)
+			log.Fatalf("encoding results: %v", err)
 		}
 	} else {
 		printResults(res, defaulted)
@@ -333,15 +335,15 @@ type decisionSink interface {
 func fileSink[S io.Closer](cleanup *[]func(), path, what string, open func(io.Writer) S) S {
 	f, err := os.Create(path)
 	if err != nil {
-		fail("creating %s file: %v", what, err)
+		log.Fatalf("creating %s file: %v", what, err)
 	}
 	s := open(f)
 	*cleanup = append(*cleanup, func() {
 		if err := s.Close(); err != nil {
-			fail("writing %s: %v", what, err)
+			log.Fatalf("writing %s: %v", what, err)
 		}
 		if err := f.Close(); err != nil {
-			fail("closing %s file: %v", what, err)
+			log.Fatalf("closing %s file: %v", what, err)
 		}
 	})
 	return s
@@ -372,15 +374,19 @@ func printResults(r affinity.Results, p affinity.Params) {
 	fmt.Printf("policy          %s\n", r.Policy)
 	fmt.Printf("offered load    %.0f pkt/s\n", r.OfferedRate)
 	fmt.Printf("throughput      %.0f pkt/s\n", r.Throughput)
-	fmt.Printf("mean delay      %.1f µs (±%.1f, 95%% CI)\n", r.MeanDelay, r.DelayCI)
-	if r.P95Clamped {
-		fmt.Printf("p95 delay       >%.1f µs (clamped at histogram bound; %.1f%% of delays above)\n",
-			r.P95Delay, 100*r.DelayOverflow)
+	if r.Completed == 0 {
+		fmt.Println("delays          none: no packet was measured")
 	} else {
-		fmt.Printf("p95 delay       %.1f µs\n", r.P95Delay)
+		fmt.Printf("mean delay      %.1f µs (±%.1f, 95%% CI)\n", r.MeanDelay, r.DelayCI)
+		if r.P95Clamped {
+			fmt.Printf("p95 delay       >%.1f µs (clamped at histogram bound; %.1f%% of delays above)\n",
+				r.P95Delay, 100*r.DelayOverflow)
+		} else {
+			fmt.Printf("p95 delay       %.1f µs\n", r.P95Delay)
+		}
+		fmt.Printf("mean service    %.1f µs\n", r.MeanService)
+		fmt.Printf("mean queueing   %.1f µs\n", r.MeanQueueing)
 	}
-	fmt.Printf("mean service    %.1f µs\n", r.MeanService)
-	fmt.Printf("mean queueing   %.1f µs\n", r.MeanQueueing)
 	if r.MeanLockWait > 0 {
 		fmt.Printf("mean lock wait  %.1f µs\n", r.MeanLockWait)
 	}
@@ -447,35 +453,4 @@ func parseSteal(name string) (affinity.StealParams, error) {
 	}
 	sp.ColdBias = b
 	return sp, nil
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "affinitysim: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// parseFlags parses the command line: a malformed or unknown flag, a
-// float flag that is not finite, or a stray argument, exits 1 with one
-// "affinitysim: " line, never the saturated run's 2; -h prints the usage
-// and exits 0.
-func parseFlags() {
-	flag.CommandLine.Init("affinitysim", flag.ContinueOnError)
-	flag.CommandLine.SetOutput(io.Discard)
-	switch err := flag.CommandLine.Parse(os.Args[1:]); {
-	case err == flag.ErrHelp:
-		flag.CommandLine.SetOutput(os.Stderr)
-		flag.Usage()
-		os.Exit(0)
-	case err != nil:
-		fail("%v", err)
-	case flag.NArg() > 0:
-		fail("unexpected argument %q", flag.Arg(0))
-	}
-	// NaN and ±Inf parse as floats, but no float flag means anything
-	// with them: refuse them before they become costs or event times.
-	flag.Visit(func(f *flag.Flag) {
-		if x, ok := f.Value.(flag.Getter).Get().(float64); ok && (math.IsNaN(x) || math.IsInf(x, 0)) {
-			fail("invalid value %q for flag -%s: not a finite number", f.Value, f.Name)
-		}
-	})
 }

@@ -343,9 +343,12 @@ func TestCLISaturationExitTwo(t *testing.T) {
 // because it stopped short of the target, on both backends.
 func TestCLIUndersampledExitTwo(t *testing.T) {
 	for _, backend := range []string{"des", "live"} {
-		for _, c := range []struct{ rate, packets, want string }{
-			{"1e-9", "10", "UNDERSAMPLED: reached the 120.000s horizon with 0 of 10 packets measured (0 queued)\n"},
-			{"1", "1000", "UNDERSAMPLED: reached the 120.000s horizon with 984 of 1000 packets measured (0 queued)\n"},
+		for _, c := range []struct {
+			rate, packets, want string
+			empty               bool
+		}{
+			{"1e-9", "10", "UNDERSAMPLED: reached the 120.000s horizon with 0 of 10 packets measured (0 queued)\n", true},
+			{"1", "1000", "UNDERSAMPLED: reached the 120.000s horizon with 984 of 1000 packets measured (0 queued)\n", false},
 		} {
 			stdout, stderr, code := run(t, "-backend", backend,
 				"-rate", c.rate, "-packets", c.packets, "-seed", "1")
@@ -358,6 +361,17 @@ func TestCLIUndersampledExitTwo(t *testing.T) {
 			}
 			if !strings.HasSuffix(stdout, c.want) {
 				t.Errorf("backend %s, rate %s: output\n%s\ndoes not end %q", backend, c.rate, stdout, c.want)
+			}
+			// An empty sample has no delay statistics to print, only
+			// one line saying so; no statistic is ever infinite.
+			for _, stat := range []string{"mean delay", "p95 delay", "mean service", "mean queueing"} {
+				if strings.Contains(stdout, stat) == c.empty {
+					t.Errorf("backend %s, rate %s: %q printed = %v, want %v:\n%s",
+						backend, c.rate, stat, c.empty, !c.empty, stdout)
+				}
+			}
+			if strings.Contains(stdout, "Inf") || strings.Contains(stdout, "NaN") {
+				t.Errorf("backend %s, rate %s: output holds a non-finite statistic:\n%s", backend, c.rate, stdout)
 			}
 		}
 	}

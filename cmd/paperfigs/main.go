@@ -23,13 +23,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
 	"strings"
 	"time"
 
+	"affinity/internal/cli"
 	"affinity/internal/exp"
 	"affinity/internal/sim"
 )
@@ -47,18 +48,18 @@ func main() {
 		progress = flag.Bool("progress", false, "log per-experiment timing and event rates to stderr")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run")
 	)
-	parseFlags()
+	cli.ParseFlags("paperfigs")
 	if *par < 0 {
-		fail("-parallel %d must be ≥ 0 (0 = GOMAXPROCS)", *par)
+		log.Fatalf("-parallel %d must be ≥ 0 (0 = GOMAXPROCS)", *par)
 	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fail("%v", err)
+			log.Fatal(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail("%v", err)
+			log.Fatal(err)
 		}
 		defer f.Close()
 		defer pprof.StopCPUProfile()
@@ -77,14 +78,14 @@ func main() {
 		for _, id := range strings.Split(*only, ",") {
 			e, ok := exp.ByID(strings.TrimSpace(id))
 			if !ok {
-				fail("unknown experiment %q (use -list)", id)
+				log.Fatalf("unknown experiment %q (use -list)", id)
 			}
 			experiments = append(experiments, e)
 		}
 	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
-			fail("%v", err)
+			log.Fatal(err)
 		}
 	}
 
@@ -119,13 +120,13 @@ func main() {
 		}
 		if *outdir != "" {
 			if err := writeFiles(*outdir, table); err != nil {
-				fail("%v", err)
+				log.Fatal(err)
 			}
 		}
 	}
 	if *mdPath != "" {
 		if err := os.WriteFile(*mdPath, []byte(md.String()), 0o644); err != nil {
-			fail("%v", err)
+			log.Fatal(err)
 		}
 	}
 	c := pool.Counts()
@@ -143,27 +144,4 @@ func writeFiles(dir string, t *exp.Table) error {
 	}
 	defer f.Close()
 	return t.WriteCSV(f)
-}
-
-// parseFlags parses the command line: a malformed or unknown flag, or a
-// stray argument, exits 1 with one "paperfigs: " line; -h prints the
-// usage and exits 0.
-func parseFlags() {
-	flag.CommandLine.Init("paperfigs", flag.ContinueOnError)
-	flag.CommandLine.SetOutput(io.Discard)
-	switch err := flag.CommandLine.Parse(os.Args[1:]); {
-	case err == flag.ErrHelp:
-		flag.CommandLine.SetOutput(os.Stderr)
-		flag.Usage()
-		os.Exit(0)
-	case err != nil:
-		fail("%v", err)
-	case flag.NArg() > 0:
-		fail("unexpected argument %q", flag.Arg(0))
-	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "paperfigs: "+format+"\n", args...)
-	os.Exit(1)
 }

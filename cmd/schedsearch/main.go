@@ -22,13 +22,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
+	"log"
 	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"affinity"
+	"affinity/internal/cli"
 )
 
 func main() {
@@ -53,9 +54,9 @@ func main() {
 		wGood     = flag.Float64("wgoodput", 0, "fitness weight on goodput shortfall (pkt/s below offered)")
 		topK      = flag.Int("counterfactuals", 0, "after the search, replay the winner's k highest-regret decisions with the cheapest alternative forced in")
 	)
-	parseFlags()
+	cli.ParseFlags("schedsearch")
 	if *parallel < 0 {
-		fail("-parallel %d must be ≥ 0 (0 = GOMAXPROCS)", *parallel)
+		log.Fatalf("-parallel %d must be ≥ 0 (0 = GOMAXPROCS)", *parallel)
 	}
 
 	base := affinity.Params{
@@ -69,11 +70,11 @@ func main() {
 	if *specPath != "" {
 		data, err := os.ReadFile(*specPath)
 		if err != nil {
-			fail("reading workload spec: %v", err)
+			log.Fatalf("reading workload spec: %v", err)
 		}
 		spec, err := affinity.ParseWorkload(data)
 		if err != nil {
-			fail("%v", err)
+			log.Fatal(err)
 		}
 		base.Workload = spec
 		base.Streams = 0
@@ -87,34 +88,34 @@ func main() {
 	if *penalties != "" {
 		var err error
 		if space.Penalties, err = parseFloats(*penalties, true); err != nil {
-			fail("-penalties: %v", err)
+			log.Fatalf("-penalties: %v", err)
 		}
 	}
 	if *depths != "" {
 		var err error
 		if space.Depths, err = parseInts(*depths); err != nil {
-			fail("-depths: %v", err)
+			log.Fatalf("-depths: %v", err)
 		}
 	}
 	if *biases != "" {
 		var err error
 		if space.Biases, err = parseFloats(*biases, false); err != nil {
-			fail("-biases: %v", err)
+			log.Fatalf("-biases: %v", err)
 		}
 	}
 	for _, v := range space.Penalties {
 		if v < 0 || math.IsNaN(v) {
-			fail("-penalties: penalty %g outside [0, +inf]", v)
+			log.Fatalf("-penalties: penalty %g outside [0, +inf]", v)
 		}
 	}
 	for _, v := range space.Depths {
 		if v < 0 {
-			fail("-depths: depth threshold %d must be ≥ 0", v)
+			log.Fatalf("-depths: depth threshold %d must be ≥ 0", v)
 		}
 	}
 	for _, v := range space.Biases {
 		if v < 0 || v > 1 || math.IsNaN(v) {
-			fail("-biases: cold bias %g outside [0, 1]", v)
+			log.Fatalf("-biases: cold bias %g outside [0, 1]", v)
 		}
 	}
 	weights := affinity.DefaultSearchWeights()
@@ -131,7 +132,7 @@ func main() {
 	probe.Policy = affinity.AffinitySteal
 	probed := probe.WithDefaults()
 	if err := probed.Validate(); err != nil {
-		fail("%v", err)
+		log.Fatal(err)
 	}
 
 	pool := affinity.NewPool(*parallel)
@@ -156,7 +157,7 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fail("encoding report: %v", err)
+			log.Fatalf("encoding report: %v", err)
 		}
 		return
 	}
@@ -229,34 +230,4 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "schedsearch: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// parseFlags parses the command line: a malformed or unknown flag, a
-// float flag that is not finite, or a stray argument, exits 1 with one
-// "schedsearch: " line; -h prints the usage and exits 0.
-func parseFlags() {
-	flag.CommandLine.Init("schedsearch", flag.ContinueOnError)
-	flag.CommandLine.SetOutput(io.Discard)
-	switch err := flag.CommandLine.Parse(os.Args[1:]); {
-	case err == flag.ErrHelp:
-		flag.CommandLine.SetOutput(os.Stderr)
-		flag.Usage()
-		os.Exit(0)
-	case err != nil:
-		fail("%v", err)
-	case flag.NArg() > 0:
-		fail("unexpected argument %q", flag.Arg(0))
-	}
-	// NaN and ±Inf parse as floats, but no float flag means anything
-	// with them: refuse them before they become costs or event times.
-	flag.Visit(func(f *flag.Flag) {
-		if x, ok := f.Value.(flag.Getter).Get().(float64); ok && (math.IsNaN(x) || math.IsInf(x, 0)) {
-			fail("invalid value %q for flag -%s: not a finite number", f.Value, f.Name)
-		}
-	})
 }

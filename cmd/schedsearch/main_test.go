@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -90,9 +91,11 @@ func TestSearchCLIDeterministicAcrossParallel(t *testing.T) {
 }
 
 // TestSearchCLIJSONReport: the JSON form round-trips into the facade's
-// SearchReport with the full grid and a winner drawn from it.
+// SearchReport with the full grid and a winner drawn from it. An
+// infinite penalty, which the default axes always hold, decodes back as
+// +Inf: the pinned corner, not the FCFS corner's 0.
 func TestSearchCLIJSONReport(t *testing.T) {
-	stdout, stderr, code := run(t, quickArgs("-json")...)
+	stdout, stderr, code := run(t, quickArgs("-penalties", "0,inf", "-json")...)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
@@ -106,10 +109,19 @@ func TestSearchCLIJSONReport(t *testing.T) {
 	if rep.Evaluated < len(rep.Grid) {
 		t.Errorf("Evaluated %d < grid size %d", rep.Evaluated, len(rep.Grid))
 	}
+	pinned := 0
 	for _, c := range rep.Grid {
 		if c.Fitness < rep.Best.Fitness {
 			t.Errorf("grid point %+v fitter than the reported winner", c.Steal)
 		}
+		if math.IsInf(c.Steal.Penalty, 1) {
+			pinned++
+		} else if c.Steal.Penalty != 0 {
+			t.Errorf("grid point %+v has a penalty outside the searched axis 0,inf", c.Steal)
+		}
+	}
+	if pinned != 4 {
+		t.Errorf("%d grid points decoded with Penalty +Inf, want 4 (the inf penalty × 2 depths × 2 biases)", pinned)
 	}
 }
 

@@ -187,22 +187,12 @@ type Stats struct {
 	Hits, Misses uint64
 }
 
-// MissRatio returns Misses / (Hits + Misses), or 0 with no accesses.
-func (s Stats) MissRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(total)
-}
-
 // Hierarchy is a split-L1 + unified-L2 cache hierarchy for one processor.
 type Hierarchy struct {
 	l1i, l1d *level
 	l2       *level
 	timing   Timing
 	cycles   float64
-	accesses uint64
 	clockMHz float64
 }
 
@@ -222,7 +212,6 @@ func New(p core.Platform, t Timing) *Hierarchy {
 // both L1 caches (conservatively — line sizes differ, so the whole L2
 // line's address range is invalidated at L1 granularity).
 func (h *Hierarchy) Access(addr uint64, kind AccessKind) Outcome {
-	h.accesses++
 	l1 := h.l1d
 	if kind == Instr {
 		l1 = h.l1i
@@ -253,12 +242,12 @@ func (h *Hierarchy) Access(addr uint64, kind AccessKind) Outcome {
 // Touch warms addr into the hierarchy without charging cycles or counting
 // toward statistics — used to set up controlled warm-cache conditions.
 func (h *Hierarchy) Touch(addr uint64, kind AccessKind) {
-	savedCycles, savedAccesses := h.cycles, h.accesses
+	savedCycles := h.cycles
 	i1h, i1m := h.l1i.hits, h.l1i.misses
 	d1h, d1m := h.l1d.hits, h.l1d.misses
 	l2h, l2m := h.l2.hits, h.l2.misses
 	h.Access(addr, kind)
-	h.cycles, h.accesses = savedCycles, savedAccesses
+	h.cycles = savedCycles
 	h.l1i.hits, h.l1i.misses = i1h, i1m
 	h.l1d.hits, h.l1d.misses = d1h, d1m
 	h.l2.hits, h.l2.misses = l2h, l2m
@@ -279,21 +268,15 @@ func (h *Hierarchy) FlushAll() {
 
 // ResetStats clears cycle and hit/miss counters, keeping cache contents.
 func (h *Hierarchy) ResetStats() {
-	h.cycles, h.accesses = 0, 0
+	h.cycles = 0
 	h.l1i.hits, h.l1i.misses = 0, 0
 	h.l1d.hits, h.l1d.misses = 0, 0
 	h.l2.hits, h.l2.misses = 0, 0
 }
 
-// Cycles returns the accumulated cycle cost since the last ResetStats.
-func (h *Hierarchy) Cycles() float64 { return h.cycles }
-
 // Micros converts the accumulated cycles to microseconds at the platform
 // clock rate.
 func (h *Hierarchy) Micros() float64 { return h.cycles / h.clockMHz }
-
-// Accesses returns the number of charged references.
-func (h *Hierarchy) Accesses() uint64 { return h.accesses }
 
 // L1IStats, L1DStats and L2Stats return per-level counters.
 func (h *Hierarchy) L1IStats() Stats { return Stats{h.l1i.hits, h.l1i.misses} }

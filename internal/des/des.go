@@ -38,7 +38,6 @@ type Time float64
 
 // Common durations.
 const (
-	Microsecond Time = 1
 	Millisecond Time = 1e3
 	Second      Time = 1e6
 )
@@ -150,11 +149,12 @@ func (s *Simulator) ScheduleArgAt(at Time, fn ArgHandler, arg any) {
 	s.seq++
 }
 
-// Stop makes Run return after the currently executing handler.
+// Stop makes RunUntil return, and Step fire nothing, after the currently
+// executing handler.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Step fires the next event, advancing the clock, and reports whether an
-// event was available. A handler must not call Step, RunUntil or Run.
+// event was available. A handler must not call Step or RunUntil.
 func (s *Simulator) Step() bool {
 	if s.stopped {
 		return false
@@ -204,12 +204,5 @@ func (s *Simulator) RunUntil(horizon Time) {
 	}
 	if !s.stopped && s.now < horizon {
 		s.now = horizon
-	}
-}
-
-// Run fires events until none remain or Stop is called.
-func (s *Simulator) Run() {
-	s.stopped = false
-	for s.Step() {
 	}
 }

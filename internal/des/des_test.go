@@ -15,6 +15,13 @@ func after(s *Simulator, delay Time, fn func()) {
 
 func runFunc(arg any) { arg.(func())() }
 
+// Run fires events until none remain or Stop is called.
+func (s *Simulator) Run() {
+	s.stopped = false
+	for s.Step() {
+	}
+}
+
 func TestClockStartsAtZero(t *testing.T) {
 	s := NewSimulator()
 	if s.Now() != 0 {

@@ -151,12 +151,12 @@ func TestLiveObsAgreesWithDES(t *testing.T) {
 	var desCount, liveCount kindCounter
 	pd := params()
 	pd.Recorder = &desCount
-	pd.DecisionRecorder = obs.NewFlightRecorder(0, 0)
+	pd.DecisionRecorder = obs.NewLedgerRecorder()
 	desRes := sim.Run(pd)
 
 	pl := params()
 	pl.Recorder = &liveCount
-	pl.DecisionRecorder = obs.NewFlightRecorder(0, 0)
+	pl.DecisionRecorder = obs.NewLedgerRecorder()
 	liveRes := Run(pl)
 
 	for _, k := range []obs.Kind{obs.KindArrival, obs.KindDrop, obs.KindProcDown, obs.KindProcUp} {

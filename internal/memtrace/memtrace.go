@@ -227,15 +227,3 @@ func (w *Workload) Displace(h *cachesim.Hierarchy, n int) {
 		h.Access(r.Addr, r.Kind)
 	}
 }
-
-// UniqueLines replays n references from a fresh generator and counts
-// distinct lines of the given size — the empirical u(R, L), used to
-// validate the generator against the analytic power law.
-func UniqueLines(seed int64, n int, lineBytes int) int {
-	w := NewWorkload(des.NewRNG(seed))
-	seen := make(map[uint64]bool, n/4)
-	for i := 0; i < n; i++ {
-		seen[w.Next().Addr/uint64(lineBytes)] = true
-	}
-	return len(seen)
-}

@@ -186,6 +186,18 @@ func TestWorkloadThetaValidation(t *testing.T) {
 // The fractal walk must reproduce the SST power law: u(R) ∝ R^b with
 // b ≈ 0.83. Fit the empirical exponent over two decades and check the
 // band. (This is the property the analytic F1/F2 curves rest on.)
+// UniqueLines replays n references from a fresh generator and counts
+// distinct lines of the given size — the empirical u(R, L), used to
+// validate the generator against the analytic power law.
+func UniqueLines(seed int64, n int, lineBytes int) int {
+	w := NewWorkload(des.NewRNG(seed))
+	seen := make(map[uint64]bool, n/4)
+	for i := 0; i < n; i++ {
+		seen[w.Next().Addr/uint64(lineBytes)] = true
+	}
+	return len(seen)
+}
+
 func TestWorkloadUniqueLinesPowerLaw(t *testing.T) {
 	if testing.Short() {
 		t.Skip("power-law fit needs large R")
@@ -224,8 +236,9 @@ func TestDisplaceIssuesAccesses(t *testing.T) {
 	h := cachesim.New(platform(), cachesim.DefaultTiming())
 	w := NewWorkload(des.NewRNG(5))
 	w.Displace(h, 500)
-	if h.Accesses() != 500 {
-		t.Fatalf("Accesses = %d, want 500", h.Accesses())
+	i, d := h.L1IStats(), h.L1DStats()
+	if n := i.Hits + i.Misses + d.Hits + d.Misses; n != 500 {
+		t.Fatalf("accesses = %d, want 500", n)
 	}
 }
 

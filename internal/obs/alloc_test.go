@@ -108,9 +108,6 @@ func testDecisionSinkZeroAllocs(t *testing.T, name string, sink DecisionRecorder
 }
 
 func TestDecisionSinksSteadyStateZeroAllocs(t *testing.T) {
-	t.Run("flight", func(t *testing.T) {
-		testDecisionSinkZeroAllocs(t, "FlightRecorder", NewFlightRecorder(64, 4))
-	})
 	t.Run("csv", func(t *testing.T) {
 		testDecisionSinkZeroAllocs(t, "DecisionCSV", NewDecisionCSV(io.Discard))
 	})

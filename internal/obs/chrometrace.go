@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,11 +30,8 @@ import (
 // per event, which dominated traced-run profiles. Only the one-time
 // naming metadata still goes through encoding/json.
 type ChromeTrace struct {
-	w       *bufio.Writer
-	buf     []byte // per-record scratch, reused
-	err     error
+	writer
 	started bool
-	closed  bool
 	procs   map[int]bool   // tids announced on pid 1
 	streams map[int]string // tids announced on pid 2 → cached "stream N" name
 }
@@ -48,8 +44,7 @@ const (
 // NewChromeTrace returns a sink writing the JSON array to w.
 func NewChromeTrace(w io.Writer) *ChromeTrace {
 	return &ChromeTrace{
-		w:       bufio.NewWriter(w),
-		buf:     make([]byte, 0, 256),
+		writer:  newWriter(w, 256),
 		procs:   map[int]bool{},
 		streams: map[int]string{},
 	}
@@ -57,9 +52,9 @@ func NewChromeTrace(w io.Writer) *ChromeTrace {
 
 // begin starts one record in the scratch buffer, handling array
 // punctuation, and returns the buffer to append to. Callers finish with
-// emit.
+// write.
 func (c *ChromeTrace) begin() []byte {
-	b := c.buf[:0]
+	b := c.row[:0]
 	if !c.started {
 		b = append(b, "[\n"...)
 		c.started = true
@@ -69,16 +64,10 @@ func (c *ChromeTrace) begin() []byte {
 	return b
 }
 
-// emit writes the completed record.
-func (c *ChromeTrace) emit(b []byte) {
-	c.buf = b
-	_, c.err = c.w.Write(b)
-}
-
 // raw writes one trace-event object built by encoding/json — used only
 // for the rare metadata records.
 func (c *ChromeTrace) raw(v map[string]any) {
-	if c.err != nil || c.closed {
+	if !c.ok() {
 		return
 	}
 	data, err := json.Marshal(v)
@@ -86,7 +75,7 @@ func (c *ChromeTrace) raw(v map[string]any) {
 		c.err = err
 		return
 	}
-	c.emit(append(c.begin(), data...))
+	c.write(append(c.begin(), data...))
 }
 
 // meta emits a metadata record (process/thread naming).
@@ -161,7 +150,7 @@ func (c *ChromeTrace) appendSpan(b []byte, ph byte, seq uint64, stream int, t fl
 
 // counter emits a counter sample on the processors process.
 func (c *ChromeTrace) counter(name string, t, v float64) {
-	if c.err != nil || c.closed {
+	if !c.ok() {
 		return
 	}
 	b := c.begin()
@@ -172,14 +161,14 @@ func (c *ChromeTrace) counter(name string, t, v float64) {
 	b = append(b, `,"args":{"value":`...)
 	b = appendFloat(b, v)
 	b = append(b, `}}`...)
-	c.emit(b)
+	c.write(b)
 }
 
 // instant emits an instant marker on a processor track with one integer
 // argument.
 func (c *ChromeTrace) instant(name string, t float64, proc int, argName string, argVal int) {
 	c.announceProc(proc)
-	if c.err != nil || c.closed {
+	if !c.ok() {
 		return
 	}
 	b := c.begin()
@@ -194,7 +183,7 @@ func (c *ChromeTrace) instant(name string, t float64, proc int, argName string, 
 	b = append(b, ':')
 	b = strconv.AppendInt(b, int64(argVal), 10)
 	b = append(b, `}}`...)
-	c.emit(b)
+	c.write(b)
 }
 
 // Record implements Recorder.
@@ -202,14 +191,14 @@ func (c *ChromeTrace) Record(e Event) {
 	switch e.Kind {
 	case KindArrival:
 		c.announceStream(e.Stream)
-		if c.err != nil || c.closed {
+		if !c.ok() {
 			return
 		}
-		c.emit(c.appendSpan(c.begin(), 'b', e.Seq, e.Stream, e.T))
+		c.write(c.appendSpan(c.begin(), 'b', e.Seq, e.Stream, e.T))
 	case KindExecStart:
 		c.announceProc(e.Proc)
 		name := c.announceStream(e.Stream)
-		if c.err != nil || c.closed {
+		if !c.ok() {
 			return
 		}
 		b := c.begin()
@@ -230,10 +219,10 @@ func (c *ChromeTrace) Record(e Event) {
 		b = append(b, `,"flags":`...)
 		b = appendString(b, e.Flags.String())
 		b = append(b, `}}`...)
-		c.emit(b)
+		c.write(b)
 	case KindExecEnd:
 		c.announceProc(e.Proc)
-		if c.err != nil || c.closed {
+		if !c.ok() {
 			return
 		}
 		b := c.begin()
@@ -242,13 +231,13 @@ func (c *ChromeTrace) Record(e Event) {
 		b = append(b, `,"ts":`...)
 		b = appendFloat(b, e.T)
 		b = append(b, '}')
-		c.emit(b)
+		c.write(b)
 		if e.Stream >= 0 {
 			c.announceStream(e.Stream)
-			if c.err != nil || c.closed {
+			if !c.ok() {
 				return
 			}
-			c.emit(c.appendSpan(c.begin(), 'e', e.Seq, e.Stream, e.T))
+			c.write(c.appendSpan(c.begin(), 'e', e.Seq, e.Stream, e.T))
 		}
 	case KindMigration:
 		c.instant("migration", e.T, e.Proc, "entity", e.Entity)
@@ -286,25 +275,15 @@ func (c *ChromeTrace) Record(e Event) {
 	// packet's async span, busy/idle as the presence of exec slices.
 }
 
-// Err returns the first write or encoding error, if any.
-func (c *ChromeTrace) Err() error { return c.err }
-
 // Close terminates the JSON array and flushes. Events recorded after
 // Close are dropped.
 func (c *ChromeTrace) Close() error {
-	if c.closed {
-		return c.err
+	if c.ok() {
+		if !c.started {
+			c.started = true
+			c.write(append(c.row[:0], '['))
+		}
+		c.write(append(c.row[:0], "\n]\n"...))
 	}
-	if c.err == nil && !c.started {
-		_, c.err = c.w.WriteString("[")
-		c.started = true
-	}
-	if c.err == nil {
-		_, c.err = c.w.WriteString("\n]\n")
-	}
-	c.closed = true
-	if err := c.w.Flush(); c.err == nil {
-		c.err = err
-	}
-	return c.err
+	return c.writer.Close()
 }

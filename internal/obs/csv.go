@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"strconv"
 )
@@ -21,25 +20,19 @@ import (
 // number formatting of the generic writer dominated the recorder's
 // allocation profile. Record performs no steady-state allocation.
 type CSV struct {
-	w      *bufio.Writer
-	row    []byte
-	err    error
-	closed bool
+	writer
 }
 
 // NewCSV returns a sink writing rows (header included) to w.
 func NewCSV(w io.Writer) *CSV {
-	c := &CSV{
-		w:   bufio.NewWriter(w),
-		row: make([]byte, 0, 128),
-	}
-	_, c.err = c.w.WriteString("t_us,kind,proc,stream,entity,seq,dur_us,value,flags,reason\n")
+	c := &CSV{newWriter(w, 128)}
+	c.write(append(c.row, "t_us,kind,proc,stream,entity,seq,dur_us,value,flags,reason\n"...))
 	return c
 }
 
 // Record implements Recorder.
 func (c *CSV) Record(e Event) {
-	if c.err != nil || c.closed {
+	if !c.ok() {
 		return
 	}
 	b := c.row[:0]
@@ -69,21 +62,5 @@ func (c *CSV) Record(e Event) {
 		b = append(b, DropReasonString(e.Val)...)
 	}
 	b = append(b, '\n')
-	c.row = b
-	_, c.err = c.w.Write(b)
-}
-
-// Err returns the first write error, if any.
-func (c *CSV) Err() error { return c.err }
-
-// Close flushes buffered rows. Events recorded after Close are dropped.
-func (c *CSV) Close() error {
-	if c.closed {
-		return c.err
-	}
-	c.closed = true
-	if err := c.w.Flush(); c.err == nil {
-		c.err = err
-	}
-	return c.err
+	c.write(b)
 }

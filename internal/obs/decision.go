@@ -82,8 +82,8 @@ type Decision struct {
 	BestCost   float64 // cheapest candidate's predicted cost, µs
 	// Candidates is the considered set. It aliases the emitter's scratch
 	// buffer and is valid only for the duration of the RecordDecision
-	// call: recorders that retain decisions must copy it (FlightRecorder
-	// copies into its preallocated arena).
+	// call: recorders that retain decisions must copy it (LedgerRecorder
+	// copies into its own arena).
 	Candidates []Candidate
 }
 
@@ -124,83 +124,4 @@ func DecisionMulti(recs ...DecisionRecorder) DecisionRecorder {
 		return t[0]
 	}
 	return t
-}
-
-// FlightRecorder keeps the last capacity decisions in a fixed-size ring
-// buffer — a crash-dump-style recorder cheap enough to leave attached to
-// any run. All storage (the ring and a per-slot candidate arena) is
-// allocated up front, so RecordDecision never allocates; candidate sets
-// larger than the per-slot arena are truncated and counted.
-type FlightRecorder struct {
-	slots     []Decision
-	arena     []Candidate // slot i owns arena[i*maxCands : (i+1)*maxCands]
-	maxCands  int
-	n         uint64 // total decisions recorded (ring has min(n, cap))
-	truncated uint64
-}
-
-// NewFlightRecorder returns a ring holding the last capacity decisions
-// with up to maxCands candidates each (non-positive arguments select 256
-// and 8).
-func NewFlightRecorder(capacity, maxCands int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	if maxCands <= 0 {
-		maxCands = 8
-	}
-	return &FlightRecorder{
-		slots:    make([]Decision, capacity),
-		arena:    make([]Candidate, capacity*maxCands),
-		maxCands: maxCands,
-	}
-}
-
-// RecordDecision implements DecisionRecorder, copying the candidate set
-// into the slot's arena (truncating past maxCands).
-func (f *FlightRecorder) RecordDecision(d Decision) {
-	i := int(f.n % uint64(len(f.slots)))
-	f.n++
-	cands := d.Candidates
-	if len(cands) > f.maxCands {
-		cands = cands[:f.maxCands]
-		f.truncated++
-	}
-	dst := f.arena[i*f.maxCands : i*f.maxCands+len(cands)]
-	copy(dst, cands)
-	d.Candidates = dst
-	f.slots[i] = d
-}
-
-// Len returns how many decisions the ring currently holds.
-func (f *FlightRecorder) Len() int {
-	if f.n < uint64(len(f.slots)) {
-		return int(f.n)
-	}
-	return len(f.slots)
-}
-
-// Total returns how many decisions were recorded over the recorder's
-// lifetime (recorded − Len() have been overwritten).
-func (f *FlightRecorder) Total() uint64 { return f.n }
-
-// Truncated returns how many decisions had their candidate set cut to
-// the per-slot arena size.
-func (f *FlightRecorder) Truncated() uint64 { return f.truncated }
-
-// Snapshot returns the retained decisions oldest-first, with candidate
-// sets copied out of the arena (safe to hold across further recording).
-func (f *FlightRecorder) Snapshot() []Decision {
-	n := f.Len()
-	out := make([]Decision, 0, n)
-	start := uint64(0)
-	if f.n > uint64(len(f.slots)) {
-		start = f.n - uint64(len(f.slots))
-	}
-	for s := start; s < f.n; s++ {
-		d := f.slots[int(s%uint64(len(f.slots)))]
-		d.Candidates = append([]Candidate(nil), d.Candidates...)
-		out = append(out, d)
-	}
-	return out
 }

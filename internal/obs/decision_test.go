@@ -45,59 +45,17 @@ func TestDecisionPointStrings(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderRingSemantics(t *testing.T) {
-	f := NewFlightRecorder(4, 2)
-	for seq := uint64(1); seq <= 6; seq++ {
-		f.RecordDecision(mkDecision(seq, 0, 1, -1, 300, 250, 400))
-	}
-	if f.Total() != 6 || f.Len() != 4 {
-		t.Fatalf("total=%d len=%d, want 6/4", f.Total(), f.Len())
-	}
-	// Every decision had 3 candidates against a 2-slot arena.
-	if f.Truncated() != 6 {
-		t.Fatalf("truncated=%d, want 6", f.Truncated())
-	}
-	snap := f.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot len=%d", len(snap))
-	}
-	// Oldest-first: seqs 3..6 survive.
-	for i, d := range snap {
-		if d.Seq != uint64(3+i) {
-			t.Fatalf("snapshot[%d].Seq=%d, want %d", i, d.Seq, 3+i)
-		}
-		if len(d.Candidates) != 2 {
-			t.Fatalf("snapshot[%d] candidates=%d, want 2 (truncated)", i, len(d.Candidates))
-		}
-	}
-	// Snapshot candidates must be copies: recording more must not change them.
-	before := snap[0].Candidates[0]
-	for seq := uint64(7); seq <= 20; seq++ {
-		f.RecordDecision(mkDecision(seq, 0, 0, -1, 111, 222))
-	}
-	if snap[0].Candidates[0] != before {
-		t.Fatal("snapshot aliases the ring arena")
-	}
-}
-
-func TestFlightRecorderDefaults(t *testing.T) {
-	f := NewFlightRecorder(0, 0)
-	if len(f.slots) != 256 || f.maxCands != 8 {
-		t.Fatalf("defaults = %d/%d, want 256/8", len(f.slots), f.maxCands)
-	}
-}
-
 func TestDecisionMulti(t *testing.T) {
 	if DecisionMulti() != nil || DecisionMulti(nil, nil) != nil {
 		t.Fatal("DecisionMulti of nothing must be nil")
 	}
-	a, b := NewFlightRecorder(8, 2), NewFlightRecorder(8, 2)
+	a, b := NewLedgerRecorder(), NewLedgerRecorder()
 	if DecisionMulti(nil, a) != DecisionRecorder(a) {
 		t.Fatal("DecisionMulti of one must be that recorder")
 	}
 	tee := DecisionMulti(a, nil, b)
 	tee.RecordDecision(mkDecision(1, 0, 0, -1, 100))
-	if a.Total() != 1 || b.Total() != 1 {
+	if a.Len() != 1 || b.Len() != 1 {
 		t.Fatal("tee did not fan out")
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"strconv"
 )
@@ -16,10 +15,7 @@ import (
 // reused scratch buffer like the event CSV sink; Record performs no
 // steady-state allocation. Close flushes.
 type DecisionCSV struct {
-	w      *bufio.Writer
-	row    []byte
-	err    error
-	closed bool
+	writer
 }
 
 const decisionCSVHeader = "t_us,point,seq,stream,entity,chosen,preferred," +
@@ -28,11 +24,8 @@ const decisionCSVHeader = "t_us,point,seq,stream,entity,chosen,preferred," +
 // NewDecisionCSV returns a ledger sink writing rows (header included)
 // to w.
 func NewDecisionCSV(w io.Writer) *DecisionCSV {
-	c := &DecisionCSV{
-		w:   bufio.NewWriter(w),
-		row: make([]byte, 0, 256),
-	}
-	_, c.err = c.w.WriteString(decisionCSVHeader)
+	c := &DecisionCSV{newWriter(w, 256)}
+	c.write(append(c.row, decisionCSVHeader...))
 	return c
 }
 
@@ -55,7 +48,7 @@ func appendCandidates(b []byte, cands []Candidate) []byte {
 
 // RecordDecision implements DecisionRecorder.
 func (c *DecisionCSV) RecordDecision(d Decision) {
-	if c.err != nil || c.closed {
+	if !c.ok() {
 		return
 	}
 	b := c.row[:0]
@@ -83,24 +76,7 @@ func (c *DecisionCSV) RecordDecision(d Decision) {
 	b = append(b, ',')
 	b = appendCandidates(b, d.Candidates)
 	b = append(b, '\n')
-	c.row = b
-	_, c.err = c.w.Write(b)
-}
-
-// Err returns the first write error, if any.
-func (c *DecisionCSV) Err() error { return c.err }
-
-// Close flushes buffered rows. Decisions recorded after Close are
-// dropped.
-func (c *DecisionCSV) Close() error {
-	if c.closed {
-		return c.err
-	}
-	c.closed = true
-	if err := c.w.Flush(); c.err == nil {
-		c.err = err
-	}
-	return c.err
+	c.write(b)
 }
 
 // DecisionJSONL streams every decision as one JSON object per line
@@ -114,23 +90,17 @@ func (c *DecisionCSV) Close() error {
 // number, bool or enum name — nothing needs escaping), so Record
 // performs no steady-state allocation. Close flushes.
 type DecisionJSONL struct {
-	w      *bufio.Writer
-	row    []byte
-	err    error
-	closed bool
+	writer
 }
 
 // NewDecisionJSONL returns a JSON-lines ledger sink writing to w.
 func NewDecisionJSONL(w io.Writer) *DecisionJSONL {
-	return &DecisionJSONL{
-		w:   bufio.NewWriter(w),
-		row: make([]byte, 0, 512),
-	}
+	return &DecisionJSONL{newWriter(w, 512)}
 }
 
 // RecordDecision implements DecisionRecorder.
 func (c *DecisionJSONL) RecordDecision(d Decision) {
-	if c.err != nil || c.closed {
+	if !c.ok() {
 		return
 	}
 	b := c.row[:0]
@@ -168,22 +138,5 @@ func (c *DecisionJSONL) RecordDecision(d Decision) {
 		b = append(b, '}')
 	}
 	b = append(b, "]}\n"...)
-	c.row = b
-	_, c.err = c.w.Write(b)
-}
-
-// Err returns the first write error, if any.
-func (c *DecisionJSONL) Err() error { return c.err }
-
-// Close flushes buffered lines. Decisions recorded after Close are
-// dropped.
-func (c *DecisionJSONL) Close() error {
-	if c.closed {
-		return c.err
-	}
-	c.closed = true
-	if err := c.w.Flush(); c.err == nil {
-		c.err = err
-	}
-	return c.err
+	c.write(b)
 }

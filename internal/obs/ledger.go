@@ -1,12 +1,12 @@
 package obs
 
 // LedgerRecorder retains every decision of a run, in order, with its
-// full candidate set — the unbounded companion to FlightRecorder's ring.
-// It exists for counterfactual replay (internal/policysearch): replaying
-// a ledger needs every decision from the start of the run, numbered
-// exactly as they were recorded, not just the last few. Candidate sets
-// are copied out of the emitter's scratch buffer into a growing arena,
-// so retained decisions stay valid across further recording.
+// full candidate set. It exists for counterfactual replay
+// (internal/policysearch): replaying a ledger needs every decision from
+// the start of the run, numbered exactly as they were recorded.
+// Candidate sets are copied out of the emitter's scratch buffer into a
+// growing arena, so retained decisions stay valid across further
+// recording.
 type LedgerRecorder struct {
 	decisions []Decision
 	arena     []Candidate

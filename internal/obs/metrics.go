@@ -55,17 +55,6 @@ func (m *Metrics) Record(e Event) {
 	}
 }
 
-// Events returns the number of events recorded.
-func (m *Metrics) Events() uint64 { return m.events }
-
-// Count returns the number of events of one kind.
-func (m *Metrics) Count(k Kind) uint64 {
-	if int(k) >= len(m.counts) {
-		return 0
-	}
-	return m.counts[k]
-}
-
 // Summary condenses one Accumulator for a snapshot.
 type Summary struct {
 	N                      uint64

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"strconv"
 )
@@ -24,10 +23,7 @@ import (
 // steady-state recording does not allocate once every stream has been
 // seen. Close emits the final partial interval and flushes.
 type TimeSeries struct {
-	w        *bufio.Writer
-	row      []byte
-	err      error
-	closed   bool
+	writer
 	interval float64
 
 	t0      float64 // current interval start
@@ -62,8 +58,7 @@ func NewTimeSeries(w io.Writer, intervalUs float64, procs int) *TimeSeries {
 		procs = 0
 	}
 	t := &TimeSeries{
-		w:         bufio.NewWriter(w),
-		row:       make([]byte, 0, 256),
+		writer:    newWriter(w, 256),
 		interval:  intervalUs,
 		busy:      make([]bool, procs),
 		busySince: make([]float64, procs),
@@ -76,8 +71,7 @@ func NewTimeSeries(w io.Writer, intervalUs float64, procs int) *TimeSeries {
 		b = append(b, "_busy"...)
 	}
 	b = append(b, '\n')
-	t.row = b
-	_, t.err = t.w.Write(b)
+	t.write(b)
 	return t
 }
 
@@ -139,10 +133,7 @@ func (t *TimeSeries) emit(end float64) {
 		b = strconv.AppendFloat(b, t.busyAccum[p], 'g', -1, 64)
 	}
 	b = append(b, '\n')
-	t.row = b
-	if t.err == nil {
-		_, t.err = t.w.Write(b)
-	}
+	t.write(b)
 
 	t.arrivals, t.dispatches, t.completions, t.drops = 0, 0, 0, 0
 	t.reordered, t.execStarts, t.warmStarts = 0, 0, 0
@@ -223,21 +214,11 @@ func (t *TimeSeries) Record(e Event) {
 	}
 }
 
-// Err returns the first write error, if any.
-func (t *TimeSeries) Err() error { return t.err }
-
 // Close emits the final partial interval (if it saw any time) and
 // flushes. Events recorded after Close are dropped.
 func (t *TimeSeries) Close() error {
-	if t.closed {
-		return t.err
-	}
-	t.closed = true
-	if t.started && t.lastT > t.t0 {
+	if !t.closed && t.started && t.lastT > t.t0 {
 		t.emit(t.lastT)
 	}
-	if err := t.w.Flush(); t.err == nil {
-		t.err = err
-	}
-	return t.err
+	return t.writer.Close()
 }

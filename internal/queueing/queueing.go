@@ -9,10 +9,7 @@
 // rates are in events per unit time.
 package queueing
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // rho returns the utilization λ·s and panics outside [0, 1): these
 // formulas have no steady state at or above saturation, and a caller
@@ -28,30 +25,12 @@ func rho(lambda, s float64) float64 {
 	return r
 }
 
-// MM1Wait returns the mean queueing delay (time waiting, excluding
-// service) of an M/M/1 queue with arrival rate lambda and mean service
-// time s: Wq = ρ·s / (1 − ρ).
-func MM1Wait(lambda, s float64) float64 {
-	r := rho(lambda, s)
-	return r * s / (1 - r)
-}
-
 // MD1Wait returns the mean queueing delay of an M/D/1 queue:
 // Wq = ρ·s / (2(1 − ρ)) — half the M/M/1 wait, deterministic service
 // having zero variance.
 func MD1Wait(lambda, s float64) float64 {
 	r := rho(lambda, s)
 	return r * s / (2 * (1 - r))
-}
-
-// MG1Wait returns the Pollaczek–Khinchine mean queueing delay of an
-// M/G/1 queue with squared coefficient of variation scv of the service
-// distribution: Wq = (1 + scv)/2 · ρ·s/(1 − ρ).
-func MG1Wait(lambda, s, scv float64) float64 {
-	if scv < 0 {
-		panic(fmt.Sprintf("queueing: negative squared CV %v", scv))
-	}
-	return (1 + scv) / 2 * MM1Wait(lambda, s)
 }
 
 // ErlangC returns the probability an arrival must wait in an M/M/c queue
@@ -97,16 +76,6 @@ func MDcWaitApprox(c int, lambda, s float64) float64 {
 	return MMcWait(c, lambda, s) / 2
 }
 
-// GGcWaitApprox returns the Allen–Cunneen approximation for a G/G/c
-// queue with arrival and service squared coefficients of variation ca2
-// and cs2.
-func GGcWaitApprox(c int, lambda, s, ca2, cs2 float64) float64 {
-	if ca2 < 0 || cs2 < 0 {
-		panic("queueing: negative squared CV")
-	}
-	return (ca2 + cs2) / 2 * MMcWait(c, lambda, s)
-}
-
 // BatchGeoMD1Wait returns the mean queueing delay of an M[X]/D/1 queue
 // whose batch sizes are geometric with the given mean (≥ 1): the wait of
 // the batch's first packet is the M/D/1 wait at the packet rate scaled by
@@ -130,13 +99,4 @@ func BatchGeoMD1Wait(lambda, s, meanBatch float64) float64 {
 	batchQueue := lambdaBatch * eb2 * s * s / (2 * (1 - r))
 	withinBatch := float64(s * (eb2/m - 1) / 2)
 	return batchQueue + withinBatch
-}
-
-// ApproxEqual reports whether got is within tol (relative) of want,
-// a helper for validation tables.
-func ApproxEqual(got, want, tol float64) bool {
-	if want == 0 {
-		return math.Abs(got) <= tol
-	}
-	return math.Abs(got-want)/math.Abs(want) <= tol
 }

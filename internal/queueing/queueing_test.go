@@ -1,12 +1,53 @@
 package queueing
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
 func close(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// The general formulas below are the references the specializations in
+// queueing.go are checked against.
+
+// MM1Wait returns the mean queueing delay (time waiting, excluding
+// service) of an M/M/1 queue with arrival rate lambda and mean service
+// time s: Wq = ρ·s / (1 − ρ).
+func MM1Wait(lambda, s float64) float64 {
+	r := rho(lambda, s)
+	return r * s / (1 - r)
+}
+
+// MG1Wait returns the Pollaczek–Khinchine mean queueing delay of an
+// M/G/1 queue with squared coefficient of variation scv of the service
+// distribution: Wq = (1 + scv)/2 · ρ·s/(1 − ρ).
+func MG1Wait(lambda, s, scv float64) float64 {
+	if scv < 0 {
+		panic(fmt.Sprintf("queueing: negative squared CV %v", scv))
+	}
+	return (1 + scv) / 2 * MM1Wait(lambda, s)
+}
+
+// GGcWaitApprox returns the Allen–Cunneen approximation for a G/G/c
+// queue with arrival and service squared coefficients of variation ca2
+// and cs2.
+func GGcWaitApprox(c int, lambda, s, ca2, cs2 float64) float64 {
+	if ca2 < 0 || cs2 < 0 {
+		panic("queueing: negative squared CV")
+	}
+	return (ca2 + cs2) / 2 * MMcWait(c, lambda, s)
+}
+
+// ApproxEqual reports whether got is within tol (relative) of want,
+// a helper for validation tables.
+func ApproxEqual(got, want, tol float64) bool {
+	if want == 0 {
+		return math.Abs(got) <= tol
+	}
+	return math.Abs(got-want)/math.Abs(want) <= tol
+}
 
 func TestMM1KnownValue(t *testing.T) {
 	// ρ = 0.5 ⇒ Wq = s.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"encoding/json"
 	"math"
 
 	"affinity/internal/des"
@@ -50,6 +51,38 @@ type StealParams struct {
 // Pinned reports whether the parameters select the statically pinned
 // corner, the Wired-Streams dispatcher.
 func (s StealParams) Pinned() bool { return math.IsInf(s.Penalty, 1) }
+
+// MarshalJSON writes an infinite Penalty as "inf", the spelling the
+// -policy and -penalties flags accept: JSON has no number for +Inf, and
+// null would decode as 0, the FCFS corner's penalty. A finite Penalty
+// is a JSON number, as encoding/json writes it.
+func (s StealParams) MarshalJSON() ([]byte, error) {
+	type plain StealParams
+	if !s.Pinned() {
+		return json.Marshal(plain(s))
+	}
+	return json.Marshal(struct {
+		Penalty string
+		plain
+	}{"inf", plain(s)})
+}
+
+// UnmarshalJSON reads what MarshalJSON writes.
+func (s *StealParams) UnmarshalJSON(data []byte) error {
+	type plain StealParams
+	v := struct {
+		Penalty json.RawMessage
+		*plain
+	}{plain: (*plain)(s)}
+	if err := json.Unmarshal(data, &v); err != nil || v.Penalty == nil {
+		return err
+	}
+	if string(v.Penalty) == `"inf"` {
+		s.Penalty = math.Inf(1)
+		return nil
+	}
+	return json.Unmarshal(v.Penalty, &s.Penalty)
+}
 
 // StealConfig is StealParams plus the runtime hookup: Now supplies the
 // current virtual time for the steal-penalty age test. Both backends

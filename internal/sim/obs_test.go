@@ -51,17 +51,17 @@ func TestDecisionRecorderDoesNotPerturb(t *testing.T) {
 		plain := Run(quick(paradigm, policy))
 
 		p := quick(paradigm, policy)
-		fr := obs.NewFlightRecorder(4096, 0)
-		p.DecisionRecorder = fr
+		ledger := obs.NewLedgerRecorder()
+		p.DecisionRecorder = ledger
 		rec := Run(p)
 
-		if rec.DecisionsRecorded == 0 || fr.Total() == 0 {
+		if rec.DecisionsRecorded == 0 || ledger.Len() == 0 {
 			t.Fatalf("%v: ledger saw no decisions (results %d, recorder %d)",
-				paradigm, rec.DecisionsRecorded, fr.Total())
+				paradigm, rec.DecisionsRecorded, ledger.Len())
 		}
-		if rec.DecisionsRecorded != fr.Total() {
+		if rec.DecisionsRecorded != uint64(ledger.Len()) {
 			t.Fatalf("%v: DecisionsRecorded %d != recorder's own count %d",
-				paradigm, rec.DecisionsRecorded, fr.Total())
+				paradigm, rec.DecisionsRecorded, ledger.Len())
 		}
 		rec.DecisionsRecorded, plain.DecisionsRecorded = 0, 0
 		if !reflect.DeepEqual(plain, rec) {

@@ -71,10 +71,7 @@ func TestObsGoldenFaultRun(t *testing.T) {
 	p.Recorder = obs.Multi(csv, chrome)
 	p.DecisionRecorder = dcsv
 	res := Run(p)
-	for _, c := range []interface {
-		Err() error
-		Close() error
-	}{csv, chrome, dcsv} {
+	for _, c := range []interface{ Close() error }{csv, chrome, dcsv} {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -181,7 +181,7 @@ var cacheKeyMutations = map[string]func(*Params){
 	"Faults":           func(p *Params) { p.Faults = (&faults.Plan{}).Down(des.Second, 0) },
 	"MaxQueueDepth":    func(p *Params) { p.MaxQueueDepth = 16 },
 	"Recorder":         func(p *Params) { p.Recorder = obs.NewMetrics() },
-	"DecisionRecorder": func(p *Params) { p.DecisionRecorder = obs.NewFlightRecorder(0, 0) },
+	"DecisionRecorder": func(p *Params) { p.DecisionRecorder = obs.NewLedgerRecorder() },
 	"DecisionOverride": func(p *Params) {
 		p.DecisionOverride = func(n uint64, pt obs.DecisionPoint, cands []int, chosen int) int { return chosen }
 	},

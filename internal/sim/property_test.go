@@ -263,10 +263,10 @@ func TestBacklogMemoryTracksQueue(t *testing.T) {
 }
 
 // TestRunnerDecisionPathZeroAllocs extends the steady-state pin to the
-// decision ledger: with a FlightRecorder attached, every decide call
-// (candidate costing, Decision emission, ring capture) must still run
-// without allocating — the candidate buffer is scratch and the ring's
-// arena is pre-sized.
+// decision ledger: with a recorder attached that copies every candidate
+// set, every decide call (candidate costing, Decision emission, the
+// copy) must still run without allocating — the candidate buffer is
+// scratch and the recorder's arena is fixed.
 func TestRunnerDecisionPathZeroAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -280,7 +280,7 @@ func TestRunnerDecisionPathZeroAllocs(t *testing.T) {
 			p := quick(c.paradigm, c.policy)
 			p.Arrival = traffic.Poisson{PacketsPerSec: 3000}
 			p.MeasuredPackets = 1 << 30 // never stop
-			p.DecisionRecorder = obs.NewFlightRecorder(0, 0)
+			p.DecisionRecorder = &lastDecision{}
 			p = p.WithDefaults()
 			if err := p.Validate(); err != nil {
 				t.Fatal(err)
@@ -305,4 +305,16 @@ func TestRunnerDecisionPathZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lastDecision keeps the latest decision, its candidate set copied into
+// a fixed arena as a recorder that retains decisions must copy it.
+type lastDecision struct {
+	d     obs.Decision
+	arena [16]obs.Candidate
+}
+
+func (l *lastDecision) RecordDecision(d obs.Decision) {
+	d.Candidates = l.arena[:copy(l.arena[:], d.Candidates)]
+	l.d = d
 }

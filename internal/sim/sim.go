@@ -491,20 +491,6 @@ type Results struct {
 	DelayFairness  float64
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // entityCount returns how many footprint entities the run has.
 func (p Params) entityCount() int {
 	if p.Paradigm == IPS || p.Paradigm == Hybrid {

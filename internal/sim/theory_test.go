@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"affinity/internal/core"
@@ -13,6 +14,12 @@ import (
 // The simulator must reproduce classical queueing results in the
 // configurations where it reduces to a known system: idle host (V = 0)
 // plus perfect affinity makes service deterministic at t_warm.
+
+// approxEqual reports whether got is within tol (relative) of a nonzero
+// want.
+func approxEqual(got, want, tol float64) bool {
+	return math.Abs(got-want)/math.Abs(want) <= tol
+}
 
 func TestSimMatchesMD1(t *testing.T) {
 	warm := core.PaperCalibration().TWarm
@@ -27,7 +34,7 @@ func TestSimMatchesMD1(t *testing.T) {
 			MeasuredPackets: 20000,
 		})
 		want := queueing.MD1Wait(lambda, warm)
-		if !queueing.ApproxEqual(res.MeanQueueing, want, 0.10) {
+		if !approxEqual(res.MeanQueueing, want, 0.10) {
 			t.Errorf("ρ=%.1f: sim Wq %.1f vs M/D/1 %.1f (>10%% off)", rho, res.MeanQueueing, want)
 		}
 	}
@@ -46,7 +53,7 @@ func TestSimMatchesBatchMD1(t *testing.T) {
 		MeasuredPackets: 30000,
 	})
 	want := queueing.BatchGeoMD1Wait(lambda, warm, 4)
-	if !queueing.ApproxEqual(res.MeanQueueing, want, 0.15) {
+	if !approxEqual(res.MeanQueueing, want, 0.15) {
 		t.Errorf("sim Wq %.1f vs M[X]/D/1 %.1f (>15%% off)", res.MeanQueueing, want)
 	}
 }
@@ -67,11 +74,11 @@ func TestSimMatchesMDC(t *testing.T) {
 		MeasuredPackets: 20000,
 	})
 	want := queueing.MDcWaitApprox(8, lambdaAgg, s)
-	if !queueing.ApproxEqual(res.MeanQueueing, want, 0.15) {
+	if !approxEqual(res.MeanQueueing, want, 0.15) {
 		t.Errorf("sim Wq %.1f vs M/D/8 approx %.1f (>15%% off)", res.MeanQueueing, want)
 	}
 	// And the service itself must be the deterministic constant.
-	if !queueing.ApproxEqual(res.MeanService, s, 0.02) {
+	if !approxEqual(res.MeanService, s, 0.02) {
 		t.Errorf("service %.1f not constant at %.1f", res.MeanService, s)
 	}
 }

@@ -121,12 +121,6 @@ func (w *TimeWeighted) Set(now, value float64) {
 	w.value = value
 }
 
-// Add adjusts the level by delta at the given time.
-func (w *TimeWeighted) Add(now, delta float64) { w.Set(now, w.value+delta) }
-
-// Value returns the current level.
-func (w *TimeWeighted) Value() float64 { return w.value }
-
 // Mean returns the time-average of the level up to now.
 func (w *TimeWeighted) Mean(now float64) float64 {
 	if !w.primed || now <= w.start {
@@ -161,12 +155,6 @@ func (b *BatchMeans) Add(x float64) {
 		b.current = Mean{}
 	}
 }
-
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() uint64 { return b.batches.N() }
-
-// Mean returns the grand mean over completed batches.
-func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
 
 // HalfWidth returns the half-width of an approximate 95% confidence
 // interval on the mean. It requires at least 2 completed batches and uses
@@ -236,9 +224,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// N returns the total number of observations.
-func (h *Histogram) N() uint64 { return h.total }
-
 // Quantile returns an estimate of the q-quantile (0 < q < 1) by linear
 // interpolation within the containing bin. Underflow mass is treated as
 // sitting at lo and overflow mass at hi.
@@ -277,13 +262,6 @@ func (h *Histogram) QuantileClamped(q float64) (float64, bool) {
 	clamped := h.total > 0 && q > 0 && q < 1 &&
 		float64(h.total-h.over) < q*float64(h.total)
 	return v, clamped
-}
-
-// Counts returns a copy of the bin counts.
-func (h *Histogram) Counts() []uint64 {
-	out := make([]uint64, len(h.bins))
-	copy(out, h.bins)
-	return out
 }
 
 // OverflowFraction returns the share of observations at or above hi.

@@ -57,16 +57,6 @@ func TestTimeWeightedMean(t *testing.T) {
 	}
 }
 
-func TestTimeWeightedAdd(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 0)
-	w.Add(5, 3)
-	w.Add(10, -1)
-	if w.Value() != 2 {
-		t.Fatalf("Value = %v, want 2", w.Value())
-	}
-}
-
 func TestTimeWeightedLateStart(t *testing.T) {
 	var w TimeWeighted
 	w.Set(100, 5)

@@ -106,15 +106,6 @@ func (s *Spec) TotalStreams() int {
 	return n
 }
 
-// TotalRate is the aggregate offered packet rate across all classes.
-func (s *Spec) TotalRate() float64 {
-	r := 0.0
-	for _, c := range s.Classes {
-		r += c.RatePPS
-	}
-	return r
-}
-
 // Validate reports a descriptive error for a structurally invalid spec
 // or one whose expansion would produce an invalid per-stream traffic
 // spec (e.g. a train model whose lowest-rate stream is infeasible).

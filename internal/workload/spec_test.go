@@ -20,6 +20,15 @@ const sampleSpec = `{
   ]
 }`
 
+// TotalRate is the aggregate offered packet rate across all classes.
+func (s *Spec) TotalRate() float64 {
+	r := 0.0
+	for _, c := range s.Classes {
+		r += c.RatePPS
+	}
+	return r
+}
+
 func TestParseRoundTrip(t *testing.T) {
 	s, err := Parse([]byte(sampleSpec))
 	if err != nil {
